@@ -20,7 +20,6 @@ from .basis import JacobiParams
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericFailure
 from .paths import default_bands, jump_count_batch, oscillation_batch, variation_batch
-from .quadrature import auto_order
 from .semigroup import (
     kernel_dt_tensor,
     kernel_matrix,
@@ -30,6 +29,7 @@ from .semigroup import (
 )
 from .verify import (
     _lacunary_step_matrices,
+    _window_prefix,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,
@@ -112,7 +112,8 @@ def cmd_kernel(config: RunConfig) -> int:
                 semigroup_defect(params, t / 2.0, t / 2.0, size))
             defects["cross_method"].append(
                 float(np.abs(quad.entries - spectral.entries).max()))
-        order = auto_order(params, size - 1, max(times), config.quad_tol)
+        order = kernel_matrix(params, max(times), size, method="quadrature",
+                              quad_tol=config.quad_tol).order_info
         _write_json(os.path.join(tag_dir, "report.json"), {
             "alpha": params.alpha,
             "beta": params.beta,
@@ -150,11 +151,7 @@ def _operator_table(config: RunConfig, params: JacobiParams):
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
     steps = _lacunary_step_matrices(params, lac, b, size, config.quad_tol)
-    m_range = config.lacunary.window
-    offset = -m_range - lac.j_min
-    prefix = np.concatenate([np.zeros((1, size, size)),
-                             np.cumsum(steps[offset:offset + 2 * m_range + 1], axis=0)])
-    sums = prefix @ np.pad(f, (0, size - f.size))
+    sums = _window_prefix(steps, lac, config.lacunary.window) @ np.pad(f, (0, size - f.size))
     sstar = sums.max(axis=0) - sums.min(axis=0)
     bound = 2.0 ** (1.0 + 1.0 / config.rho) * var
     worst_jump = np.max(np.stack(list(jumps.values())), axis=0)

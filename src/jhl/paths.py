@@ -379,12 +379,6 @@ def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: Lacuna
     return total
 
 
-def _local_mask(size: int) -> np.ndarray:
-    n = np.arange(size)[:, None]
-    m = np.arange(size)[None, :]
-    return (2 * m >= n) & (2 * m <= 3 * n)
-
-
 def s_star(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
            f: np.ndarray, n: int, size: int, variant: str = "full") -> float:
     """sup over windows -M <= n1 < n2 <= M of |difference sum| at index n.

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._memo import memo
 from .basis import JacobiParams, coeff_a, coeff_b, ortho_table
 from .errors import ConvergenceFailure, NumericFailure
 
@@ -47,29 +48,39 @@ class QuadratureRule:
 
 
 def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Golub-Welsch construction of the Gauss-Jacobi rule with `order` points."""
+    """Golub-Welsch construction of the Gauss-Jacobi rule with `order` points.
+
+    Rules are memoised per (params, order); their arrays are read-only.
+    """
     if order < 1:
         raise ValueError("order must be positive")
     if order > MAX_ORDER:
         raise ConvergenceFailure(f"quadrature order {order} exceeds cap {MAX_ORDER}")
+    return memo(("rule", params.alpha, params.beta, order),
+                lambda: _golub_welsch(params, order))
+
+
+def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
     mass = total_mass(params)
     if order == 1:
         nodes = np.array([coeff_b(params, 0) + 1.0])
         weights = np.array([mass])
-        return QuadratureRule(params=params, order=1, nodes=nodes, weights=weights)
-    diag = np.array([coeff_b(params, n) + 1.0 for n in range(order)])
-    off = np.array([coeff_a(params, n) for n in range(order - 1)])
-    try:
-        nodes, vectors = scipy.linalg.eigh_tridiagonal(diag, off)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
-    weights = mass * vectors[0, :] ** 2
-    if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
-        raise NumericFailure("quadrature nodes left (-1, 1) or lost strict ordering")
-    if np.any(weights <= 0.0):
-        raise NumericFailure("nonpositive quadrature weight")
-    if abs(weights.sum() - mass) > 1e-12 * mass:
-        raise NumericFailure("quadrature weights do not sum to the total mass")
+    else:
+        diag = np.array([coeff_b(params, n) + 1.0 for n in range(order)])
+        off = np.array([coeff_a(params, n) for n in range(order - 1)])
+        try:
+            nodes, vectors = scipy.linalg.eigh_tridiagonal(diag, off)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
+        weights = mass * vectors[0, :] ** 2
+        if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
+            raise NumericFailure("quadrature nodes left (-1, 1) or lost strict ordering")
+        if np.any(weights <= 0.0):
+            raise NumericFailure("nonpositive quadrature weight")
+        if abs(weights.sum() - mass) > 1e-12 * mass:
+            raise NumericFailure("quadrature weights do not sum to the total mass")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(params=params, order=order, nodes=nodes, weights=weights)
 
 
@@ -103,10 +114,12 @@ def moments(params: JacobiParams, k_max: int) -> np.ndarray:
     return out
 
 
-def _diag_entry(params: JacobiParams, order: int, n: int, t: float) -> float:
+def _diag_entries(params: JacobiParams, order: int, n: int, probes) -> list:
+    """K_t(n, n) at each probe time t, from one rule and one table."""
     rule = build_rule(params, order)
     p_row = ortho_table(params, n, rule.nodes)[n]
-    return float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
+    return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
+            for t in probes]
 
 
 def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
@@ -125,13 +138,13 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
     order = n_max + 16
     if order > MAX_ORDER:
         raise ConvergenceFailure(f"starting order {order} exceeds cap {MAX_ORDER}")
-    cur = [_diag_entry(params, order, n_max, t) for t in probes]
+    cur = _diag_entries(params, order, n_max, probes)
     while True:
         if 2 * order > MAX_ORDER:
             raise ConvergenceFailure(
                 f"kernel quadrature did not converge below order cap {MAX_ORDER}"
             )
-        nxt = [_diag_entry(params, 2 * order, n_max, t) for t in probes]
+        nxt = _diag_entries(params, 2 * order, n_max, probes)
         if max(abs(c - n) for c, n in zip(cur, nxt)) < tol:
             return order
         order *= 2

@@ -2,18 +2,20 @@
 
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route evaluates this integral with a Gauss-Jacobi rule; the spectral
-route diagonalizes a 4N truncation of the operator and exponentiates. Both are
-cached per (params, t, N, method).
+route diagonalizes a 4N truncation of the operator and exponentiates. Every
+derived value (order, rule, table, eigenbasis, kernel, tensor) is memoised in
+`jhl._memo`, and `clear_caches` empties that one cache.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ._memo import clear as clear_caches
+from ._memo import memo
 from .basis import JacobiParams, generator_coefficients, ortho_poly_at_one, ortho_table
 from .errors import ConvergenceFailure, NumericFailure
 from .quadrature import QuadratureRule, auto_order, build_rule
@@ -38,65 +40,20 @@ __all__ = [
 DEFAULT_QUAD_TOL = 1e-12
 POSITIVITY_FLOOR = -1e-12
 
-_lock = threading.Lock()
-_rule_cache: dict = {}
-_order_cache: dict = {}
-_table_cache: dict = {}
-_eig_cache: dict = {}
-_kernel_cache: dict = {}
-_tensor_cache: dict = {}
+
+def _table(params: JacobiParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
+    return memo(("table", params.alpha, params.beta, n_max, rule.order),
+                lambda: ortho_table(params, n_max, rule.nodes))
 
 
-def clear_caches() -> None:
-    with _lock:
-        for cache in (_rule_cache, _order_cache, _table_cache, _eig_cache,
-                      _kernel_cache, _tensor_cache):
-            cache.clear()
-
-
-def _cached_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
-    key = (params.alpha, params.beta, n_max, t_max, tol)
-    hit = _order_cache.get(key)
-    if hit is None:
-        hit = auto_order(params, n_max, t_max, tol)
-        with _lock:
-            _order_cache[key] = hit
-    return hit
-
-
-def _cached_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    key = (params.alpha, params.beta, order)
-    hit = _rule_cache.get(key)
-    if hit is None:
-        hit = build_rule(params, order)
-        with _lock:
-            _rule_cache[key] = hit
-    return hit
-
-
-def _cached_table(params: JacobiParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
-    key = (params.alpha, params.beta, n_max, rule.order)
-    hit = _table_cache.get(key)
-    if hit is None:
-        hit = ortho_table(params, n_max, rule.nodes)
-        with _lock:
-            _table_cache[key] = hit
-    return hit
-
-
-def _cached_eig(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (params.alpha, params.beta, size)
-    hit = _eig_cache.get(key)
-    if hit is None:
+def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def compute():
         diag, off = generator_coefficients(params, size)
         try:
-            lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
+            return scipy.linalg.eigh_tridiagonal(diag, off)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise NumericFailure(f"generator eigensolver failed at size {size}") from exc
-        hit = (lam, vec)
-        with _lock:
-            _eig_cache[key] = hit
-    return hit
+    return memo(("eig", params.alpha, params.beta, size), compute)
 
 
 @dataclass(frozen=True)
@@ -128,7 +85,7 @@ def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
         raise ConvergenceFailure(
             f"rule of order {rule.order} cannot integrate the degree {n + m} polynomial part"
         )
-    table = _cached_table(params, max(n, m), rule)
+    table = _table(params, max(n, m), rule)
     # table[n] * table[m] first: IEEE multiplication commutes, so the value
     # is bitwise symmetric in (n, m), which grouping exp * p_n * p_m is not.
     integrand = (table[n] * table[m]) * np.exp(-t * (1.0 - rule.nodes))
@@ -147,7 +104,7 @@ def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
         raise ConvergenceFailure(
             f"rule of order {rule.order} cannot integrate the degree {n + m + 1} polynomial part"
         )
-    table = _cached_table(params, max(n, m), rule)
+    table = _table(params, max(n, m), rule)
     g = 1.0 - rule.nodes
     integrand = (table[n] * table[m]) * (-g * np.exp(-t * g))
     return float(rule.weights @ integrand)
@@ -169,12 +126,26 @@ def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
             )
 
 
-def _quad_pieces(params: JacobiParams, size: int, t_max: float,
-                 tol: float) -> tuple[QuadratureRule, np.ndarray]:
-    order = _cached_order(params, size - 1, max(t_max, 1e-3), tol)
-    rule = _cached_rule(params, order)
-    table = _cached_table(params, size - 1, rule)
-    return rule, table
+def _assemble(rows: np.ndarray, base, rate: np.ndarray, times) -> np.ndarray:
+    """Stack over t of the symmetrised (rows * (base * e^{-t rate})) @ rows.T."""
+    out = np.empty((len(times), rows.shape[0], rows.shape[0]))
+    for i, t in enumerate(times):
+        raw = (rows * (base * np.exp(-t * rate))) @ rows.T
+        out[i] = 0.5 * (raw + raw.T)
+    return out
+
+
+def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
+                  derivative: bool = False) -> tuple[int, np.ndarray]:
+    """Quadrature order and stack of K_t (or d/dt K_t) for every t, from the
+    one rule chosen for max(times): weights w for K, -w (1 - x) for dK."""
+    t_max = max(float(np.max(times)), 1e-3)
+    order = memo(("order", params.alpha, params.beta, size - 1, t_max, tol),
+                 lambda: auto_order(params, size - 1, t_max, tol))
+    rule = build_rule(params, order)
+    g = 1.0 - rule.nodes
+    base = -rule.weights * g if derivative else rule.weights
+    return order, _assemble(_table(params, size - 1, rule), base, g, times)
 
 
 def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quadrature",
@@ -189,84 +160,52 @@ def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quad
         raise ValueError("size must be positive")
     if method not in ("quadrature", "spectral"):
         raise ValueError(f"unknown kernel method {method!r}")
-    key = (params.alpha, params.beta, t, size, method, quad_tol)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    if t == 0.0:
-        out = _identity_kernel(params, size, method)
-    elif method == "quadrature":
-        rule, table = _quad_pieces(params, size, t, quad_tol)
-        scale = rule.weights * np.exp(-t * (1.0 - rule.nodes))
-        raw = (table * scale) @ table.T
-        entries = 0.5 * (raw + raw.T)
+
+    def compute() -> HeatKernel:
+        if t == 0.0:
+            return _identity_kernel(params, size, method)
+        if method == "quadrature":
+            order, stack = _quad_kernels(params, [t], size, quad_tol)
+        else:
+            order = 4 * size
+            lam, vec = _eigenbasis(params, order)
+            stack = _assemble(vec[:size, :], 1.0, -lam, [t])  # e^{t lam}, exactly
+        entries = stack[0]
         _check_positivity(params, entries)
-        entries.setflags(write=False)  # cached object is shared across callers
-        out = HeatKernel(params=params, t=t, size=size, entries=entries,
-                         method="quadrature", order_info=rule.order)
-    else:
-        big = 4 * size
-        lam, vec = _cached_eig(params, big)
-        block = vec[:size, :]
-        raw = (block * np.exp(t * lam)) @ block.T
-        entries = 0.5 * (raw + raw.T)
-        _check_positivity(params, entries)
-        entries.setflags(write=False)
-        out = HeatKernel(params=params, t=t, size=size, entries=entries,
-                         method="spectral", order_info=big)
-    with _lock:
-        _kernel_cache[key] = out
-    return out
+        entries.setflags(write=False)  # memoised object is shared across callers
+        return HeatKernel(params=params, t=t, size=size, entries=entries,
+                          method=method, order_info=order)
+
+    return memo(("kernel", params.alpha, params.beta, t, size, method, quad_tol), compute)
 
 
-def _times_key(times: np.ndarray) -> tuple:
-    return tuple(float(t) for t in times)
+def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
+            derivative: bool) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or np.any(times <= 0.0):
+        raise ValueError("time grid must be nonempty with positive entries")
+
+    def compute() -> np.ndarray:
+        out = _quad_kernels(params, times, size, quad_tol, derivative)[1]
+        if not derivative:
+            _check_positivity(params, out)
+        out.setflags(write=False)
+        return out
+
+    return memo(("dK" if derivative else "K", params.alpha, params.beta, size,
+                 tuple(times.tolist()), quad_tol), compute)
 
 
 def kernel_tensor(params: JacobiParams, times: np.ndarray, size: int,
                   quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Stack of quadrature kernel matrices over a time grid, shape (len(times), size, size)."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times <= 0.0):
-        raise ValueError("time grid must be nonempty with positive entries")
-    key = ("K", params.alpha, params.beta, size, _times_key(times), quad_tol)
-    hit = _tensor_cache.get(key)
-    if hit is not None:
-        return hit
-    rule, table = _quad_pieces(params, size, float(times.max()), quad_tol)
-    out = np.empty((times.size, size, size))
-    for i, t in enumerate(times):
-        scale = rule.weights * np.exp(-t * (1.0 - rule.nodes))
-        raw = (table * scale) @ table.T
-        out[i] = 0.5 * (raw + raw.T)
-    _check_positivity(params, out)
-    out.setflags(write=False)
-    with _lock:
-        _tensor_cache[key] = out
-    return out
+    return _tensor(params, times, size, quad_tol, derivative=False)
 
 
 def kernel_dt_tensor(params: JacobiParams, times: np.ndarray, size: int,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Stack of d/dt kernel matrices over a time grid."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times <= 0.0):
-        raise ValueError("time grid must be nonempty with positive entries")
-    key = ("dK", params.alpha, params.beta, size, _times_key(times), quad_tol)
-    hit = _tensor_cache.get(key)
-    if hit is not None:
-        return hit
-    rule, table = _quad_pieces(params, size, float(times.max()), quad_tol)
-    g = 1.0 - rule.nodes
-    out = np.empty((times.size, size, size))
-    for i, t in enumerate(times):
-        scale = -rule.weights * g * np.exp(-t * g)
-        raw = (table * scale) @ table.T
-        out[i] = 0.5 * (raw + raw.T)
-    out.setflags(write=False)
-    with _lock:
-        _tensor_cache[key] = out
-    return out
+    return _tensor(params, times, size, quad_tol, derivative=True)
 
 
 def _fit_signal(f: np.ndarray, size: int) -> np.ndarray:

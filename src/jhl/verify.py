@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._memo import memo
 from .basis import JacobiParams, normalization, ortho_table
 from .paths import (
     BandSequence,
@@ -238,6 +239,14 @@ def _lacunary_step_matrices(params: JacobiParams, lac: LacunarySequence, coef: n
     return np.stack([coef[i] * (mats[i + 1] - mats[i]) for i in range(len(mats) - 1)])
 
 
+def _window_prefix(steps: np.ndarray, lac: LacunarySequence, m_range: int) -> np.ndarray:
+    """Zero row, then running sums of the steps j = -M..M: every window sum over
+    n1 <= j <= n2 is prefix[n2 + M + 1] - prefix[n1 + M]."""
+    offset = -m_range - lac.j_min
+    window = steps[offset:offset + 2 * m_range + 1]
+    return np.concatenate([np.zeros((1,) + window.shape[1:]), np.cumsum(window, axis=0)])
+
+
 def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range: int,
                      sizes, quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
     """Size and smoothness of difference-sum kernels over every window in [-M, M].
@@ -261,10 +270,8 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
     uniformity = None
     window_series: dict[tuple, list] = {w: [] for w in windows}
     for size in sizes:
-        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        offset = -m_range - lac.j_min
-        prefix = np.concatenate([np.zeros((1, size, size)),
-                                 np.cumsum(steps[offset:offset + 2 * m_range + 1], axis=0)])
+        prefix = _window_prefix(_lacunary_step_matrices(params, lac, b, size, quad_tol),
+                                lac, m_range)
         sep = _sep(size)
         mask_a = sep > 0.0
         n = np.arange(size - 1)[:, None]
@@ -383,10 +390,7 @@ def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bco
         probes = np.concatenate(
             [np.eye(size), rng.standard_normal((size, n_random))], axis=1)
         steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        offset = -m_range - lac.j_min
-        masked = steps[offset:offset + 2 * m_range + 1] * _local_mask(size)[None, :, :]
-        prefix = np.concatenate([np.zeros((1, size, size)), np.cumsum(masked, axis=0)])
-        images = prefix @ probes
+        images = _window_prefix(steps * _local_mask(size), lac, m_range) @ probes
         s_star_loc = images.max(axis=0) - images.min(axis=0)
         g = images[-1] - images[0]
         denom = _hl_columns(np.abs(g)) + _hl_columns(np.abs(probes) ** q) ** (1.0 / q)
@@ -423,9 +427,6 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
     return _finish("poly_bound", params, sizes, {"poly_envelope": constants}, started)
 
 
-_images_cache: dict = {}
-
-
 def _path_tensor(params: JacobiParams, grid: TimeGrid, size: int, probes: np.ndarray,
                  quad_tol: float) -> np.ndarray:
     kt = kernel_tensor(params, grid.times, size, quad_tol)
@@ -436,41 +437,38 @@ def _operator_images(params: JacobiParams, operator: str, size: int, grid: TimeG
                      rho: float, lambdas, lac: LacunarySequence | None, bcoef,
                      m_range: int, seed: int, n_random: int,
                      quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probe matrix and operator image columns; heavy pieces cached per call key."""
+    """Probe matrix and operator image columns, memoised per call key."""
     lac_key = None if lac is None else (lac.j_min, tuple(lac.values), lac.ratio)
-    key = (operator, params.alpha, params.beta, size, tuple(grid.times), rho,
-           tuple(lambdas), lac_key, m_range, seed, n_random, quad_tol)
-    hit = _images_cache.get(key)
-    if hit is not None:
-        return hit
-    probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
-    if operator == "variation":
-        paths = _path_tensor(params, grid, size, probes, quad_tol)
-        images = variation_batch(paths.transpose(1, 2, 0), rho)
-    elif operator == "oscillation":
-        paths = _path_tensor(params, grid, size, probes, quad_tol)
-        images = oscillation_batch(grid.times, paths.transpose(1, 2, 0),
-                                   default_bands(grid))
-    elif operator == "jump":
-        paths = _path_tensor(params, grid, size, probes, quad_tol)
-        flat = paths.transpose(1, 2, 0)
-        images = np.stack(
-            [lam * jump_count_batch(flat, lam) ** (1.0 / rho) for lam in lambdas])
-    elif operator == "s_star":
-        if lac is None:
-            raise ValueError("s_star sweeps need a lacunary sequence")
-        b = _resolve_bcoef(bcoef, lac)
-        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        offset = -m_range - lac.j_min
-        prefix = np.concatenate([np.zeros((1, size, size)),
-                                 np.cumsum(steps[offset:offset + 2 * m_range + 1], axis=0)])
-        stacked = prefix @ probes
-        images = stacked.max(axis=0) - stacked.min(axis=0)
-    else:
-        raise ValueError(f"unknown operator choice {operator!r}")
-    hit = (probes, images)
-    _images_cache[key] = hit
-    return hit
+    b = _resolve_bcoef(bcoef, lac) if operator == "s_star" and lac is not None else None
+    key = ("images", operator, params.alpha, params.beta, size, tuple(grid.times), rho,
+           tuple(lambdas), lac_key, None if b is None else tuple(b), m_range, seed,
+           n_random, quad_tol)
+
+    def compute() -> tuple[np.ndarray, np.ndarray]:
+        probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
+        if operator == "variation":
+            paths = _path_tensor(params, grid, size, probes, quad_tol)
+            images = variation_batch(paths.transpose(1, 2, 0), rho)
+        elif operator == "oscillation":
+            paths = _path_tensor(params, grid, size, probes, quad_tol)
+            images = oscillation_batch(grid.times, paths.transpose(1, 2, 0),
+                                       default_bands(grid))
+        elif operator == "jump":
+            paths = _path_tensor(params, grid, size, probes, quad_tol)
+            flat = paths.transpose(1, 2, 0)
+            images = np.stack(
+                [lam * jump_count_batch(flat, lam) ** (1.0 / rho) for lam in lambdas])
+        elif operator == "s_star":
+            if lac is None:
+                raise ValueError("s_star sweeps need a lacunary sequence")
+            steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
+            stacked = _window_prefix(steps, lac, m_range) @ probes
+            images = stacked.max(axis=0) - stacked.min(axis=0)
+        else:
+            raise ValueError(f"unknown operator choice {operator!r}")
+        return probes, images
+
+    return memo(key, compute)
 
 
 def verify_theorem_norms(params: JacobiParams, operator: str, p: float,

@@ -12,6 +12,7 @@ from jhl.semigroup import (
     clear_caches,
     fourier_transform,
     kernel_dt_entry,
+    kernel_dt_tensor,
     kernel_entry,
     kernel_matrix,
     kernel_tensor,
@@ -200,3 +201,30 @@ class TestCaches:
         fresh = kernel_matrix(LEGENDRE, 0.3, 8)
         assert fresh is not first
         assert_allclose(fresh.entries, first.entries)
+
+
+ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
+
+
+class TestAssemblyOracles:
+    @pytest.mark.parametrize("params", ORACLE_PARAMS)
+    @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
+    def test_matrix_is_tensor_slice_bitwise(self, params, t):
+        kern = kernel_matrix(params, t, 24)
+        assert np.array_equal(kern.entries, kernel_tensor(params, [t], 24)[0])
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS)
+    @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
+    def test_scalar_entries_match_batch(self, params, t):
+        # Relative to the largest entry: entries at rounding level carry no
+        # relative accuracy on either route.
+        size = 24
+        kern = kernel_matrix(params, t, size).entries
+        dkern = kernel_dt_tensor(params, [t], size)[0]
+        rule = build_rule(params, kernel_matrix(params, t, size).order_info)
+        scalar = np.array([[kernel_entry(params, t, n, m, rule) for m in range(size)]
+                           for n in range(size)])
+        dscalar = np.array([[kernel_dt_entry(params, t, n, m, rule) for m in range(size)]
+                            for n in range(size)])
+        assert np.abs(scalar - kern).max() <= 1e-13 * np.abs(kern).max()
+        assert np.abs(dscalar - dkern).max() <= 1e-13 * np.abs(dkern).max()

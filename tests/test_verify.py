@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import jhl.quadrature
 from jhl.basis import JacobiParams
+from jhl.errors import ConvergenceFailure
 from jhl.paths import LacunarySequence, TimeGrid, default_time_grid, variation_batch
-from jhl.semigroup import kernel_dt_tensor, kernel_tensor
+from jhl.semigroup import clear_caches, kernel_dt_tensor, kernel_tensor
 from jhl.verify import (
     EstimateReport,
     majorant_batch,
@@ -206,6 +208,25 @@ class TestTheoremNorms:
         rep = verify_theorem_norms(LEGENDRE, "s_star", 2.0, spec, (8, 12),
                                    grid=SMALL_GRID, n_random=4, m_range=2)
         assert all(c > 0.0 for c in rep.constants)
+
+    def test_s_star_images_follow_coefficients(self):
+        spec = WeightSpec("constant")
+        lac, alternating = _lac(2)
+        reps = [verify_theorem_norms(LEGENDRE, "s_star", 2.0, spec, (8, 12),
+                                     grid=SMALL_GRID, n_random=4, lac=lac,
+                                     bcoef=b, m_range=2)
+                for b in (alternating, np.ones_like(alternating))]
+        assert reps[0].constants != reps[1].constants
+
+    def test_clear_caches_drops_operator_images(self, monkeypatch):
+        spec = WeightSpec("constant")
+        verify_theorem_norms(LEGENDRE, "variation", 2.0, spec, (8, 12),
+                             grid=SMALL_GRID, n_random=4)
+        clear_caches()
+        monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
+        with pytest.raises(ConvergenceFailure):
+            verify_theorem_norms(LEGENDRE, "variation", 2.0, spec, (8, 12),
+                                 grid=SMALL_GRID, n_random=4)
 
     def test_validation(self):
         spec = WeightSpec("constant")
