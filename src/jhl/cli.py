@@ -66,6 +66,18 @@ def _write_csv(path: str, header, rows) -> None:
                                    for v in row) + "\n")
 
 
+def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
+    """The bytes `_write_csv` writes for the (row, col, value) entries of a
+    matrix in row-major order, formatted and written one row at a time."""
+    # One "%.17g" slot per column. Joined with the row label as separator, the
+    # leading "" puts that label in front of every line of the row.
+    slots = ["", *(f",{col},%.17g\n" for col in range(matrix.shape[1]))]
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("row,col,value\n")
+        for row in range(matrix.shape[0]):
+            handle.write(str(row).join(slots) % tuple(matrix[row].tolist()))
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -74,13 +86,6 @@ def _write_json(path: str, payload) -> None:
 
 def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
-
-
-def _matrix_rows(matrix: np.ndarray):
-    size = matrix.shape[0]
-    for row in range(size):
-        for col in range(matrix.shape[1]):
-            yield (row, col, matrix[row, col])
 
 
 def cmd_kernel(config: RunConfig) -> int:
@@ -102,10 +107,9 @@ def cmd_kernel(config: RunConfig) -> int:
             spectral = kernel_matrix(params, t, size, method="spectral",
                                      quad_tol=config.quad_tol)
             dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
-            _write_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"),
-                       ("row", "col", "value"), _matrix_rows(quad.entries))
-            _write_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"),
-                       ("row", "col", "value"), _matrix_rows(dkt))
+            _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"),
+                              quad.entries)
+            _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
             defects["markov"].append(max(
                 markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
             defects["semigroup"].append(

@@ -51,6 +51,12 @@ def _integer(raw, where: str) -> int:
     return raw
 
 
+def _boolean(raw, where: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{where} must be true or false, got {raw!r}")
+    return raw
+
+
 def _sequence(raw, where: str) -> list:
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{where} must be a list, got {raw!r}")
@@ -70,8 +76,9 @@ class TimeGridSpec:
         spec = cls(
             t_min=_number(raw.get("t_min", cls.t_min), f"{where}.t_min"),
             t_max=_number(raw.get("t_max", cls.t_max), f"{where}.t_max"),
-            count=int(raw.get("count", cls.count)),
-            geometric=bool(raw.get("geometric", cls.geometric)),
+            count=_integer(raw.get("count", cls.count), f"{where}.count"),
+            geometric=_boolean(raw.get("geometric", cls.geometric),
+                               f"{where}.geometric"),
         )
         if not (0.0 < spec.t_min < spec.t_max):
             raise ConfigError(f"{where} needs 0 < t_min < t_max")
@@ -98,7 +105,7 @@ class LacunarySpec:
     def from_dict(cls, raw: dict) -> "LacunarySpec":
         _require_keys(raw, ("ratio", "window"), "lacunary")
         spec = cls(ratio=_number(raw.get("ratio", cls.ratio), "lacunary.ratio"),
-                   window=int(raw.get("window", cls.window)))
+                   window=_integer(raw.get("window", cls.window), "lacunary.window"))
         if spec.ratio <= 1.0:
             raise ConfigError("lacunary.ratio must exceed 1")
         if spec.window < 1:
@@ -163,7 +170,7 @@ class SignalSpec:
         kind = raw.get("kind", cls.kind)
         if kind not in ("delta", "explicit"):
             raise ConfigError(f"signal.kind must be delta or explicit, got {kind!r}")
-        index = int(raw.get("index", cls.index))
+        index = _integer(raw.get("index", cls.index), "signal.index")
         if kind == "delta" and index < 0:
             raise ConfigError("signal.index must be nonnegative")
         values = tuple(_number(v, "signal.values") for v in raw.get("values", ()))

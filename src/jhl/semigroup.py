@@ -3,8 +3,10 @@
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route evaluates this integral with a Gauss-Jacobi rule; the spectral
 route diagonalizes a 4N truncation of the operator and exponentiates. Every
-derived value (order, rule, table, eigenbasis, kernel, tensor) is memoised in
-`jhl._memo`, and `clear_caches` empties that one cache.
+derived value of the batch routes (order, rule, table, eigenbasis, kernel,
+tensor, p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties
+that one cache. The scalar oracles `kernel_entry` and `kernel_dt_entry` build
+their own tables, so scalar calls do not grow the cache.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ __all__ = [
 
 DEFAULT_QUAD_TOL = 1e-12
 POSITIVITY_FLOOR = -1e-12
-
-
-def _table(params: JacobiParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
-    return memo(("table", params.alpha, params.beta, n_max, rule.order),
-                lambda: ortho_table(params, n_max, rule.nodes))
 
 
 def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +82,7 @@ def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
         raise ConvergenceFailure(
             f"rule of order {rule.order} cannot integrate the degree {n + m} polynomial part"
         )
-    table = _table(params, max(n, m), rule)
+    table = ortho_table(params, max(n, m), rule.nodes)
     # table[n] * table[m] first: IEEE multiplication commutes, so the value
     # is bitwise symmetric in (n, m), which grouping exp * p_n * p_m is not.
     integrand = (table[n] * table[m]) * np.exp(-t * (1.0 - rule.nodes))
@@ -104,7 +101,7 @@ def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
         raise ConvergenceFailure(
             f"rule of order {rule.order} cannot integrate the degree {n + m + 1} polynomial part"
         )
-    table = _table(params, max(n, m), rule)
+    table = ortho_table(params, max(n, m), rule.nodes)
     g = 1.0 - rule.nodes
     integrand = (table[n] * table[m]) * (-g * np.exp(-t * g))
     return float(rule.weights @ integrand)
@@ -143,9 +140,11 @@ def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
     order = memo(("order", params.alpha, params.beta, size - 1, t_max, tol),
                  lambda: auto_order(params, size - 1, t_max, tol))
     rule = build_rule(params, order)
+    table = memo(("table", params.alpha, params.beta, size - 1, order),
+                 lambda: ortho_table(params, size - 1, rule.nodes))
     g = 1.0 - rule.nodes
     base = -rule.weights * g if derivative else rule.weights
-    return order, _assemble(_table(params, size - 1, rule), base, g, times)
+    return order, _assemble(table, base, g, times)
 
 
 def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quadrature",
@@ -229,8 +228,12 @@ def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int,
 
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
-    """The positive sequence p_n(1), n < size."""
-    return np.array([ortho_poly_at_one(params, n) for n in range(size)])
+    """The positive sequence p_n(1), n < size; memoised and read-only."""
+    def compute() -> np.ndarray:
+        out = np.array([ortho_poly_at_one(params, n) for n in range(size)])
+        out.setflags(write=False)
+        return out
+    return memo(("at_one", params.alpha, params.beta, size), compute)
 
 
 def apply_heat_tilde(params: JacobiParams, t: float, f: np.ndarray, size: int,

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jhl.quadrature
-from jhl.cli import main
+from jhl.cli import _write_csv, _write_matrix_csv, main
 from jhl.config import RunConfig, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches
@@ -100,6 +100,26 @@ class TestMainErrors:
         assert record["error"] == "config"
         assert record["message"]
 
+    @pytest.mark.parametrize("override", [
+        {"t_grid": {"t_min": 1e-2, "t_max": 10.0, "count": "abc"}},
+        {"t_grid": {"t_min": 1e-2, "t_max": 10.0, "count": 2.9}},
+        {"norms_t_grid": {"t_min": 1e-2, "t_max": 100.0, "count": 16.0}},
+        {"t_grid": {"t_min": 1e-2, "t_max": 10.0, "geometric": "no"}},
+        {"norms_t_grid": {"t_min": 1e-2, "t_max": 100.0, "geometric": 0}},
+        {"lacunary": {"ratio": 2.0, "window": "3"}},
+        {"lacunary": {"ratio": 2.0, "window": True}},
+        {"signal": {"kind": "delta", "index": 1.5}},
+        {"signal": {"kind": "delta", "index": "0"}},
+    ], ids=["count-str", "count-float", "norms-count-float", "geometric-str",
+            "geometric-int", "window-str", "window-bool", "index-float", "index-str"])
+    def test_malformed_scalars_exit_two(self, tmp_path, capsys, override):
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    **override))
+        assert main(["kernel", "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_seed_override(self, tmp_path):
         path = _write_config(tmp_path, _base_config())
         assert main(["verify", "--config", path, "--seed", "-1"]) == 2
@@ -152,6 +172,28 @@ class TestKernelCommand:
             a = (out1 / "kernel" / "alpha0_beta0" / name).read_bytes()
             b = (out2 / "kernel" / "alpha0_beta0" / name).read_bytes()
             assert a == b, name
+
+
+class TestMatrixWriter:
+    VALUES = [-0.0, 5e-324, 1e-300, 1e308, 1.0, 1e16, 0.1]
+
+    def _matrices(self):
+        rng = np.random.default_rng(11)
+        for value in self.VALUES:
+            yield np.array([[value]])
+        for shape in ((7, 7), (3, 5)):
+            matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            matrix.flat[:len(self.VALUES)] = self.VALUES
+            yield matrix
+
+    def test_matches_generic_writer(self, tmp_path):
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        for matrix in self._matrices():
+            rows, cols = matrix.shape
+            _write_csv(str(ref), ("row", "col", "value"),
+                       ((r, c, matrix[r, c]) for r in range(rows) for c in range(cols)))
+            _write_matrix_csv(str(new), matrix)
+            assert new.read_bytes() == ref.read_bytes(), matrix.shape
 
 
 class TestOperatorsCommand:

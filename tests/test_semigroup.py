@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jhl.basis import JacobiParams
+from jhl import _memo
+from jhl.basis import JacobiParams, ortho_poly_at_one
 from jhl.quadrature import build_rule
 from jhl.semigroup import (
     apply_heat,
@@ -134,6 +135,15 @@ class TestDefects:
         with pytest.raises(ValueError, match="n"):
             markov_defect(LEGENDRE, 1.0, 40, 64)
 
+    @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)])
+    def test_markov_defect_matches_fresh_weights_bitwise(self, params):
+        size, t = 64, 0.7
+        fresh = np.array([ortho_poly_at_one(params, n) for n in range(size)])
+        rows = kernel_matrix(params, t, size).entries
+        for n in range(size // 4 + 1):
+            expected = float(abs(rows[n] @ fresh - fresh[n]) / fresh[n])
+            assert markov_defect(params, t, n, size) == expected
+
     def test_semigroup_identity(self):
         assert semigroup_defect(LEGENDRE, 0.5, 0.5, 128) < 1e-8
         assert semigroup_defect(LEGENDRE, 0.0, 0.7, 64) == 0.0
@@ -192,6 +202,21 @@ class TestTildeScale:
 
 
 class TestCaches:
+    def test_weight_at_one_memoised_read_only(self):
+        params = JacobiParams(1.0, 0.0)
+        v = weight_at_one(params, 16)
+        assert weight_at_one(params, 16) is v
+        assert not v.flags.writeable
+        assert np.array_equal(v, [ortho_poly_at_one(params, n) for n in range(16)])
+
+    def test_scalar_oracles_do_not_grow_memo(self):
+        rule = build_rule(LEGENDRE, 40)
+        before = len(_memo._cache)
+        for n in range(12):
+            kernel_entry(LEGENDRE, 0.5, n, 11 - n, rule)
+            kernel_dt_entry(LEGENDRE, 0.5, n, 2 * n, rule)
+        assert len(_memo._cache) == before
+
     def test_clear_and_recompute(self):
         clear_caches()
         first = kernel_matrix(LEGENDRE, 0.3, 8)
