@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +44,13 @@ def _require_keys(raw: dict, allowed, where: str) -> None:
 def _number(raw, where: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{where} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
 
 
 def _integer(raw, where: str) -> int:
@@ -200,17 +208,23 @@ def _parse_weight(raw: dict, where: str) -> WeightSpec:
     if kind not in ("constant", "power", "explicit", "file"):
         raise ConfigError(
             f"{where}.kind must be constant, power, explicit, or file, got {kind!r}")
-    spec = WeightSpec(
-        kind=kind,
-        exponent=_number(raw.get("exponent", 0.0), f"{where}.exponent"),
-        values=tuple(_number(v, f"{where}.values") for v in raw.get("values", ())),
-        path=str(raw.get("path", "")),
-    )
-    if kind == "explicit" and not spec.values:
+    path = str(raw.get("path", ""))
+    values = tuple(_number(v, f"{where}.values") for v in raw.get("values", ()))
+    if kind == "explicit" and not values:
         raise ConfigError(f"{where} explicit weight requires values")
-    if kind == "file" and not spec.path:
-        raise ConfigError(f"{where} file weight requires path")
-    return spec
+    if kind == "file":
+        if not path:
+            raise ConfigError(f"{where} file weight requires path")
+        try:
+            loaded = np.loadtxt(Path(path), dtype=float, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{where} cannot read weight file {path}: {exc}") from exc
+        values = tuple(_number(v, f"{where} file {path}") for v in loaded.tolist())
+    if kind in ("explicit", "file") and any(v <= 0.0 for v in values):
+        raise ConfigError(f"{where} weight values must be positive")
+    return WeightSpec(kind=kind,
+                      exponent=_number(raw.get("exponent", 0.0), f"{where}.exponent"),
+                      values=values, path=path)
 
 
 def _weight_dict(spec: WeightSpec) -> dict:
@@ -313,6 +327,11 @@ class RunConfig:
                 raise ConfigError("weights must be a weight spec or nonempty list of them")
             kwargs["weights"] = tuple(
                 _parse_weight(item, f"weights[{i}]") for i, item in enumerate(items))
+            need = max(kwargs.get("sizes", cls.sizes))
+            for i, spec in enumerate(kwargs["weights"]):
+                if spec.kind in ("explicit", "file") and len(spec.values) < need:
+                    raise ConfigError(f"weights[{i}] covers {len(spec.values)} indices, "
+                                      f"sizes need {need}")
         if "lacunary" in raw:
             kwargs["lacunary"] = LacunarySpec.from_dict(raw["lacunary"])
         if "bcoef" in raw:

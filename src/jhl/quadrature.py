@@ -3,6 +3,12 @@
 Nodes are the eigenvalues of the symmetric tridiagonal recurrence matrix of the
 measure; weights are the total mass times the squared first eigenvector
 components. A Q-point rule integrates polynomials up to degree 2Q-1 exactly.
+
+The order search (`auto_order`) needs only the same decisions, not the same
+bytes, so it runs on cheaper rules: eigenvalues refined by one Newton step,
+with Christoffel weights 1 / sum_{k<Q} p_k(x)^2, falling back to Golub-Welsch
+at an order whose weights fail the checks. Golub-Welsch eigenvectors are
+built only at the orders a kernel uses.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from ._memo import memo
-from .basis import JacobiParams, coeff_a, coeff_b, ortho_table
+from .basis import JacobiParams, coeff_a, generator_coefficients, normalization, ortho_table
 from .errors import ConvergenceFailure, NumericFailure
 
 __all__ = [
@@ -62,23 +68,71 @@ def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
 
 def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
     mass = total_mass(params)
-    if order == 1:
-        nodes = np.array([coeff_b(params, 0) + 1.0])
-        weights = np.array([mass])
-    else:
-        diag = np.array([coeff_b(params, n) + 1.0 for n in range(order)])
-        off = np.array([coeff_a(params, n) for n in range(order - 1)])
-        try:
-            nodes, vectors = scipy.linalg.eigh_tridiagonal(diag, off)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
-        weights = mass * vectors[0, :] ** 2
-        if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
-            raise NumericFailure("quadrature nodes left (-1, 1) or lost strict ordering")
-        if np.any(weights <= 0.0):
-            raise NumericFailure("nonpositive quadrature weight")
-        if abs(weights.sum() - mass) > 1e-12 * mass:
-            raise NumericFailure("quadrature weights do not sum to the total mass")
+    b, off = generator_coefficients(params, order)
+    try:
+        nodes, vectors = scipy.linalg.eigh_tridiagonal(b + 1.0, off)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
+    return _checked_rule(params, order, nodes, mass * vectors[0, :] ** 2, mass)
+
+
+def _search_rule(params: JacobiParams, order: int) -> QuadratureRule:
+    """Gauss rule for the order search: eigenvalue-only nodes, Christoffel weights.
+
+    The eigenvalues get one Newton step on p_order, and the weight at node x is
+    1 / sum_{k<order} p_k(x)^2; both stream the orthonormal three-term
+    recurrence, so memory stays O(order). Memoised per (params, order) under
+    its own key; the Golub-Welsch rules of build_rule stay the ones every
+    output uses.
+    """
+    return memo(("search_rule", params.alpha, params.beta, order),
+                lambda: _christoffel(params, order))
+
+
+def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
+    b, off = generator_coefficients(params, order)
+    diag = b + 1.0
+    try:
+        nodes = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
+    off = np.append(off, coeff_a(params, order - 1))
+    total, p_last, p_next = _christoffel_sums(params, diag, off, nodes)
+    # At a zero of p_order, Christoffel-Darboux gives p_order' = total / (a p_{order-1}).
+    nodes = nodes - off[-1] * p_last * p_next / total
+    total = _christoffel_sums(params, diag, off, nodes)[0]
+    try:
+        return _checked_rule(params, order, nodes, 1.0 / total, total_mass(params))
+    except NumericFailure:
+        # A node's absolute error of an ulp moves its Christoffel weight by
+        # about order^2 ulps relative next to an endpoint, which can break the
+        # mass check for an exponent below -1/2; search there on Golub-Welsch.
+        return build_rule(params, order)
+
+
+def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray):
+    """sum_{k<Q} p_k(x)^2, p_{Q-1}(x) and p_Q(x) for Q = len(diag) = len(off),
+    streaming the orthonormal recurrence in O(len(x)) memory."""
+    p_prev, p_cur = np.zeros_like(x), np.full_like(x, normalization(params, 0))
+    total = np.zeros_like(x)
+    a_prev = 0.0
+    for b, a in zip(diag.tolist(), off.tolist()):
+        total += p_cur * p_cur
+        p_prev, p_cur = p_cur, ((x - b) * p_cur - a_prev * p_prev) / a
+        a_prev = a
+    return total, p_prev, p_cur
+
+
+def _checked_rule(params: JacobiParams, order: int, nodes: np.ndarray,
+                  weights: np.ndarray, mass: float) -> QuadratureRule:
+    """The rule, once its nodes rise strictly inside (-1, 1) and its positive
+    weights sum to the total mass; arrays are made read-only."""
+    if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
+        raise NumericFailure("quadrature nodes left (-1, 1) or lost strict ordering")
+    if np.any(weights <= 0.0):
+        raise NumericFailure("nonpositive quadrature weight")
+    if abs(weights.sum() - mass) > 1e-12 * mass:
+        raise NumericFailure("quadrature weights do not sum to the total mass")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(params=params, order=order, nodes=nodes, weights=weights)
@@ -115,8 +169,8 @@ def moments(params: JacobiParams, k_max: int) -> np.ndarray:
 
 
 def _diag_entries(params: JacobiParams, order: int, n: int, probes) -> list:
-    """K_t(n, n) at each probe time t, from one rule and one table."""
-    rule = build_rule(params, order)
+    """K_t(n, n) at each probe time t, from one search rule and one table."""
+    rule = _search_rule(params, order)
     p_row = ortho_table(params, n, rule.nodes)[n]
     return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
             for t in probes]
@@ -127,13 +181,15 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
 
     Starts at n_max + 16 and doubles until the diagonal entry at index n_max,
     probed at t in {t_max, 1e-3}, moves by less than tol between order Q and 2Q.
+    Entries are probed on search rules (`_search_rule`), so the search solves
+    no eigenvectors; `build_rule` is left to the order returned.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError("t_max must be finite and positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     probes = (t_max, 1e-3)
     order = n_max + 16
     if order > MAX_ORDER:

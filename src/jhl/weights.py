@@ -36,7 +36,11 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Recipe for a weight: constant 1, a power (n+1)^exponent, or explicit values."""
+    """Recipe for a weight: constant 1, a power (n+1)^exponent, or explicit values.
+
+    A file weight reads its path on resolve unless it already carries the
+    values, as it does when it comes from a run configuration.
+    """
 
     kind: str
     exponent: float = 0.0
@@ -54,7 +58,7 @@ class WeightSpec:
             return np.ones(size)
         if self.kind == "power":
             return (np.arange(size) + 1.0) ** self.exponent
-        if self.kind == "explicit":
+        if self.values:
             vals = np.asarray(self.values, dtype=float)
         else:
             vals = np.loadtxt(Path(self.path), dtype=float, ndmin=1)

@@ -1,6 +1,7 @@
 """End-to-end tests for the jhl command line and its run configuration."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -119,6 +120,59 @@ class TestMainErrors:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"kernel_times": [math.nan]},
+        {"kernel_times": [1.0, math.inf]},
+        {"quad_tol": math.nan},
+        {"quad_tol": math.inf},
+        {"t_grid": {"t_min": 1e-2, "t_max": math.inf, "count": 16}},
+        {"rho": math.nan},
+        {"rho": 10 ** 400},
+        {"params": [[math.nan, 0.0]]},
+        {"lambdas": [-math.inf]},
+    ], ids=["kernel-times-nan", "kernel-times-inf", "quad-tol-nan", "quad-tol-inf",
+            "t-max-inf", "rho-nan", "rho-overflow", "alpha-nan", "lambda-minus-inf"])
+    def test_nonfinite_numbers_exit_two(self, tmp_path, capsys, monkeypatch, override):
+        # a NaN that got through would never meet the stopping test: keep the cap low
+        monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 64)
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    **override))
+        assert main(["kernel", "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert "finite" in record["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weight, contents", [
+        ({"kind": "file", "path": "missing.txt"}, None),
+        ({"kind": "file", "path": "w.txt"}, "1.0\nheavy\n"),
+        ({"kind": "file", "path": "w.txt"}, "1.0\n" * 11),
+        ({"kind": "file", "path": "w.txt"}, "1.0\n" * 11 + "nan\n"),
+        ({"kind": "file", "path": "w.txt"}, "1.0\n" * 11 + "0.0\n"),
+        ({"kind": "explicit", "values": [1.0] * 11}, None),
+        ({"kind": "explicit", "values": [1.0] * 11 + [-2.0]}, None),
+    ], ids=["file-missing", "file-not-numeric", "file-short", "file-nan",
+            "file-zero", "explicit-short", "explicit-negative"])
+    def test_bad_weights_exit_two_at_load(self, tmp_path, capsys, weight, contents):
+        if contents is not None:
+            (tmp_path / weight["path"]).write_text(contents)
+        if "path" in weight:
+            weight = {**weight, "path": str(tmp_path / weight["path"])}
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    weights=[weight]))
+        assert main(["norms", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_file_weight_read_at_load(self, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("".join(f"{n + 1}\n" for n in range(12)))
+        config = load_config(_write_config(tmp_path, _base_config(
+            weights=[{"kind": "file", "path": str(weights)}])))
+        weights.unlink()
+        assert_allclose(config.weights[0].resolve(12), np.arange(1.0, 13.0))
+        assert config.to_dict()["weights"] == [{"kind": "file", "path": str(weights)}]
 
     def test_bad_seed_override(self, tmp_path):
         path = _write_config(tmp_path, _base_config())

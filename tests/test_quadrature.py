@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jhl.quadrature as quadrature
+from jhl import _memo
 from jhl.basis import JacobiParams, ortho_table
 from jhl.errors import ConvergenceFailure, NumericFailure
 from jhl.quadrature import auto_order, build_rule, integrate, moments, total_mass
+from jhl.semigroup import clear_caches, kernel_tensor
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -139,3 +141,100 @@ class TestAutoOrder:
         monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
         with pytest.raises(ConvergenceFailure, match="order"):
             auto_order(LEGENDRE, 40, 10.0, 1e-33)
+
+
+def _golub_welsch_search(params, n_max, t_max, tol=1e-12):
+    """Oracle: the doubling search of auto_order, probing Golub-Welsch rules."""
+    def probe(order):
+        rule = build_rule(params, order)
+        row = ortho_table(params, n_max, rule.nodes)[n_max]
+        return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * row * row))
+                for t in (t_max, 1e-3)]
+
+    order = n_max + 16
+    cur = probe(order)
+    while True:
+        nxt = probe(2 * order)
+        if max(abs(c - n) for c, n in zip(cur, nxt)) < tol:
+            return order
+        order, cur = 2 * order, nxt
+
+
+ASYMMETRIC = JacobiParams(2.5, 0.5)
+# Christoffel weights of this measure fail the mass check from order 632 on.
+NEAR_SINGULAR = JacobiParams(3.0, -0.9)
+
+
+class TestSearchRule:
+    @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC],
+                             ids=["chebyshev", "legendre", "asymmetric"])
+    @pytest.mark.parametrize("n_max", [15, 31, 63])
+    def test_orders_match_golub_welsch_search(self, params, n_max):
+        for t_max in (1e-3, 1.0, 1e2, 1e5):
+            assert auto_order(params, n_max, t_max, 1e-12) == \
+                _golub_welsch_search(params, n_max, t_max)
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC,
+                                        JacobiParams(0.8, -0.4)],
+                             ids=["chebyshev", "legendre", "asymmetric", "skewed"])
+    @pytest.mark.parametrize("order", [1, 2, 12, 79, 316, 632])
+    def test_integrates_monomials_exactly(self, params, order):
+        rule = quadrature._search_rule(params, order)
+        assert rule is not build_rule(params, order)
+        m = moments(params, 2 * order - 1)
+        vals = np.array([rule.weights @ rule.nodes ** k for k in range(2 * order)])
+        nonzero = m != 0.0
+        assert_allclose(vals[nonzero], m[nonzero], rtol=1e-12)
+        # odd moments of a symmetric measure vanish: compare on the mass scale
+        assert_allclose(vals[~nonzero], 0.0, atol=1e-14 * m[0])
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC],
+                             ids=["chebyshev", "legendre", "asymmetric"])
+    def test_diag_entries_agree_with_golub_welsch(self, params):
+        n_max, probes = 63, (1e-3, 1.0, 1e2, 1e5)
+        for order in (79, 158, 632):
+            search = quadrature._diag_entries(params, order, n_max, probes)
+            gw = build_rule(params, order)
+            row = ortho_table(params, n_max, gw.nodes)[n_max]
+            for t, value in zip(probes, search):
+                expected = gw.weights @ (np.exp(-t * (1.0 - gw.nodes)) * row * row)
+                assert abs(value - expected) <= 1e-12
+
+    def test_read_only_memoised_and_cleared(self):
+        clear_caches()
+        rule = quadrature._search_rule(LEGENDRE, 40)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        assert quadrature._search_rule(LEGENDRE, 40) is rule
+        assert [k for k in _memo._cache if k[0] == "search_rule"] == \
+            [("search_rule", 0.0, 0.0, 40)]
+        clear_caches()
+        assert quadrature._search_rule(LEGENDRE, 40) is not rule
+
+    def test_kernel_builds_golub_welsch_only_at_used_orders(self):
+        clear_caches()
+        kernel_tensor(CHEBYSHEV, np.array([1e-3, 1.0, 1e5]), 32)
+        used = {v.result() for k, v in _memo._cache.items() if k[0] == "order"}
+        built = {k[3] for k in _memo._cache if k[0] == "rule"}
+        searched = {k[3] for k in _memo._cache if k[0] == "search_rule"}
+        clear_caches()
+        assert used == {1504}
+        assert built == used
+        assert max(searched) == 2 * max(used)
+
+    def test_falls_back_to_golub_welsch_where_mass_check_fails(self):
+        assert quadrature._search_rule(NEAR_SINGULAR, 316) is not \
+            build_rule(NEAR_SINGULAR, 316)
+        assert quadrature._search_rule(NEAR_SINGULAR, 632) is build_rule(NEAR_SINGULAR, 632)
+        # the search runs through order 632 and returns it
+        assert auto_order(NEAR_SINGULAR, 63, 1e4, 1e-12) == 632
+
+    @pytest.mark.parametrize("t_max, tol", [(math.nan, 1e-12), (math.inf, 1e-12),
+                                            (1.0, math.nan), (1.0, math.inf)],
+                             ids=["t-nan", "t-inf", "tol-nan", "tol-inf"])
+    def test_nonfinite_arguments_rejected_before_any_rule(self, monkeypatch, t_max, tol):
+        # a NaN that got through would never meet the stopping test: keep the cap low
+        monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
+        clear_caches()
+        with pytest.raises(ValueError, match="finite"):
+            auto_order(LEGENDRE, 8, t_max, tol)
+        assert not _memo._cache
