@@ -32,7 +32,6 @@ from .paths import (
     brute_variation,
     default_bands,
     default_time_grid,
-    difference_sum,
     hardy_lower,
     hardy_upper,
     heat_path,
@@ -44,7 +43,6 @@ from .paths import (
     jump_functional,
     oscillation,
     oscillation_batch,
-    qn_kernel,
     qn_kernel_matrix,
     rho_variation,
     s_star,
@@ -73,6 +71,7 @@ from .verify import (
     STABILITY_THRESHOLD,
     EstimateReport,
     majorant_batch,
+    operator_images,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,

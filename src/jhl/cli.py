@@ -17,19 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .basis import JacobiParams
-from .config import RunConfig, load_config
+from .config import OPERATOR_NAMES, RunConfig, load_config
 from .errors import ConfigError, NumericFailure
-from .paths import default_bands, jump_count_batch, oscillation_batch, variation_batch
-from .semigroup import (
-    kernel_dt_tensor,
-    kernel_matrix,
-    kernel_tensor,
-    markov_defect,
-    semigroup_defect,
-)
+from .semigroup import kernel_dt_tensor, kernel_matrix, markov_defect, semigroup_defect
 from .verify import (
-    _lacunary_step_matrices,
-    _window_prefix,
+    operator_images,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,
@@ -145,27 +137,15 @@ def _operator_table(config: RunConfig, params: JacobiParams):
     if f.size > size:
         raise ConfigError(
             f"signal has {f.size} entries, larger than the truncation size {size}")
-    kt = kernel_tensor(params, grid.times, size, config.quad_tol)
-    paths = np.tensordot(kt, np.pad(f, (0, size - f.size)), axes=([2], [0]))
-    flat = paths.T[:, None, :]
-    var = variation_batch(flat, config.rho)[:, 0]
-    osc = oscillation_batch(grid.times, flat, default_bands(grid))[:, 0]
-    jumps = {lam: lam * jump_count_batch(flat, lam)[:, 0] ** (1.0 / config.rho)
-             for lam in config.lambdas}
+    f = np.pad(f, (0, size - f.size))
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
-    steps = _lacunary_step_matrices(params, lac, b, size, config.quad_tol)
-    sums = _window_prefix(steps, lac, config.lacunary.window) @ np.pad(f, (0, size - f.size))
-    sstar = sums.max(axis=0) - sums.min(axis=0)
-    bound = 2.0 ** (1.0 + 1.0 / config.rho) * var
-    worst_jump = np.max(np.stack(list(jumps.values())), axis=0)
-    margin = bound - worst_jump
-    rows = []
-    for n in range(size):
-        row = [n, var[n], osc[n]]
-        row += [jumps[lam][n] for lam in config.lambdas]
-        row += [sstar[n], margin[n]]
-        rows.append(row)
+    var, osc, jumps, sstar = (
+        operator_images(params, operator, size, grid, config.rho, config.lambdas, lac, b,
+                        config.lacunary.window, f, config.quad_tol)
+        for operator in OPERATOR_NAMES)
+    margin = 2.0 ** (1.0 + 1.0 / config.rho) * var - jumps.max(axis=0)
+    rows = [[n, var[n], osc[n], *jumps[:, n], sstar[n], margin[n]] for n in range(size)]
     report = {
         "size": size,
         "argmax_variation": int(np.argmax(var)),
@@ -332,18 +312,7 @@ def cmd_norms(config: RunConfig) -> int:
 
 
 def _worker_count(config: RunConfig) -> int:
-    if config.workers is not None:
-        return config.workers
-    env = os.environ.get("JHL_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"JHL_WORKERS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError("JHL_WORKERS must be at least 1")
-        return value
-    return 1
+    return 1 if config.workers is None else config.workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, help="probe seed (overrides config)")
         cmd.add_argument("--workers", type=int,
-                         help="worker count (overrides config and JHL_WORKERS)")
+                         help="worker count (overrides config; default 1)")
     return parser
 
 

@@ -33,9 +33,12 @@ ESTIMATE_NAMES = (
     "poly_bound",
 )
 OPERATOR_NAMES = ("variation", "oscillation", "jump", "s_star")
+LACUNARY_PAD = 1  # lacunary indices built past the window [-M, M] on each side
 
 
-def _require_keys(raw: dict, allowed, where: str) -> None:
+def _require_keys(raw, allowed, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -69,6 +72,14 @@ def _sequence(raw, where: str) -> list:
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{where} must be a list, got {raw!r}")
     return list(raw)
+
+
+def _names(raw, allowed: tuple, where: str) -> tuple:
+    names = tuple(_sequence(raw, where))
+    bad = [name for name in names if name not in allowed]
+    if bad or not names:
+        raise ConfigError(f"{where} must be a nonempty subset of {allowed}, bad: {bad}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -123,10 +134,9 @@ class LacunarySpec:
     def to_dict(self) -> dict:
         return {"ratio": self.ratio, "window": self.window}
 
-    def build(self, extra: int = 1) -> LacunarySequence:
-        lo = -self.window - extra
-        hi = self.window + 1 + (extra - 1)
-        return LacunarySequence.geometric(self.ratio, lo, hi)
+    def build(self) -> LacunarySequence:
+        return LacunarySequence.geometric(self.ratio, -self.window - LACUNARY_PAD,
+                                          self.window + LACUNARY_PAD)
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,8 @@ class BcoefSpec:
         kind = raw.get("kind", cls.kind)
         if kind not in ("ones", "alternating", "explicit"):
             raise ConfigError(f"bcoef.kind must be ones, alternating, or explicit, got {kind!r}")
-        values = tuple(_number(v, "bcoef.values") for v in raw.get("values", ()))
+        values = tuple(_number(v, "bcoef.values")
+                       for v in _sequence(raw.get("values", ()), "bcoef.values"))
         if kind == "explicit" and not values:
             raise ConfigError("bcoef.kind explicit requires values")
         if kind != "explicit" and values:
@@ -181,7 +192,8 @@ class SignalSpec:
         index = _integer(raw.get("index", cls.index), "signal.index")
         if kind == "delta" and index < 0:
             raise ConfigError("signal.index must be nonnegative")
-        values = tuple(_number(v, "signal.values") for v in raw.get("values", ()))
+        values = tuple(_number(v, "signal.values")
+                       for v in _sequence(raw.get("values", ()), "signal.values"))
         if kind == "delta" and values:
             raise ConfigError("signal.values only valid with kind explicit")
         return cls(kind=kind, index=index, values=values)
@@ -209,7 +221,8 @@ def _parse_weight(raw: dict, where: str) -> WeightSpec:
         raise ConfigError(
             f"{where}.kind must be constant, power, explicit, or file, got {kind!r}")
     path = str(raw.get("path", ""))
-    values = tuple(_number(v, f"{where}.values") for v in raw.get("values", ()))
+    values = tuple(_number(v, f"{where}.values")
+                   for v in _sequence(raw.get("values", ()), f"{where}.values"))
     if kind == "explicit" and not values:
         raise ConfigError(f"{where} explicit weight requires values")
     if kind == "file":
@@ -272,8 +285,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
         _require_keys(raw, _TOP_KEYS, "config")
         kwargs: dict = {}
         if "params" in raw:
@@ -345,19 +356,9 @@ class RunConfig:
                 raise ConfigError("kernel_times must be positive and nonempty")
             kwargs["kernel_times"] = times
         if "estimates" in raw:
-            names = tuple(_sequence(raw["estimates"], "estimates"))
-            bad = sorted(set(names) - set(ESTIMATE_NAMES))
-            if bad or not names:
-                raise ConfigError(
-                    f"estimates must be a nonempty subset of {ESTIMATE_NAMES}, bad: {bad}")
-            kwargs["estimates"] = names
+            kwargs["estimates"] = _names(raw["estimates"], ESTIMATE_NAMES, "estimates")
         if "operators" in raw:
-            names = tuple(_sequence(raw["operators"], "operators"))
-            bad = sorted(set(names) - set(OPERATOR_NAMES))
-            if bad or not names:
-                raise ConfigError(
-                    f"operators must be a nonempty subset of {OPERATOR_NAMES}, bad: {bad}")
-            kwargs["operators"] = names
+            kwargs["operators"] = _names(raw["operators"], OPERATOR_NAMES, "operators")
         if "quad_tol" in raw:
             tol = _number(raw["quad_tol"], "quad_tol")
             if tol <= 0.0:

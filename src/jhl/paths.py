@@ -34,8 +34,6 @@ __all__ = [
     "brute_jump_count",
     "jump_functional",
     "heat_path",
-    "difference_sum",
-    "qn_kernel",
     "qn_kernel_matrix",
     "s_star",
     "hardy_upper",
@@ -332,47 +330,15 @@ def _resolve_bcoef(bcoef, lac: LacunarySequence) -> np.ndarray:
     return arr[: lac.values.size - 1]
 
 
-def _window_steps(window: DifferenceWindow, lac: LacunarySequence) -> range:
-    if window.n1 < lac.j_min or window.n2 + 1 > lac.j_max:
-        raise ValueError("difference window leaves the lacunary index range")
-    return range(window.n1, window.n2 + 1)
-
-
-def difference_sum(params: JacobiParams, window: DifferenceWindow, lac: LacunarySequence,
-                   bcoef, f: np.ndarray, n: int, size: int) -> float:
-    """sum_{j=n1}^{n2} b_j (W_{a_{j+1}} f(n) - W_{a_j} f(n))."""
-    if not 0 <= n < size:
-        raise ValueError("index n must lie in the truncated range")
-    b = _resolve_bcoef(bcoef, lac)
-    total = 0.0
-    for j in _window_steps(window, lac):
-        hi = apply_heat(params, lac.value(j + 1), f, size)[n]
-        lo = apply_heat(params, lac.value(j), f, size)[n]
-        total += b[j - lac.j_min] * (hi - lo)
-    return float(total)
-
-
-def qn_kernel(params: JacobiParams, window: DifferenceWindow, lac: LacunarySequence,
-              bcoef, n: int, m: int, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Kernel of the difference sum: sum_j b_j (K_{a_{j+1}}(n,m) - K_{a_j}(n,m))."""
-    if n < 0 or m < 0:
-        raise ValueError("kernel indices must be nonnegative")
-    size = max(n, m) + 1
-    b = _resolve_bcoef(bcoef, lac)
-    total = 0.0
-    for j in _window_steps(window, lac):
-        hi = kernel_matrix(params, lac.value(j + 1), size, quad_tol=quad_tol).entries[n, m]
-        lo = kernel_matrix(params, lac.value(j), size, quad_tol=quad_tol).entries[n, m]
-        total += b[j - lac.j_min] * (hi - lo)
-    return float(total)
-
-
 def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: LacunarySequence,
                      bcoef, size: int, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Dense size x size kernel of the difference sum."""
+    """Dense kernel sum_{j=n1}^{n2} b_j (K_{a_{j+1}} - K_{a_j}) of the difference
+    sum; its row n applied to f is the sum at index n. Oracle for batch window sums."""
+    if window.n1 < lac.j_min or window.n2 + 1 > lac.j_max:
+        raise ValueError("difference window leaves the lacunary index range")
     b = _resolve_bcoef(bcoef, lac)
     total = np.zeros((size, size))
-    for j in _window_steps(window, lac):
+    for j in range(window.n1, window.n2 + 1):
         hi = kernel_matrix(params, lac.value(j + 1), size, quad_tol=quad_tol).entries
         lo = kernel_matrix(params, lac.value(j), size, quad_tol=quad_tol).entries
         total += b[j - lac.j_min] * (hi - lo)

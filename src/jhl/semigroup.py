@@ -70,41 +70,37 @@ def _require_time(t: float) -> None:
         raise ValueError("time t must be finite and nonnegative")
 
 
-def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
-                 rule: QuadratureRule) -> float:
-    """Quadrature value of K_t(n, m); symmetric in (n, m) exactly."""
+def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
+           derivative: bool) -> float:
+    """Quadrature value of int (-(1-x))^d e^{-t(1-x)} p_n p_m dmu, d = derivative."""
     _require_time(t)
     if t == 0.0:
         raise ValueError("t = 0 is the identity and is not computed by quadrature")
     if n < 0 or m < 0:
         raise ValueError("kernel indices must be nonnegative")
-    if 2 * rule.order - 1 < n + m:
+    degree = n + m + int(derivative)
+    if 2 * rule.order - 1 < degree:
         raise ConvergenceFailure(
-            f"rule of order {rule.order} cannot integrate the degree {n + m} polynomial part"
+            f"rule of order {rule.order} cannot integrate the degree {degree} polynomial part"
         )
     table = ortho_table(params, max(n, m), rule.nodes)
+    g = 1.0 - rule.nodes
+    factor = -g * np.exp(-t * g) if derivative else np.exp(-t * g)
     # table[n] * table[m] first: IEEE multiplication commutes, so the value
     # is bitwise symmetric in (n, m), which grouping exp * p_n * p_m is not.
-    integrand = (table[n] * table[m]) * np.exp(-t * (1.0 - rule.nodes))
-    return float(rule.weights @ integrand)
+    return float(rule.weights @ ((table[n] * table[m]) * factor))
+
+
+def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
+                 rule: QuadratureRule) -> float:
+    """Quadrature value of K_t(n, m); symmetric in (n, m) exactly."""
+    return _entry(params, t, n, m, rule, derivative=False)
 
 
 def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
                     rule: QuadratureRule) -> float:
     """Time derivative d/dt K_t(n, m) = -int (1-x) e^{-t(1-x)} p_n p_m dmu."""
-    _require_time(t)
-    if t == 0.0:
-        raise ValueError("t = 0 is the identity and is not computed by quadrature")
-    if n < 0 or m < 0:
-        raise ValueError("kernel indices must be nonnegative")
-    if 2 * rule.order - 1 < n + m + 1:
-        raise ConvergenceFailure(
-            f"rule of order {rule.order} cannot integrate the degree {n + m + 1} polynomial part"
-        )
-    table = ortho_table(params, max(n, m), rule.nodes)
-    g = 1.0 - rule.nodes
-    integrand = (table[n] * table[m]) * (-g * np.exp(-t * g))
-    return float(rule.weights @ integrand)
+    return _entry(params, t, n, m, rule, derivative=True)
 
 
 def _identity_kernel(params: JacobiParams, size: int, method: str) -> HeatKernel:

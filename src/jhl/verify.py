@@ -2,7 +2,8 @@
 
 Each verifier sweeps truncation sizes, extracts the best empirical constant per
 size, and grades stability by the ratio of the two largest sizes: at most 1.10
-is "stable", anything larger is "growing", and an exception is "failed". The
+is "stable" and anything larger is "growing". An exception propagates and ends
+the run; no verdict is "failed" until failures are isolated per cell. The
 module measures, it does not prove.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 from ._memo import memo
 from .basis import JacobiParams, normalization, ortho_table
 from .paths import (
-    BandSequence,
     LacunarySequence,
     TimeGrid,
     default_bands,
@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_RHO",
     "DEFAULT_LAMBDAS",
     "majorant_batch",
+    "operator_images",
     "verify_kernel_decay",
     "verify_kernel_smoothness",
     "verify_dt_sup",
@@ -427,17 +428,37 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
     return _finish("poly_bound", params, sizes, {"poly_envelope": constants}, started)
 
 
-def _path_tensor(params: JacobiParams, grid: TimeGrid, size: int, probes: np.ndarray,
-                 quad_tol: float) -> np.ndarray:
+def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
+                    rho: float, lambdas, lac: LacunarySequence | None, b, m_range: int,
+                    probes: np.ndarray, quad_tol: float) -> np.ndarray:
+    """Images of one operator of heat paths on a probe matrix (size, P) or on
+    one signal (size,), one entry per index and probe.
+
+    "jump" stacks one image per lambda; "s_star" is the spread of the window
+    prefix sums over [-M, M] with step coefficients b.
+    """
+    if operator == "s_star":
+        if lac is None:
+            raise ValueError("s_star sweeps need a lacunary sequence")
+        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
+        sums = _window_prefix(steps, lac, m_range) @ probes
+        return sums.max(axis=0) - sums.min(axis=0)
+    if operator not in ("variation", "oscillation", "jump"):
+        raise ValueError(f"unknown operator choice {operator!r}")
     kt = kernel_tensor(params, grid.times, size, quad_tol)
-    return np.tensordot(kt, probes, axes=([2], [0]))
+    paths = np.moveaxis(np.tensordot(kt, probes, axes=([2], [0])), 0, -1)
+    if operator == "variation":
+        return variation_batch(paths, rho)
+    if operator == "oscillation":
+        return oscillation_batch(grid.times, paths, default_bands(grid))
+    return np.stack([lam * jump_count_batch(paths, lam) ** (1.0 / rho) for lam in lambdas])
 
 
 def _operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
                      rho: float, lambdas, lac: LacunarySequence | None, bcoef,
                      m_range: int, seed: int, n_random: int,
                      quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probe matrix and operator image columns, memoised per call key."""
+    """Probe matrix and its `operator_images`, memoised per call key."""
     lac_key = None if lac is None else (lac.j_min, tuple(lac.values), lac.ratio)
     b = _resolve_bcoef(bcoef, lac) if operator == "s_star" and lac is not None else None
     key = ("images", operator, params.alpha, params.beta, size, tuple(grid.times), rho,
@@ -446,27 +467,8 @@ def _operator_images(params: JacobiParams, operator: str, size: int, grid: TimeG
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
-        if operator == "variation":
-            paths = _path_tensor(params, grid, size, probes, quad_tol)
-            images = variation_batch(paths.transpose(1, 2, 0), rho)
-        elif operator == "oscillation":
-            paths = _path_tensor(params, grid, size, probes, quad_tol)
-            images = oscillation_batch(grid.times, paths.transpose(1, 2, 0),
-                                       default_bands(grid))
-        elif operator == "jump":
-            paths = _path_tensor(params, grid, size, probes, quad_tol)
-            flat = paths.transpose(1, 2, 0)
-            images = np.stack(
-                [lam * jump_count_batch(flat, lam) ** (1.0 / rho) for lam in lambdas])
-        elif operator == "s_star":
-            if lac is None:
-                raise ValueError("s_star sweeps need a lacunary sequence")
-            steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-            stacked = _window_prefix(steps, lac, m_range) @ probes
-            images = stacked.max(axis=0) - stacked.min(axis=0)
-        else:
-            raise ValueError(f"unknown operator choice {operator!r}")
-        return probes, images
+        return probes, operator_images(params, operator, size, grid, rho, lambdas, lac,
+                                       b, m_range, probes, quad_tol)
 
     return memo(key, compute)
 

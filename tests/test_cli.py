@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jhl.quadrature
@@ -37,6 +39,18 @@ def _write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# Any JSON value, biased towards the section keys and enum values a config uses.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["explicit", "delta", "ones", "power", "file", "variation"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["t_min", "t_max", "count", "geometric", "ratio", "window",
+                         "kind", "values", "index", "exponent", "path"])
+        | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_CONFIG_KEYS = tuple(RunConfig().to_dict())
 
 
 def _read_matrix(path, size):
@@ -83,6 +97,16 @@ class TestConfig:
         assert config.sizes == (8, 12)
         assert config.p_values == (2.0,)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_JSON | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON, max_size=5))
+    def test_any_json_value_loads_or_raises_config_error(self, raw):
+        try:
+            config = RunConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "missing.json"))
@@ -119,6 +143,24 @@ class TestMainErrors:
         assert main(["kernel", "--config", path]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"t_grid": 5},
+        {"lacunary": []},
+        {"bcoef": 3},
+        {"weights": [5]},
+        {"signal": {"kind": "explicit", "values": 5}},
+        {"bcoef": {"kind": "explicit", "values": "12"}},
+        {"estimates": [[1]]},
+        {"operators": [{"name": "jump"}]},
+    ], ids=["t-grid-int", "lacunary-list", "bcoef-int", "weight-int", "signal-values-int",
+            "bcoef-values-str", "estimate-list", "operator-dict"])
+    def test_wrong_section_types_exit_two(self, tmp_path, capsys, override):
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    **override))
+        assert main(["kernel", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [
@@ -181,12 +223,6 @@ class TestMainErrors:
     def test_bad_worker_override(self, tmp_path):
         path = _write_config(tmp_path, _base_config())
         assert main(["verify", "--config", path, "--workers", "0"]) == 2
-
-    def test_bad_worker_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("JHL_WORKERS", "many")
-        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o")))
-        assert main(["verify", "--config", path]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         clear_caches()
@@ -336,13 +372,12 @@ class TestNormsCommand:
         path = _write_config(tmp_path, cfg)
         assert main(["norms", "--config", path]) == 2
 
-    def test_env_parallelism_is_deterministic(self, tmp_path, monkeypatch):
+    def test_env_parallelism_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         p1 = _write_config(tmp_path, _base_config(out_dir=str(out1)), "c1.json")
         p2 = _write_config(tmp_path, _base_config(out_dir=str(out2)), "c2.json")
         assert main(["norms", "--config", p1]) == 0
-        monkeypatch.setenv("JHL_WORKERS", "2")
-        assert main(["norms", "--config", p2]) == 0
+        assert main(["norms", "--config", p2, "--workers", "2"]) == 0
         a = (out1 / "norms" / "norms.csv").read_bytes()
         b = (out2 / "norms" / "norms.csv").read_bytes()
         assert a == b

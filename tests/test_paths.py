@@ -17,7 +17,6 @@ from jhl.paths import (
     brute_variation,
     default_bands,
     default_time_grid,
-    difference_sum,
     hardy_lower,
     hardy_upper,
     heat_path,
@@ -29,13 +28,13 @@ from jhl.paths import (
     jump_functional,
     oscillation,
     oscillation_batch,
-    qn_kernel,
     qn_kernel_matrix,
     rho_variation,
     s_star,
     variation_batch,
 )
-from jhl.semigroup import apply_heat, kernel_matrix
+from jhl.quadrature import build_rule
+from jhl.semigroup import apply_heat, kernel_entry, kernel_matrix
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 
@@ -256,7 +255,10 @@ class TestDifferenceSums:
         f = rng.standard_normal(size)
         dense = qn_kernel_matrix(LEGENDRE, window, lac, bcoef, size)
         for n in (0, 3, 11):
-            direct = difference_sum(LEGENDRE, window, lac, bcoef, f, n, size)
+            direct = sum(bcoef[j - lac.j_min]
+                         * (apply_heat(LEGENDRE, lac.value(j + 1), f, size)[n]
+                            - apply_heat(LEGENDRE, lac.value(j), f, size)[n])
+                         for j in range(window.n1, window.n2 + 1))
             assert_allclose(direct, dense[n] @ f, rtol=1e-10, atol=1e-14)
 
     def test_unit_coefficients_telescope(self):
@@ -271,30 +273,33 @@ class TestDifferenceSums:
     def test_scalar_kernel_matches_dense(self):
         lac = LacunarySequence.geometric(2.0, -3, 4)
         window = DifferenceWindow(-1, 1)
-        bcoef = [(-1.0) ** j for j in range(lac.j_min, lac.j_max)]
-        dense = qn_kernel_matrix(LEGENDRE, window, lac, np.asarray(bcoef), 8)
-        got = qn_kernel(LEGENDRE, window, lac, np.asarray(bcoef), 5, 2)
+        bcoef = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
+        dense = qn_kernel_matrix(LEGENDRE, window, lac, bcoef, 8)
+        rule = build_rule(LEGENDRE, 64)
+        got = sum(bcoef[j - lac.j_min] * (kernel_entry(LEGENDRE, lac.value(j + 1), 5, 2, rule)
+                                          - kernel_entry(LEGENDRE, lac.value(j), 5, 2, rule))
+                  for j in range(window.n1, window.n2 + 1))
         assert_allclose(got, dense[5, 2], rtol=1e-12, atol=1e-15)
 
     def test_callable_coefficients(self):
         lac = LacunarySequence.geometric(2.0, -3, 4)
         window = DifferenceWindow(-1, 1)
         arr = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
-        a = qn_kernel(LEGENDRE, window, lac, lambda j: (-1.0) ** j, 4, 4)
-        b = qn_kernel(LEGENDRE, window, lac, arr, 4, 4)
-        assert a == b
+        a = qn_kernel_matrix(LEGENDRE, window, lac, lambda j: (-1.0) ** j, 6)
+        b = qn_kernel_matrix(LEGENDRE, window, lac, arr, 6)
+        assert np.array_equal(a, b)
 
     def test_window_must_fit_sequence(self):
         lac = LacunarySequence.geometric(2.0, -2, 3)
         with pytest.raises(ValueError, match="index range"):
-            qn_kernel(LEGENDRE, DifferenceWindow(-3, 1), lac, np.ones(5), 1, 1)
+            qn_kernel_matrix(LEGENDRE, DifferenceWindow(-3, 1), lac, np.ones(5), 2)
         with pytest.raises(ValueError, match="index range"):
-            qn_kernel(LEGENDRE, DifferenceWindow(0, 3), lac, np.ones(5), 1, 1)
+            qn_kernel_matrix(LEGENDRE, DifferenceWindow(0, 3), lac, np.ones(5), 2)
 
     def test_short_bcoef_rejected(self):
         lac = LacunarySequence.geometric(2.0, -2, 3)
         with pytest.raises(ValueError, match="cover"):
-            qn_kernel(LEGENDRE, DifferenceWindow(-1, 1), lac, np.ones(3), 1, 1)
+            qn_kernel_matrix(LEGENDRE, DifferenceWindow(-1, 1), lac, np.ones(3), 2)
 
 
 class TestSStar:

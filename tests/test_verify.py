@@ -7,11 +7,22 @@ from numpy.testing import assert_allclose
 import jhl.quadrature
 from jhl.basis import JacobiParams
 from jhl.errors import ConvergenceFailure
-from jhl.paths import LacunarySequence, TimeGrid, default_time_grid, variation_batch
-from jhl.semigroup import clear_caches, kernel_dt_tensor, kernel_tensor
+from jhl.paths import (
+    DifferenceWindow,
+    LacunarySequence,
+    TimeGrid,
+    default_time_grid,
+    qn_kernel_matrix,
+    s_star,
+    variation_batch,
+)
+from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_dt_tensor, kernel_tensor
 from jhl.verify import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_RHO,
     EstimateReport,
     majorant_batch,
+    operator_images,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,
@@ -21,8 +32,8 @@ from jhl.verify import (
     verify_qn_bounds,
     verify_theorem_norms,
 )
-from jhl.verify import _smoothness_mask
-from jhl.weights import WeightSpec
+from jhl.verify import _lacunary_step_matrices, _smoothness_mask, _window_prefix
+from jhl.weights import ProbePolicy, WeightSpec, probe_matrix
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -239,3 +250,52 @@ class TestTheoremNorms:
         with pytest.raises(ValueError, match="mode"):
             verify_theorem_norms(LEGENDRE, "variation", 2.0, spec, (8, 12),
                                  grid=SMALL_GRID, mode="medium")
+
+
+ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
+
+
+class TestOperatorImages:
+    M_RANGE, SIZE = 3, 16
+
+    def _images(self, params, operator, probes):
+        lac, b = _lac(self.M_RANGE)
+        return operator_images(params, operator, self.SIZE, SMALL_GRID, DEFAULT_RHO,
+                               DEFAULT_LAMBDAS, lac, b, self.M_RANGE, probes,
+                               DEFAULT_QUAD_TOL)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
+    def test_window_sums_match_dense_kernel(self, params):
+        m = self.M_RANGE
+        lac, b = _lac(m)
+        steps = _lacunary_step_matrices(params, lac, b, self.SIZE, DEFAULT_QUAD_TOL)
+        prefix = _window_prefix(steps, lac, m)
+        for n1 in range(-m, m):
+            for n2 in range(n1 + 1, m + 1):
+                dense = qn_kernel_matrix(params, DifferenceWindow(n1, n2), lac, b, self.SIZE)
+                got = prefix[n2 + m + 1] - prefix[n1 + m]
+                assert np.abs(got - dense).max() <= 1e-13, (n1, n2)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
+    def test_s_star_images_match_scalar_oracle(self, params):
+        lac, b = _lac(self.M_RANGE)
+        probes = probe_matrix(ProbePolicy(size=self.SIZE, n_random=3, seed=5))
+        images = self._images(params, "s_star", probes)
+        expected = [[s_star(params, self.M_RANGE, lac, b, probes[:, k], n, self.SIZE)
+                     for k in range(probes.shape[1])] for n in range(self.SIZE)]
+        assert images.shape == probes.shape
+        assert np.abs(images - np.array(expected)).max() <= 1e-12
+
+    @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
+    def test_single_signal_matches_probe_column(self, operator):
+        probes = probe_matrix(ProbePolicy(size=self.SIZE, n_random=2, seed=3))
+        batch = self._images(CHEBYSHEV, operator, probes)
+        single = self._images(CHEBYSHEV, operator, probes[:, -1])
+        assert single.shape == batch[..., -1].shape
+        assert_allclose(single, batch[..., -1], rtol=1e-12, atol=1e-14)
+
+    def test_unknown_operator_builds_no_kernel(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
+        with pytest.raises(ValueError, match="operator"):
+            self._images(LEGENDRE, "rotation", np.eye(self.SIZE))
