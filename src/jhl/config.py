@@ -129,6 +129,12 @@ class LacunarySpec:
             raise ConfigError("lacunary.ratio must exceed 1")
         if spec.window < 1:
             raise ConfigError("lacunary.window must be at least 1")
+        try:
+            with np.errstate(over="ignore"):
+                spec.build()
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"lacunary ratio {spec.ratio:g} and window {spec.window} "
+                              f"give no valid sequence: {exc}") from exc
         return spec
 
     def to_dict(self) -> dict:
@@ -220,7 +226,9 @@ def _parse_weight(raw: dict, where: str) -> WeightSpec:
     if kind not in ("constant", "power", "explicit", "file"):
         raise ConfigError(
             f"{where}.kind must be constant, power, explicit, or file, got {kind!r}")
-    path = str(raw.get("path", ""))
+    path = raw.get("path", "")
+    if not isinstance(path, str):
+        raise ConfigError(f"{where}.path must be a string, got {path!r}")
     values = tuple(_number(v, f"{where}.values")
                    for v in _sequence(raw.get("values", ()), f"{where}.values"))
     if kind == "explicit" and not values:
@@ -375,7 +383,10 @@ class RunConfig:
                 raise ConfigError("workers must be at least 1")
             kwargs["workers"] = workers
         if "out_dir" in raw:
-            kwargs["out_dir"] = str(raw["out_dir"])
+            out_dir = raw["out_dir"]
+            if not isinstance(out_dir, str) or not out_dir:
+                raise ConfigError(f"out_dir must be a nonempty string, got {out_dir!r}")
+            kwargs["out_dir"] = out_dir
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

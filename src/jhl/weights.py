@@ -122,22 +122,25 @@ def weighted_norm(f: np.ndarray, p: float, w: np.ndarray) -> float:
     return float((np.abs(fv) ** p @ wv[: fv.size]) ** (1.0 / p))
 
 
-def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float:
-    """Weak-l^1 quasinorm sup_lam lam * w({|f| > lam}).
+def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+    """Weak-l^1 quasinorm sup_lam lam * w({|f| > lam}) of one signal (size,),
+    or of each column of a matrix (size, P).
 
     The sup over lam > 0 is attained just below a value of |f|, so it equals
-    the max over distinct nonzero levels v of v * w({|f| >= v}).
+    the max over levels v of v * w({|f| >= v}). With |f| sorted in descending
+    order that is the max of v times the running sum of w; inside a run of
+    equal levels the last member has the largest sum, which is w({|f| >= v}).
     """
     fv = np.abs(np.asarray(f, dtype=float))
     wv = _check_weight(w)
-    if fv.size > wv.size:
+    if fv.shape[0] > wv.size:
         raise ValueError("weight must cover the signal support")
-    wv = wv[: fv.size]
-    levels = np.unique(fv[fv > 0.0])
-    best = 0.0
-    for v in levels:
-        best = max(best, float(v * wv[fv >= v].sum()))
-    return best
+    cols = fv[:, None] if fv.ndim == 1 else fv
+    order = np.argsort(-cols, axis=0, kind="stable")
+    levels = np.take_along_axis(cols, order, axis=0)
+    mass = np.cumsum(wv[order], axis=0)
+    best = (levels * mass).max(axis=0, initial=0.0)
+    return float(best[0]) if fv.ndim == 1 else best
 
 
 @dataclass(frozen=True)

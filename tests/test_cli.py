@@ -207,6 +207,36 @@ class TestMainErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lacunary", [
+        {"ratio": 2.0, "window": 1100},
+        {"ratio": 1e160, "window": 1},
+    ], ids=["window-underflow", "ratio-overflow"])
+    def test_lacunary_without_valid_sequence_exits_two(self, tmp_path, capsys, lacunary):
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    lacunary=lacunary))
+        assert main(["operators", "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert "lacunary" in record["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"out_dir": None},
+        {"out_dir": ""},
+        {"out_dir": 5},
+        {"weights": [{"kind": "file", "path": 5}]},
+        {"weights": [{"kind": "constant", "path": None}]},
+    ], ids=["out-dir-null", "out-dir-empty", "out-dir-int", "weight-path-int",
+            "weight-path-null"])
+    def test_non_string_paths_exit_two(self, tmp_path, capsys, monkeypatch, override):
+        monkeypatch.chdir(tmp_path)
+        path = _write_config(tmp_path, _base_config(**override))
+        assert main(["norms", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(override)
+
     def test_file_weight_read_at_load(self, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("".join(f"{n + 1}\n" for n in range(12)))

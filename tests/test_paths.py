@@ -46,6 +46,22 @@ def _path(values, times=None):
     return SampledPath(grid=TimeGrid(np.asarray(times, dtype=float)), values=v)
 
 
+def unpruned_variation(values, rho):
+    """The O(L^2) dynamic program over every grid point; oracle for the
+    turning-point dynamic program of `variation_batch`."""
+    v = np.asarray(values, dtype=float)
+    flat = v.reshape(-1, v.shape[-1])
+    best = np.zeros_like(flat)
+    for i in range(1, flat.shape[1]):
+        cand = best[:, :i] + np.abs(flat[:, i, None] - flat[:, :i]) ** rho
+        best[:, i] = cand.max(axis=1)
+    return (best.max(axis=1) ** (1.0 / rho)).reshape(v.shape[:-1])
+
+
+# Few distinct levels, so paths hold plateaus and repeated extremes.
+_LEVELS = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]) | st.floats(-5.0, 5.0)
+
+
 class TestGridsAndSequences:
     def test_time_grid_rejects_bad_input(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -145,6 +161,46 @@ class TestVariation:
         path = _path(values)
         assert_allclose(rho_variation(path, rho), brute_variation(path, rho),
                         rtol=1e-10, atol=1e-12)
+
+    # Bit identity needs rho away from 1: as rho -> 1 superadditivity fades
+    # below rounding, and the full program can take a chain through a
+    # monotone run whose sum rounds one ulp higher.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LEVELS, min_size=1, max_size=40), st.floats(1.1, 4.0))
+    def test_turning_points_match_unpruned_bitwise(self, values, rho):
+        v = np.array(values)
+        assert variation_batch(v, rho) == unpruned_variation(v, rho)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_LEVELS, min_size=1, max_size=40),
+           st.floats(1.0, 1.1, exclude_min=True))
+    def test_turning_points_match_unpruned_near_one(self, values, rho):
+        v = np.array(values)
+        assert_allclose(variation_batch(v, rho), unpruned_variation(v, rho),
+                        rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("values, expected", [
+        # both minima sit on one plateau; a neighbour-sign test drops them
+        ([1.0, 0.0, 0.0, 1.0], np.sqrt(2.0)),
+        ([2.0, 2.0, 2.0, 2.0], 0.0),
+        ([0.0, 3.0, 1.0, 1.0, 1.0], np.sqrt(13.0)),
+        ([0.0, 1.0, 2.0, 4.0, 7.0], 7.0),
+        ([1.0, -2.0], 3.0),
+        ([5.0], 0.0),
+    ], ids=["plateau-minimum", "constant", "trailing-plateau", "monotone",
+            "length-two", "length-one"])
+    def test_turning_point_cases(self, values, expected):
+        v = np.array(values)
+        assert variation_batch(v, 2.0) == unpruned_variation(v, 2.0)
+        assert_allclose(variation_batch(v, 2.0), expected)
+
+    def test_groups_of_mixed_turning_counts(self):
+        rng = np.random.default_rng(4)
+        smooth = np.cumsum(np.abs(rng.standard_normal((6, 96))), axis=1)
+        rough = rng.integers(-3, 4, (6, 96)).astype(float)
+        values = np.concatenate([smooth, rough, smooth[:, ::-1]]).reshape(3, 6, 96)
+        assert np.array_equal(variation_batch(values, 2.5),
+                              unpruned_variation(values, 2.5))
 
 
 class TestOscillation:

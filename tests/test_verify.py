@@ -33,7 +33,7 @@ from jhl.verify import (
     verify_theorem_norms,
 )
 from jhl.verify import _lacunary_step_matrices, _smoothness_mask, _window_prefix
-from jhl.weights import ProbePolicy, WeightSpec, probe_matrix
+from jhl.weights import ProbePolicy, WeightSpec, probe_matrix, weak_quasinorm
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -206,6 +206,20 @@ class TestTheoremNorms:
                                    grid=SMALL_GRID, n_random=4, mode="weak11")
         assert rep.name == "theorem_norms_oscillation_weak11"
         assert all(c > 0.0 for c in rep.constants)
+
+    def test_weak_mode_maxes_over_delta_probes_and_lambdas(self):
+        spec = WeightSpec("power", exponent=0.5)
+        lambdas = (0.25, 0.5)
+        rep = verify_theorem_norms(LEGENDRE, "jump", 1.0, spec, (8, 12), grid=SMALL_GRID,
+                                   n_random=4, lambdas=lambdas, mode="weak11")
+        for size, constant in zip((8, 12), rep.constants):
+            probes = probe_matrix(ProbePolicy(size=size, n_random=4, seed=0))
+            images = operator_images(LEGENDRE, "jump", size, SMALL_GRID, DEFAULT_RHO,
+                                     lambdas, None, None, 6, probes, DEFAULT_QUAD_TOL)
+            w = spec.resolve(size)
+            expected = max(weak_quasinorm(fam[:, m], w) / w[m]
+                           for fam in images for m in range(size))
+            assert_allclose(constant, expected, rtol=1e-15, atol=0.0)
 
     def test_jump_iterates_lambda_family(self):
         spec = WeightSpec("constant")

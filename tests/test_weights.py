@@ -21,6 +21,17 @@ from jhl.weights import (
 weights_strategy = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=12).map(np.array)
 
 
+def level_loop_quasinorm(f, w):
+    """max over distinct nonzero levels v of v * w({|f| >= v}), one masked sum
+    per level; oracle for the sorted batch in `weak_quasinorm`."""
+    fv = np.abs(np.asarray(f, dtype=float))
+    wv = np.asarray(w, dtype=float)[: fv.size]
+    best = 0.0
+    for v in np.unique(fv[fv > 0.0]):
+        best = max(best, float(v * wv[fv >= v].sum()))
+    return best
+
+
 class TestMuckenhoupt:
     def test_hand_values(self):
         w = np.array([1.0, 2.0])
@@ -109,6 +120,41 @@ class TestNorms:
 
     def test_weak_of_zero(self):
         assert weak_quasinorm(np.zeros(5), np.ones(5)) == 0.0
+
+
+class TestWeakBatch:
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(12)
+        gauss = rng.standard_normal((40, 6))
+        tied = rng.integers(-3, 4, (40, 6)).astype(float)
+        zeros = gauss.copy()
+        zeros[rng.random((40, 6)) < 0.5] = 0.0
+        return np.concatenate([gauss, tied, zeros, np.zeros((40, 1))], axis=1)
+
+    @pytest.mark.parametrize("weight", [np.ones(40), np.arange(1.0, 41.0) ** 1.5,
+                                        np.linspace(3.0, 0.2, 45)],
+                             ids=["constant", "power", "longer-decreasing"])
+    def test_columns_match_level_loop(self, weight):
+        cols = self._columns()
+        batch = weak_quasinorm(cols, weight)
+        assert batch.shape == (cols.shape[1],)
+        expected = [level_loop_quasinorm(cols[:, j], weight) for j in range(cols.shape[1])]
+        assert_allclose(batch, expected, rtol=1e-15, atol=0.0)
+        assert batch[-1] == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5.0, 5.0),
+                    min_size=1, max_size=12), weights_strategy)
+    def test_signal_matches_level_loop(self, values, w):
+        f = np.array(values)[: w.size]
+        out = weak_quasinorm(f, w)
+        assert isinstance(out, float)
+        assert_allclose(out, level_loop_quasinorm(f, w), rtol=1e-15, atol=0.0)
+
+    def test_rejects_short_weight(self):
+        with pytest.raises(ValueError, match="cover"):
+            weak_quasinorm(np.ones((4, 2)), np.ones(3))
 
 
 class TestProbes:
