@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import JacobiParams
-from .semigroup import DEFAULT_QUAD_TOL, _fit_signal, apply_heat, kernel_matrix, kernel_tensor
+from .semigroup import DEFAULT_QUAD_TOL, _fit_signal, apply_heat, kernel_tensor
 
 __all__ = [
     "TimeGrid",
@@ -379,15 +379,16 @@ def _resolve_bcoef(bcoef, lac: LacunarySequence) -> np.ndarray:
 def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: LacunarySequence,
                      bcoef, size: int, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Dense kernel sum_{j=n1}^{n2} b_j (K_{a_{j+1}} - K_{a_j}) of the difference
-    sum; its row n applied to f is the sum at index n. Oracle for batch window sums."""
+    sum; its row n applied to f is the sum at index n. The kernels come from the
+    one tensor over lac.values that the batch routes use; the window is summed
+    directly, so this stays the oracle for batch window sums."""
     if window.n1 < lac.j_min or window.n2 + 1 > lac.j_max:
         raise ValueError("difference window leaves the lacunary index range")
     b = _resolve_bcoef(bcoef, lac)
+    mats = kernel_tensor(params, lac.values, size, quad_tol)
     total = np.zeros((size, size))
-    for j in range(window.n1, window.n2 + 1):
-        hi = kernel_matrix(params, lac.value(j + 1), size, quad_tol=quad_tol).entries
-        lo = kernel_matrix(params, lac.value(j), size, quad_tol=quad_tol).entries
-        total += b[j - lac.j_min] * (hi - lo)
+    for i in range(window.n1 - lac.j_min, window.n2 + 1 - lac.j_min):
+        total += b[i] * (mats[i + 1] - mats[i])
     return total
 
 

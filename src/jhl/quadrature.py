@@ -1,14 +1,13 @@
-"""Gauss-Jacobi quadrature through the Golub-Welsch eigenproblem.
+"""Gauss-Jacobi quadrature from the eigenvalues of the Jacobi matrix.
 
 Nodes are the eigenvalues of the symmetric tridiagonal recurrence matrix of the
-measure; weights are the total mass times the squared first eigenvector
-components. A Q-point rule integrates polynomials up to degree 2Q-1 exactly.
-
-The order search (`auto_order`) needs only the same decisions, not the same
-bytes, so it runs on cheaper rules: eigenvalues refined by one Newton step,
-with Christoffel weights 1 / sum_{k<Q} p_k(x)^2, falling back to Golub-Welsch
-at an order whose weights fail the checks. Golub-Welsch eigenvectors are
-built only at the orders a kernel uses.
+measure, refined by one Newton step; the weight at node x is the Christoffel
+number 1 / sum_{k<Q} p_k(x)^2 (Gautschi, Orthogonal Polynomials: Computation
+and Approximation, OUP 2004, sec. 3.1). A Q-point rule integrates polynomials
+up to degree 2Q-1 exactly. The one rule per (params, order) serves both the
+order search and every output. Golub-Welsch (total mass times the squared first
+eigenvector components) is the fallback where Christoffel weights fail the
+checks, and the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -54,7 +53,8 @@ class QuadratureRule:
 
 
 def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Golub-Welsch construction of the Gauss-Jacobi rule with `order` points.
+    """Gauss-Jacobi rule with `order` points: eigenvalue nodes after one Newton
+    step, Christoffel weights, Golub-Welsch where those fail the checks.
 
     Rules are memoised per (params, order); their arrays are read-only.
     """
@@ -63,10 +63,12 @@ def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
     if order > MAX_ORDER:
         raise ConvergenceFailure(f"quadrature order {order} exceeds cap {MAX_ORDER}")
     return memo(("rule", params.alpha, params.beta, order),
-                lambda: _golub_welsch(params, order))
+                lambda: _christoffel(params, order))
 
 
 def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
+    """Golub-Welsch rule: nodes and first eigenvector components from one
+    tridiagonal eigensolve; the fallback of `_christoffel`."""
     mass = total_mass(params)
     b, off = generator_coefficients(params, order)
     try:
@@ -76,20 +78,10 @@ def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
     return _checked_rule(params, order, nodes, mass * vectors[0, :] ** 2, mass)
 
 
-def _search_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss rule for the order search: eigenvalue-only nodes, Christoffel weights.
-
-    The eigenvalues get one Newton step on p_order, and the weight at node x is
-    1 / sum_{k<order} p_k(x)^2; both stream the orthonormal three-term
-    recurrence, so memory stays O(order). Memoised per (params, order) under
-    its own key; the Golub-Welsch rules of build_rule stay the ones every
-    output uses.
-    """
-    return memo(("search_rule", params.alpha, params.beta, order),
-                lambda: _christoffel(params, order))
-
-
 def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
+    """Eigenvalue nodes refined by one Newton step on p_order, and weights
+    1 / sum_{k<order} p_k(x)^2; both stream the orthonormal three-term
+    recurrence, so memory stays O(order)."""
     b, off = generator_coefficients(params, order)
     diag = b + 1.0
     try:
@@ -106,8 +98,8 @@ def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
     except NumericFailure:
         # A node's absolute error of an ulp moves its Christoffel weight by
         # about order^2 ulps relative next to an endpoint, which can break the
-        # mass check for an exponent below -1/2; search there on Golub-Welsch.
-        return build_rule(params, order)
+        # mass check for an exponent below -1/2; use Golub-Welsch there.
+        return _golub_welsch(params, order)
 
 
 def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray):
@@ -169,8 +161,8 @@ def moments(params: JacobiParams, k_max: int) -> np.ndarray:
 
 
 def _diag_entries(params: JacobiParams, order: int, n: int, probes) -> list:
-    """K_t(n, n) at each probe time t, from one search rule and one table."""
-    rule = _search_rule(params, order)
+    """K_t(n, n) at each probe time t, from one rule and one table."""
+    rule = build_rule(params, order)
     p_row = ortho_table(params, n, rule.nodes)[n]
     return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
             for t in probes]
@@ -181,8 +173,8 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
 
     Starts at n_max + 16 and doubles until the diagonal entry at index n_max,
     probed at t in {t_max, 1e-3}, moves by less than tol between order Q and 2Q.
-    Entries are probed on search rules (`_search_rule`), so the search solves
-    no eigenvectors; `build_rule` is left to the order returned.
+    Entries are probed on `build_rule` rules, so the rule the test accepts is
+    the rule the kernels then use.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

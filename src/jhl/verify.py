@@ -27,7 +27,7 @@ from .paths import (
     variation_batch,
     _resolve_bcoef,
 )
-from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_matrix, kernel_tensor
+from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_tensor
 from .weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
 
 __all__ = [
@@ -234,10 +234,10 @@ def verify_dt_sup(params: JacobiParams, sizes, grid: TimeGrid | None = None,
 
 def _lacunary_step_matrices(params: JacobiParams, lac: LacunarySequence, coef: np.ndarray,
                             size: int, quad_tol: float) -> np.ndarray:
-    """Stack coef_j * (K_{a_{j+1}} - K_{a_j}) for j = j_min..j_max-1."""
-    mats = [kernel_matrix(params, float(t), size, quad_tol=quad_tol).entries
-            for t in lac.values]
-    return np.stack([coef[i] * (mats[i + 1] - mats[i]) for i in range(len(mats) - 1)])
+    """Stack coef_j * (K_{a_{j+1}} - K_{a_j}) for j = j_min..j_max-1, from one
+    kernel tensor whose order is chosen for max(lac.values)."""
+    mats = kernel_tensor(params, lac.values, size, quad_tol)
+    return coef[:, None, None] * np.diff(mats, axis=0)
 
 
 def _window_prefix(steps: np.ndarray, lac: LacunarySequence, m_range: int) -> np.ndarray:

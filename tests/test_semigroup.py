@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from jhl import _memo
-from jhl.basis import JacobiParams, ortho_poly_at_one
+from jhl.basis import JacobiParams, normalization, ortho_poly_at_one
 from jhl.quadrature import build_rule
 from jhl.semigroup import (
+    DEFAULT_QUAD_TOL,
     apply_heat,
     apply_heat_tilde,
     clear_caches,
@@ -253,3 +254,31 @@ class TestAssemblyOracles:
                             for n in range(size)])
         assert np.abs(scalar - kern).max() <= 1e-13 * np.abs(kern).max()
         assert np.abs(dscalar - dkern).max() <= 1e-13 * np.abs(dkern).max()
+
+
+# The relative stopping test for large t is still open (ROADMAP item 2): at
+# t = 1e4 these measures miss quad_tol, and the miss must stay visible.
+_LARGE_T_MISSES = {(-0.5, -0.5), (3.0, -0.9)}
+_LARGE_T_XFAIL = pytest.mark.xfail(
+    strict=True, reason="absolute stopping test at large t, ROADMAP item 2")
+
+
+def _closed_form_cases():
+    for ab in [(-0.5, -0.5), (0.0, 0.0), (2.5, 0.5), (4.0, 1.5), (3.0, -0.9)]:
+        for t in (1e-3, 1.0, 1e2, 1e4):
+            marks = _LARGE_T_XFAIL if t == 1e4 and ab in _LARGE_T_MISSES else ()
+            yield pytest.param(JacobiParams(*ab), t, marks=marks, id=f"{ab}-{t:g}")
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("params, t", list(_closed_form_cases()))
+    def test_corner_entry_matches_confluent_hypergeometric(self, params, t):
+        # K_t(0, 0) = w_0^2 int e^{-t(1-x)} dmu; with 1 - x = 2u the integral is
+        # 2^(a+b+1) B(a+1, b+1) 1F1(a+1; a+b+2; -2t).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+            exact = float(mpmath.mpf(normalization(params, 0)) ** 2 * 2 ** (a + b + 1)
+                          * mpmath.beta(a + 1, b + 1) * mpmath.hyp1f1(a + 1, a + b + 2, -2 * t))
+        value = kernel_tensor(params, [t], 64)[0][0, 0]
+        assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
