@@ -3,16 +3,23 @@
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 verification
 failure. All data files are byte-stable for a fixed config and seed; wall-clock
 measurements go only to timings.json.
+
+`--workers N` (or the `workers` config key) is a count of worker processes
+for `verify` and `norms`. With N > 1 their independent tasks run in processes
+forked from this one, so scipy is not imported again; results come back in
+submission order and a worker's exception is raised here, so the data files
+and the exit code are the same for any N. With N = 1 every task runs in this
+process and no process is started.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -208,41 +215,41 @@ def _verify_cell(config: RunConfig, params: JacobiParams, estimate: str):
     raise ConfigError(f"unknown estimate {estimate!r}")
 
 
+def _verify_params(config: RunConfig, params: JacobiParams) -> list:
+    return [_verify_cell(config, params, estimate) for estimate in config.estimates]
+
+
+def _negative_control(config: RunConfig):
+    return verify_theorem_norms(
+        NEGATIVE_CONTROL_PARAMS, "variation", NEGATIVE_CONTROL_P,
+        WeightSpec("power", exponent=NEGATIVE_CONTROL_P), config.sizes,
+        grid=config.norms_t_grid.build(), rho=config.rho,
+        lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)
+
+
 def cmd_verify(config: RunConfig) -> int:
     """Run the estimate verifiers plus the growing-weight negative control."""
     base = os.path.join(config.out_dir, "verify")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
-    cells = [(params, estimate) for params in config.params
-             for estimate in config.estimates]
+    # The control is the longest task, so it goes to the pool first.
+    control, *groups = _run_tasks(
+        [(_negative_control, config)]
+        + [(_verify_params, config, params) for params in config.params],
+        config.workers or 1)
     timings = {}
-
-    def run_cell(cell):
-        params, estimate = cell
-        return _verify_cell(config, params, estimate)
-
-    workers = _worker_count(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    else:
-        reports = [run_cell(cell) for cell in cells]
     summary_rows = []
     exit_code = EXIT_OK
-    for (params, estimate), report in zip(cells, reports):
+    for params, reports in zip(config.params, groups):
         tag_dir = os.path.join(base, params.tag())
         _ensure_dir(tag_dir)
-        _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
-        timings[f"{params.tag()}/{estimate}"] = report.runtime
-        summary_rows.append([estimate, params.alpha, params.beta, report.verdict,
-                             report.constants[-1], report.stability_ratio])
-        if report.verdict in ("failed", "growing"):
-            exit_code = EXIT_VERIFY
-    control = verify_theorem_norms(
-        NEGATIVE_CONTROL_PARAMS, "variation", NEGATIVE_CONTROL_P,
-        WeightSpec("power", exponent=NEGATIVE_CONTROL_P), config.sizes,
-        grid=config.norms_t_grid.build(), rho=config.rho,
-        lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)
+        for estimate, report in zip(config.estimates, reports):
+            _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
+            timings[f"{params.tag()}/{estimate}"] = report.runtime
+            summary_rows.append([estimate, params.alpha, params.beta, report.verdict,
+                                 report.constants[-1], report.stability_ratio])
+            if report.verdict in ("failed", "growing"):
+                exit_code = EXIT_VERIFY
     _write_json(os.path.join(base, "negative_control.json"), control.to_dict())
     timings["negative_control"] = control.runtime
     summary_rows.append(["negative_control", NEGATIVE_CONTROL_PARAMS.alpha,
@@ -258,6 +265,31 @@ def cmd_verify(config: RunConfig) -> int:
     return exit_code
 
 
+def _norm_pairs(config: RunConfig) -> list:
+    """The configured (p, weight) pairs, then each p with the power weight n^p."""
+    pairs = list(zip(config.p_values, config.weights))
+    return pairs + [(p, WeightSpec("power", exponent=p)) for p in config.p_values]
+
+
+def _norms_params(config: RunConfig, params: JacobiParams) -> list:
+    """(strong, weak11) reports for every (operator, p, weight) cell of one
+    params. The cells share its memoised kernels and operator images, so they
+    stay in one task."""
+    grid = config.norms_t_grid.build()
+    lac = config.lacunary.build()
+    b = config.bcoef.resolve(lac)
+
+    def sweep(operator, p, wspec, mode):
+        return verify_theorem_norms(
+            params, operator, p, wspec, config.sizes, grid=grid, rho=config.rho,
+            lambdas=config.lambdas, lac=lac, bcoef=b,
+            m_range=config.lacunary.window, seed=config.seed, mode=mode,
+            quad_tol=config.quad_tol)
+
+    return [(sweep(operator, p, wspec, "strong"), sweep(operator, 1.0, wspec, "weak11"))
+            for operator in config.operators for p, wspec in _norm_pairs(config)]
+
+
 def cmd_norms(config: RunConfig) -> int:
     """Sweep weighted operator norms for every configured (p, weight) pair."""
     if len(config.p_values) != len(config.weights):
@@ -265,35 +297,13 @@ def cmd_norms(config: RunConfig) -> int:
     base = os.path.join(config.out_dir, "norms")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
-    grid = config.norms_t_grid.build()
-    lac = config.lacunary.build()
-    b = config.bcoef.resolve(lac)
-    pairs = list(zip(config.p_values, config.weights))
-    pairs += [(p, WeightSpec("power", exponent=p)) for p in config.p_values]
+    pairs = _norm_pairs(config)
     cells = [(params, operator, p, wspec) for params in config.params
              for operator in config.operators for p, wspec in pairs]
+    results = [result for group in _run_tasks(
+        [(_norms_params, config, params) for params in config.params],
+        config.workers or 1) for result in group]
     timings = {}
-
-    def run_cell(cell):
-        params, operator, p, wspec = cell
-        strong = verify_theorem_norms(
-            params, operator, p, wspec, config.sizes, grid=grid, rho=config.rho,
-            lambdas=config.lambdas, lac=lac, bcoef=b,
-            m_range=config.lacunary.window, seed=config.seed, mode="strong",
-            quad_tol=config.quad_tol)
-        weak = verify_theorem_norms(
-            params, operator, 1.0, wspec, config.sizes, grid=grid, rho=config.rho,
-            lambdas=config.lambdas, lac=lac, bcoef=b,
-            m_range=config.lacunary.window, seed=config.seed, mode="weak11",
-            quad_tol=config.quad_tol)
-        return strong, weak
-
-    workers = _worker_count(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
     rows = []
     for (params, operator, p, wspec), (strong, weak) in zip(cells, results):
         timings[f"{params.tag()}/{operator}/p{p:g}/{wspec.label()}"] = \
@@ -311,8 +321,30 @@ def cmd_norms(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _worker_count(config: RunConfig) -> int:
-    return 1 if config.workers is None else config.workers
+def _run_tasks(tasks: list, workers: int) -> list:
+    """Results of `function(*args)` for each `(function, *args)` task, in task
+    order. With more than one worker and task, the tasks run in that many
+    processes forked from this one (spawn or forkserver would import scipy
+    again in each); the functions must be module-level and the arguments and
+    results picklable. A task's exception is raised here and the tasks not yet
+    started are cancelled.
+
+    Forking is safe because this process runs no other thread when the pool
+    starts, and from Python 3.11 the executor forks every worker before it
+    starts its own thread."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [function(*args) for function, *args in tasks]
+    # Looked up here, so a run that builds no pool never imports multiprocessing.
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(*task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, help="probe seed (overrides config)")
         cmd.add_argument("--workers", type=int,
-                         help="worker count (overrides config; default 1)")
+                         help="worker processes for verify and norms "
+                              "(overrides config; default 1)")
     return parser
 
 

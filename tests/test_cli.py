@@ -1,5 +1,6 @@
 """End-to-end tests for the jhl command line and its run configuration."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -51,6 +52,41 @@ _JSON = st.recursive(
         | st.text(max_size=4), inner, max_size=4),
     max_leaves=12)
 _CONFIG_KEYS = tuple(RunConfig().to_dict())
+
+
+def _data_files(root):
+    """Bytes of every data file under root; config and timings are not data."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name not in ("config.json", "timings.json")}
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor and records the worker counts built."""
+
+    def __init__(self, monkeypatch):
+        self.built = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def build(max_workers, **kwargs):
+            self.built.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", build)
+
+
+def _assert_workers_agree(tmp_path, command, cfg):
+    """Run command with one worker, then, on a cold memo, with two; every data
+    file must be byte-identical."""
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    p1 = _write_config(tmp_path, {**cfg, "out_dir": str(out1)}, "c1.json")
+    p2 = _write_config(tmp_path, {**cfg, "out_dir": str(out2)}, "c2.json")
+    assert main([command, "--config", p1]) == 0
+    clear_caches()  # the forked workers must not inherit the first run's memo
+    assert main([command, "--config", p2, "--workers", "2"]) == 0
+    first, second = _data_files(out1), _data_files(out2)
+    assert first
+    assert first == second
 
 
 def _read_matrix(path, size):
@@ -368,15 +404,35 @@ class TestVerifyCommand:
         assert control["name"] == "theorem_norms_variation"
         assert json.loads((base / "timings.json").read_text())["cells"]
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        p1 = _write_config(tmp_path, _base_config(out_dir=str(out1)), "c1.json")
-        p2 = _write_config(tmp_path, _base_config(out_dir=str(out2)), "c2.json")
-        assert main(["verify", "--config", p1]) == 0
-        assert main(["verify", "--config", p2, "--workers", "2"]) == 0
-        a = (out1 / "verify" / "summary.csv").read_bytes()
-        b = (out2 / "verify" / "summary.csv").read_bytes()
-        assert a == b
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        spy = _PoolSpy(monkeypatch)
+        _assert_workers_agree(tmp_path, "verify", _base_config(
+            params=[[0.0, 0.0], [0.5, -0.5]], estimates=["poly_bound", "dt_sup"]))
+        assert spy.built == [2]
+
+    def test_numeric_failure_in_worker_exits_three(self, tmp_path, monkeypatch, capsys):
+        # the forked workers inherit the lowered cap, so every rule search fails there
+        spy = _PoolSpy(monkeypatch)
+        clear_caches()
+        monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(tmp_path / "o"), estimates=["kernel_decay"]))
+        code = main(["verify", "--config", path, "--workers", "2"])
+        clear_caches()
+        assert spy.built == [2]
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_one_worker_builds_no_pool(self, tmp_path, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built for one worker")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(tmp_path / "o"), params=[[0.0, 0.0], [0.5, -0.5]]))
+        assert main([command, "--config", path, "--workers", "1"]) == 0
+        assert main([command, "--config", path]) == 0
 
 
 class TestNormsCommand:
@@ -402,12 +458,8 @@ class TestNormsCommand:
         path = _write_config(tmp_path, cfg)
         assert main(["norms", "--config", path]) == 2
 
-    def test_env_parallelism_is_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        p1 = _write_config(tmp_path, _base_config(out_dir=str(out1)), "c1.json")
-        p2 = _write_config(tmp_path, _base_config(out_dir=str(out2)), "c2.json")
-        assert main(["norms", "--config", p1]) == 0
-        assert main(["norms", "--config", p2, "--workers", "2"]) == 0
-        a = (out1 / "norms" / "norms.csv").read_bytes()
-        b = (out2 / "norms" / "norms.csv").read_bytes()
-        assert a == b
+    def test_env_parallelism_is_deterministic(self, tmp_path, monkeypatch):
+        spy = _PoolSpy(monkeypatch)
+        _assert_workers_agree(tmp_path, "norms", _base_config(
+            params=[[0.0, 0.0], [0.5, -0.5]], operators=["variation", "oscillation"]))
+        assert spy.built == [2]

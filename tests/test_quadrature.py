@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jhl.quadrature as quadrature
 from jhl import _memo
-from jhl.basis import JacobiParams, ortho_table
+from jhl.basis import JacobiParams, build_generator, ortho_table
 from jhl.errors import ConvergenceFailure, NumericFailure
 from jhl.quadrature import auto_order, build_rule, integrate, moments, total_mass
 from jhl.semigroup import clear_caches, kernel_entry, kernel_tensor
@@ -245,6 +246,17 @@ class TestSearchRule:
         values = [kernel_entry(params, 1.0, 63, 63, build_rule(params, order))
                   for order in (79, 158, 316)]
         assert max(values) - min(values) <= 1e-14
+
+    @pytest.mark.xfail(strict=True, reason="the order-1264 witness of the doubling "
+                       "test is a Golub-Welsch rule with the same error")
+    def test_fallback_kernel_matches_generator_exponential(self):
+        # K_t = exp(t L) on the truncated generator L; at t = 1e-3 the heat from
+        # index 63 stays far inside 88 sites. The order-632 Golub-Welsch rule is
+        # 1.55e-12 off at (63, 63); the rejected order-316 Christoffel rule, 1e-16.
+        exact = scipy.linalg.expm(
+            1e-3 * build_generator(NEAR_SINGULAR, 88).to_matrix())[63, 63]
+        value = kernel_tensor(NEAR_SINGULAR, np.array([1e-3, 1e4]), 64)[0][63, 63]
+        assert abs(value - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("t_max, tol", [(math.nan, 1e-12), (math.inf, 1e-12),
                                             (1.0, math.nan), (1.0, math.inf)],

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from jhl import _memo
 from jhl.basis import JacobiParams, normalization, ortho_poly_at_one
+from jhl.config import RunConfig
 from jhl.quadrature import build_rule
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
@@ -281,4 +282,17 @@ class TestClosedForm:
             exact = float(mpmath.mpf(normalization(params, 0)) ** 2 * 2 ** (a + b + 1)
                           * mpmath.beta(a + 1, b + 1) * mpmath.hyp1f1(a + 1, a + b + 2, -2 * t))
         value = kernel_tensor(params, [t], 64)[0][0, 0]
+        assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
+
+    @_LARGE_T_XFAIL
+    @pytest.mark.parametrize("size", [16, 32, 64])
+    def test_corner_entry_at_default_norms_grid_end(self, size):
+        # The default norms grid ends at t = 1e5, where the absolute order test
+        # passes on an underflowed probe: K_t(0, 0) is 1.2e-129 at size 16,
+        # 3.7e-59 at size 32 and 1.5e-12 relative off at size 64. For Legendre
+        # the closed form is (1 - e^{-2t}) / (2t).
+        times = RunConfig().norms_t_grid.build().times
+        t = times[-1]
+        exact = -np.expm1(-2.0 * t) / (2.0 * t)
+        value = kernel_tensor(LEGENDRE, times, size)[-1][0, 0]
         assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
