@@ -26,7 +26,13 @@ import numpy as np
 from .basis import JacobiParams
 from .config import OPERATOR_NAMES, RunConfig, load_config
 from .errors import ConfigError, NumericFailure
-from .semigroup import kernel_dt_tensor, kernel_matrix, markov_defect, semigroup_defect
+from .semigroup import (
+    clear_caches,
+    kernel_dt_tensor,
+    kernel_matrix,
+    markov_defect,
+    semigroup_defect,
+)
 from .verify import (
     operator_images,
     verify_cotlar,
@@ -67,14 +73,23 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     """The bytes `_write_csv` writes for the (row, col, value) entries of a
-    matrix in row-major order, formatted and written one row at a time."""
-    # One "%.17g" slot per column. Joined with the row label as separator, the
+    matrix in row-major order, written one row at a time.
+
+    Each distinct float64 bit pattern is formatted once, so a symmetric kernel
+    formats about half its entries. Keying on bits, not values, keeps -0.0 and
+    0.0 apart."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    cells = np.array(("%.17g\n" * bits.size % tuple(bits.view(np.float64).tolist()))
+                     .split("\n"), dtype=object)
+    text = cells[inverse.reshape(matrix.shape)]
+    # One "%s" slot per column. Joined with the row label as separator, the
     # leading "" puts that label in front of every line of the row.
-    slots = ["", *(f",{col},%.17g\n" for col in range(matrix.shape[1]))]
+    slots = ["", *(f",{col},%s\n" for col in range(matrix.shape[1]))]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("row,col,value\n")
         for row in range(matrix.shape[0]):
-            handle.write(str(row).join(slots) % tuple(matrix[row].tolist()))
+            handle.write(str(row).join(slots) % tuple(text[row].tolist()))
 
 
 def _write_json(path: str, payload) -> None:
@@ -126,6 +141,8 @@ def cmd_kernel(config: RunConfig) -> int:
             "times": times,
             "defects": defects,
         })
+        # Every memo key carries (alpha, beta), so no later params reads these.
+        clear_caches()
         timings[params.tag()] = time.perf_counter() - started
     _write_json(os.path.join(base, "timings.json"),
                 {"command": "kernel", "cells": timings})

@@ -11,11 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import jhl._memo
 import jhl.quadrature
+from jhl.basis import JacobiParams
 from jhl.cli import _write_csv, _write_matrix_csv, main
 from jhl.config import RunConfig, load_config
 from jhl.errors import ConfigError
-from jhl.semigroup import clear_caches
+from jhl.semigroup import clear_caches, kernel_matrix
 
 
 def _base_config(**overrides):
@@ -329,6 +331,22 @@ class TestKernelCommand:
             b = (out2 / "kernel" / "alpha0_beta0" / name).read_bytes()
             assert a == b, name
 
+    def test_memo_released_after_each_params(self, tmp_path):
+        cfg = _base_config(params=[[0.0, 0.0], [0.5, -0.5]])
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        clear_caches()
+        path = _write_config(tmp_path, {**cfg, "out_dir": str(out1)}, "c1.json")
+        assert main(["kernel", "--config", path]) == 0
+        tensor_kinds = {"K", "dK", "kernel", "eig", "rule", "table"}
+        assert not [key for key in jhl._memo._cache if key[0] in tensor_kinds]
+        # The same files as runs that each start on an empty memo.
+        for params in cfg["params"]:
+            clear_caches()
+            path = _write_config(tmp_path, {**cfg, "params": [params],
+                                            "out_dir": str(out2)}, "c2.json")
+            assert main(["kernel", "--config", path]) == 0
+        assert _data_files(out1) == _data_files(out2)
+
 
 class TestMatrixWriter:
     VALUES = [-0.0, 5e-324, 1e-300, 1e308, 1.0, 1e16, 0.1]
@@ -341,6 +359,15 @@ class TestMatrixWriter:
             matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
             matrix.flat[:len(self.VALUES)] = self.VALUES
             yield matrix
+        yield np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
+        yield rng.choice(rng.standard_normal(4), size=(9, 6))  # repeats across rows and columns
+        matrix = rng.standard_normal((5, 8))
+        yield matrix.T
+        matrix.setflags(write=False)
+        yield matrix
+        yield np.zeros((0, 0))
+        yield np.zeros((0, 3))
+        yield kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 64).entries  # bitwise symmetric
 
     def test_matches_generic_writer(self, tmp_path):
         ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
