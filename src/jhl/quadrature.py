@@ -8,6 +8,12 @@ up to degree 2Q-1 exactly. The one rule per (params, order) serves both the
 order search and every output. Golub-Welsch (total mass times the squared first
 eigenvector components) is the fallback where Christoffel weights fail the
 checks, and the oracle the tests compare against.
+
+The order search certifies an order a priori where it can, from the Chebyshev
+coefficients of e^{tx}, which are Bessel values: Trefethen's error bound for
+Gauss quadrature ("Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
+Review 50, 2008) then bounds the kernel error by a Bessel tail, so no rule of
+twice the order has to be built to confirm it.
 """
 
 from __future__ import annotations
@@ -168,13 +174,55 @@ def _diag_entries(params: JacobiParams, order: int, n: int, probes) -> list:
             for t in probes]
 
 
-def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
-    """Smallest doubling-tested order whose stiffest kernel entry has converged.
+def _bessel_tail(d: int, t: float) -> float:
+    """T(d, t) = sum_{k >= d} e^{-t} I_k(t) for d >= 0 and t > 0.
 
-    Starts at n_max + 16 and doubles until the diagonal entry at index n_max,
-    probed at t in {t_max, 1e-3}, moves by less than tol between order Q and 2Q.
-    Entries are probed on `build_rule` rules, so the rule the test accepts is
-    the rule the kernels then use.
+    e^{tx} = I_0(t) + 2 sum_{k>=1} I_k(t) T_k(x), so e^{-t}(I_0 + 2 sum I_k) = 1
+    normalises the values. One table per t is memoised; beyond its last index,
+    where T is below about e^{-72}, the last entry is returned, an upper bound
+    since T falls with d.
+    """
+    tails = memo(("bessel_tail", t), lambda: _bessel_tail_table(t))
+    return float(tails[min(d, len(tails) - 1)])
+
+
+def _bessel_tail_table(t: float) -> np.ndarray:
+    """T(d, t) for d = 0 .. ceil(12 sqrt(t) + 40), by Miller's backward
+    recurrence I_{k-1} = (2k/t) I_k + I_{k+1} started twice that index up.
+
+    The recurrence runs on the ratios r_k = I_k / I_{k-1} = t / (2k + t r_{k+1}),
+    which lie in (0, 1], so nothing overflows; I_k / I_0 is their running
+    product, and small values underflow to 0 where they are negligible.
+    """
+    last = math.ceil(12.0 * math.sqrt(t) + 40.0)
+    ratios = []
+    ratio = 0.0
+    for k in range(2 * last, 0, -1):
+        ratio = t / (2.0 * k + t * ratio)
+        ratios.append(ratio)
+    ratios.append(1.0)  # I_0 / I_0, the first factor of the running product
+    scaled = np.cumprod(ratios[::-1])
+    tails = np.cumsum(scaled[::-1])[::-1] / (2.0 * scaled.sum() - 1.0)
+    return tails[:last + 1]
+
+
+def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
+    """Smallest order, doubling from n_max + 16, that a Bessel-tail certificate
+    or a doubling test accepts for the stiffest kernel entry.
+
+    Certificate: accept Q when 16 T(2Q - 2n_max, max(t_max, 1e-3)) <= tol, with
+    T the Bessel tail of `_bessel_tail`. Truncating the Chebyshev series of
+    e^{-t(1-x)} after degree 2Q - 2n - 1 leaves an error of at most 2 T(2Q - 2n, t)
+    on [-1, 1]; the Q-point rule integrates the truncated part times p_n^2
+    exactly, and both the rule and the measure give p_n^2 mass 1, so
+    |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t) (Trefethen, SIAM Review 50, 2008).
+    T grows with t (dT/dt = (e^{-t} I_{d-1} - e^{-t} I_d) / 2 > 0), so at both
+    probe times the doubling test below could only have found a difference of
+    at most tol / 2. Where the certificate does not fire, the doubling test
+    decides: the diagonal entry at index n_max, probed at t in {t_max, 1e-3},
+    must move by less than tol between order Q and 2Q. Entries are probed on
+    `build_rule` rules, so the rule the test accepts is the rule the kernels
+    then use.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -183,6 +231,7 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     probes = (t_max, 1e-3)
+    t_cert = max(probes)
     order = n_max + 16
     if order > MAX_ORDER:
         raise ConvergenceFailure(f"starting order {order} exceeds cap {MAX_ORDER}")
@@ -192,6 +241,8 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
             raise ConvergenceFailure(
                 f"kernel quadrature did not converge below order cap {MAX_ORDER}"
             )
+        if 16.0 * _bessel_tail(2 * order - 2 * n_max, t_cert) <= tol:
+            return order
         nxt = _diag_entries(params, 2 * order, n_max, probes)
         if max(abs(c - n) for c, n in zip(cur, nxt)) < tol:
             return order

@@ -2,13 +2,13 @@
 
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route evaluates this integral with the Gauss-Jacobi rule of
-`build_rule`, at the order `auto_order` certifies on that same rule for the
-largest time of a batch; the spectral route diagonalizes a 4N truncation of the
-operator and exponentiates. Every derived value of the batch routes (order,
-rule, table, eigenbasis, kernel, tensor, p_n(1) vector) is memoised in
-`jhl._memo`, and `clear_caches` empties that one cache. The scalar oracles
-`kernel_entry` and `kernel_dt_entry` build their own tables, so scalar calls
-do not grow the cache.
+`build_rule`, at the order `auto_order` certifies for the largest time of a
+batch (a priori, or by probing that same rule); the spectral route
+diagonalizes a 4N truncation of the operator and exponentiates. Every derived
+value of the batch routes (order, rule, table, eigenbasis, kernel, tensor,
+p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
+one cache. The scalar oracles `kernel_entry` and `kernel_dt_entry` build their
+own tables, so scalar calls do not grow the cache.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -346,6 +348,20 @@ class TestKernelCommand:
                                             "out_dir": str(out2)}, "c2.json")
             assert main(["kernel", "--config", path]) == 0
         assert _data_files(out1) == _data_files(out2)
+
+
+    def test_run_leaves_scipy_special_unimported(self, tmp_path):
+        # Importing scipy.special adds about 4 MB to peak RSS; the quadrature
+        # order certificate computes its Bessel tails without it.
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "run")))
+        code = ("import sys\nfrom jhl.cli import main\n"
+                f"assert main(['kernel', '--config', {path!r}]) == 0\n"
+                "print('scipy.special' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jhl.__file__)))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, timeout=120, check=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.strip() == "False"
 
 
 class TestMatrixWriter:

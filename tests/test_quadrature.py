@@ -12,9 +12,10 @@ from numpy.testing import assert_allclose
 import jhl.quadrature as quadrature
 from jhl import _memo
 from jhl.basis import JacobiParams, build_generator, ortho_table
+from jhl.config import RunConfig
 from jhl.errors import ConvergenceFailure, NumericFailure
 from jhl.quadrature import auto_order, build_rule, integrate, moments, total_mass
-from jhl.semigroup import clear_caches, kernel_entry, kernel_tensor
+from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_entry, kernel_tensor
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -166,17 +167,75 @@ ASYMMETRIC = JacobiParams(2.5, 0.5)
 NEAR_SINGULAR = JacobiParams(3.0, -0.9)
 
 
+class TestBesselTail:
+    """The Bessel tail behind the order certificate, against scipy.special
+    (which the package itself does not import)."""
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-3, 1.0, 1e2, 1e5, 1e7])
+    def test_matches_scipy_ive(self, t):
+        special = pytest.importorskip("scipy.special")
+        last = math.ceil(12.0 * math.sqrt(t) + 40.0)
+        values = special.ive(np.arange(2 * last + 200), t)
+        expected = np.cumsum(values[::-1])[::-1]
+        d = np.arange(1, last + 1)
+        tails = np.array([quadrature._bessel_tail(k, t) for k in d])
+        # values below about 1e-300 lose digits or underflow on both sides
+        assert_allclose(tails, expected[d], rtol=2e-12, atol=1e-300)
+        # past the table: an upper bound, far below any tolerance in use
+        beyond = np.arange(last + 1, last + 100)
+        tails = np.array([quadrature._bessel_tail(k, t) for k in beyond])
+        assert np.all(tails >= expected[beyond]) and np.all(tails <= 1e-30)
+        assert ("bessel_tail", t) in _memo._cache
+        clear_caches()
+
+    # Not Chebyshev: its rules of orders 496 to 2528 are 1e-14 to 4.5e-14 off
+    # the closed form K_t(n, n) = e^{-t} (I_0(t) + I_2n(t)) where the bound is
+    # negligible. That is node rounding, not truncation; TestClosedForm pins it.
+    @pytest.mark.parametrize("params", [LEGENDRE, ASYMMETRIC, JacobiParams(0.8, -0.4)],
+                             ids=["legendre", "asymmetric", "skewed"])
+    @pytest.mark.parametrize("n", [15, 63])
+    def test_certificate_bounds_the_kernel_error(self, params, n):
+        # |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t) along the doubling chain,
+        # with the order-4Q rule standing in for the exact value.
+        for t in (1e-3, 1.0, 1e2, 1e4, 1e5):
+            order, chosen = n + 16, auto_order(params, n, t, 1e-12)
+            while order <= chosen:
+                coarse, = quadrature._diag_entries(params, order, n, (t,))
+                fine, = quadrature._diag_entries(params, 4 * order, n, (t,))
+                bound = 4.0 * quadrature._bessel_tail(2 * order - 2 * n, t)
+                assert abs(coarse - fine) <= bound + 1e-14, (t, order)
+                order *= 2
+            clear_caches()
+
+
 class TestSearchRule:
     """The one rule of build_rule, which the order search probes, against
     Golub-Welsch as the oracle."""
 
+    # Norms and lacunary probe times (128 is the largest default lacunary
+    # value), and the default kernel times at the largest kernel size.
     @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC],
                              ids=["chebyshev", "legendre", "asymmetric"])
-    @pytest.mark.parametrize("n_max", [15, 31, 63])
-    def test_orders_match_golub_welsch_search(self, params, n_max):
-        for t_max in (1e-3, 1.0, 1e2, 1e5):
+    @pytest.mark.parametrize(
+        "n_max, times",
+        [(n, (1e-3, 1.0, 1e2, 128.0, 1e4, 1e5)) for n in (15, 31, 63)]
+        + [(255, (1e-3, 0.1, 1.0, 10.0))],
+        ids=["15", "31", "63", "255"])
+    def test_orders_match_golub_welsch_search(self, params, n_max, times):
+        for t_max in times:
             assert auto_order(params, n_max, t_max, 1e-12) == \
                 _golub_welsch_search(params, n_max, t_max)
+        clear_caches()
+
+    def test_norms_grid_builds_no_rule_above_the_chosen_order(self):
+        # The certificate accepts order 1264 at t = 1e5 without building the
+        # order-2528 rule that the doubling test would compare it with.
+        clear_caches()
+        times = RunConfig().norms_t_grid.build().times
+        kernel_tensor(LEGENDRE, times, 64)
+        built = [key[3] for key in _memo._cache if key[0] == "rule"]
+        assert max(built) == auto_order(LEGENDRE, 63, times[-1], DEFAULT_QUAD_TOL)
+        clear_caches()
 
     @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC,
                                         JacobiParams(0.8, -0.4)],
