@@ -180,8 +180,14 @@ def _bessel_tail(d: int, t: float) -> float:
     e^{tx} = I_0(t) + 2 sum_{k>=1} I_k(t) T_k(x), so e^{-t}(I_0 + 2 sum I_k) = 1
     normalises the values. One table per t is memoised; beyond its last index,
     where T is below about e^{-72}, the last entry is returned, an upper bound
-    since T falls with d.
+    since T falls with d. Where the table would run past 2 MAX_ORDER (t above
+    about 1.2e8), 1 is returned, the bound T(0, t) <= 1, so the certificate
+    stays out and the doubling test decides. No table is built there: its
+    length grows like sqrt(t), and a recurrence started lower would give tails
+    that are too small.
     """
+    if 12.0 * math.sqrt(t) + 40.0 > 2 * MAX_ORDER:
+        return 1.0
     tails = memo(("bessel_tail", t), lambda: _bessel_tail_table(t))
     return float(tails[min(d, len(tails) - 1)])
 

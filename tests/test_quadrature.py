@@ -188,6 +188,18 @@ class TestBesselTail:
         assert ("bessel_tail", t) in _memo._cache
         clear_caches()
 
+    @pytest.mark.parametrize("t", [1.2e8, 1e12, 1e20])
+    def test_no_table_past_the_order_cap(self, t):
+        # A table for t = 1e20 would take about 2.4e11 recurrence steps. Past
+        # 2 MAX_ORDER the tail reads 1, an upper bound, and the doubling test
+        # decides the order alone.
+        clear_caches()
+        assert quadrature._bessel_tail(0, t) == 1.0
+        assert quadrature._bessel_tail(2 * quadrature.MAX_ORDER, t) == 1.0
+        assert auto_order(LEGENDRE, 15, t, 1e-12) == _golub_welsch_search(LEGENDRE, 15, t)
+        assert not [key for key in _memo._cache if key[0] == "bessel_tail"]
+        clear_caches()
+
     # Not Chebyshev: its rules of orders 496 to 2528 are 1e-14 to 4.5e-14 off
     # the closed form K_t(n, n) = e^{-t} (I_0(t) + I_2n(t)) where the bound is
     # negligible. That is node rounding, not truncation; TestClosedForm pins it.
@@ -306,16 +318,28 @@ class TestSearchRule:
                   for order in (79, 158, 316)]
         assert max(values) - min(values) <= 1e-14
 
-    @pytest.mark.xfail(strict=True, reason="the order-1264 witness of the doubling "
-                       "test is a Golub-Welsch rule with the same error")
-    def test_fallback_kernel_matches_generator_exponential(self):
+    @pytest.mark.parametrize("t_max", [
+        1e3,
+        pytest.param(1e4, marks=pytest.mark.xfail(
+            strict=True, reason="the order-1264 witness of the doubling test "
+            "is a Golub-Welsch rule with the same error")),
+    ])
+    def test_fallback_kernel_matches_generator_exponential(self, t_max):
         # K_t = exp(t L) on the truncated generator L; at t = 1e-3 the heat from
-        # index 63 stays far inside 88 sites. The order-632 Golub-Welsch rule is
-        # 1.55e-12 off at (63, 63); the rejected order-316 Christoffel rule, 1e-16.
+        # index 63 stays far inside 88 sites. At t_max = 1e3 the certificate
+        # accepts the order-316 Christoffel rule, 1e-16 off at (63, 63). At 1e4
+        # the search ends on the order-632 Golub-Welsch rule, 1.55e-12 off.
         exact = scipy.linalg.expm(
             1e-3 * build_generator(NEAR_SINGULAR, 88).to_matrix())[63, 63]
-        value = kernel_tensor(NEAR_SINGULAR, np.array([1e-3, 1e4]), 64)[0][63, 63]
+        value = kernel_tensor(NEAR_SINGULAR, np.array([1e-3, t_max]), 64)[0][63, 63]
         assert abs(value - exact) <= 1e-12 * exact
+
+    def test_certificate_accepts_the_christoffel_rule_at_t_1000(self):
+        # The doubling test alone rejected order 316 here: its order-632
+        # witness is a Golub-Welsch rule about 1.5e-12 off.
+        clear_caches()
+        assert auto_order(NEAR_SINGULAR, 63, 1e3, 1e-12) == 316
+        assert ("rule", 3.0, -0.9, 632) not in _memo._cache
 
     @pytest.mark.parametrize("t_max, tol", [(math.nan, 1e-12), (math.inf, 1e-12),
                                             (1.0, math.nan), (1.0, math.inf)],
