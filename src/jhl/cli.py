@@ -338,27 +338,40 @@ def cmd_norms(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _run_task(function, *args):
+    """function(*args), after which the memo is emptied. Every task covers one
+    params and every memo key but the Bessel tails carries (alpha, beta), so a
+    later task reads almost none of it. Kept, it made a pool worker's peak
+    memory depend on which tasks the scheduler gave it, and a serial run's peak
+    on the layout of the memory earlier tasks had freed, which varies with
+    address randomisation and the string hash seed."""
+    try:
+        return function(*args)
+    finally:
+        clear_caches()
+
+
 def _run_tasks(tasks: list, workers: int) -> list:
     """Results of `function(*args)` for each `(function, *args)` task, in task
     order. With more than one worker and task, the tasks run in that many
     processes forked from this one (spawn or forkserver would import scipy
     again in each); the functions must be module-level and the arguments and
     results picklable. A task's exception is raised here and the tasks not yet
-    started are cancelled.
+    started are cancelled. Each task ends by emptying its process's memo.
 
     Forking is safe because this process runs no other thread when the pool
     starts, and from Python 3.11 the executor forks every worker before it
     starts its own thread."""
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [function(*args) for function, *args in tasks]
+        return [_run_task(*task) for task in tasks]
     # Looked up here, so a run that builds no pool never imports multiprocessing.
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(*task) for task in tasks]
+        futures = [pool.submit(_run_task, *task) for task in tasks]
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)

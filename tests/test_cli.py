@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import jhl._memo
 import jhl.quadrature
 from jhl.basis import JacobiParams
-from jhl.cli import _write_csv, _write_matrix_csv, main
+from jhl.cli import _run_task, _write_csv, _write_matrix_csv, main
 from jhl.config import RunConfig, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches, kernel_matrix
@@ -465,6 +465,22 @@ class TestVerifyCommand:
         assert spy.built == [2]
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+    def test_run_task_empties_memo(self):
+        # A process that kept one task's memo for the next would reach a peak
+        # memory that depends on which tasks it was given and in what layout.
+        def task(fail):
+            jhl._memo.memo(("probe",), lambda: 1)
+            if fail:
+                raise ValueError("task failed")
+            return 2
+
+        clear_caches()
+        assert _run_task(task, False) == 2
+        assert not jhl._memo._cache
+        with pytest.raises(ValueError):
+            _run_task(task, True)
+        assert not jhl._memo._cache
 
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_one_worker_builds_no_pool(self, tmp_path, monkeypatch, command):
