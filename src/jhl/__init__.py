@@ -10,7 +10,6 @@ decay and weighted-norm boundedness estimates that make those operators behave.
 from .basis import (
     JacobiParams,
     TridiagonalGenerator,
-    apply_generator,
     build_generator,
     coeff_a,
     coeff_b,
@@ -26,7 +25,6 @@ from .paths import (
     BandSequence,
     DifferenceWindow,
     LacunarySequence,
-    SampledPath,
     TimeGrid,
     brute_jump_count,
     brute_variation,
@@ -34,17 +32,10 @@ from .paths import (
     default_time_grid,
     hardy_lower,
     hardy_upper,
-    heat_path,
-    hl_maximal,
     hl_maximal_all,
-    hl_maximal_q,
-    jump_count,
     jump_count_batch,
-    jump_functional,
-    oscillation,
     oscillation_batch,
     qn_kernel_matrix,
-    rho_variation,
     s_star,
     variation_batch,
 )
@@ -61,7 +52,6 @@ from .semigroup import (
     kernel_matrix,
     kernel_tensor,
     markov_defect,
-    parseval_defect,
     semigroup_defect,
     weight_at_one,
 )
@@ -87,7 +77,6 @@ from .weights import (
     a1_constant,
     ap_constant,
     norm_ratio_max,
-    operator_norm_estimate,
     probe_matrix,
     weak_quasinorm,
     weighted_norm,

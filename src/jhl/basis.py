@@ -26,7 +26,6 @@ __all__ = [
     "coeff_b",
     "generator_coefficients",
     "build_generator",
-    "apply_generator",
 ]
 
 
@@ -59,6 +58,7 @@ def jacobi_poly(params: JacobiParams, n: int, x):
 
     Accepts scalar or array x; the recurrence is run in degree, which is
     backward-stable on [-1, 1] for the degrees used here (n up to ~1e4).
+    Scaled by `normalization` it is the oracle for `ortho_table`.
     """
     if n < 0:
         raise ValueError("degree n must be nonnegative")
@@ -99,7 +99,8 @@ def normalization(params: JacobiParams, n: int) -> float:
 
 
 def ortho_poly(params: JacobiParams, n: int, x):
-    """Orthonormal polynomial p_n(x) = normalization(n) * P_n(x)."""
+    """Orthonormal polynomial p_n(x) = normalization(n) * P_n(x), one degree at
+    a time; tests check `ortho_table` against it."""
     return normalization(params, n) * jacobi_poly(params, n, x)
 
 
@@ -190,30 +191,10 @@ class TridiagonalGenerator:
 
 
 def build_generator(params: JacobiParams, size: int) -> TridiagonalGenerator:
-    """Assemble the size x size truncation of the difference operator."""
+    """Assemble the size x size truncation of the difference operator; as a
+    matrix it is the oracle for `ortho_table` (the eigenrelation) and for
+    `kernel_tensor` (e^{tJ})."""
     if size < 2:
         raise ValueError("size must be at least 2")
     diag, off = generator_coefficients(params, size)
     return TridiagonalGenerator(params=params, size=size, diagonal=diag, offdiagonal=off)
-
-
-def apply_generator(gen: TridiagonalGenerator, f: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of the truncated operator with f.
-
-    f must be supported on 0..size-1. The last entry of the result omits the
-    a_{size-1} f(size) term lost to truncation, so eigenrelation checks should
-    stop at index size-2.
-    """
-    fv = np.asarray(f, dtype=float)
-    if fv.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if fv.size > gen.size:
-        raise ValueError(
-            f"signal support {fv.size} exceeds generator truncation {gen.size}"
-        )
-    if fv.size < gen.size:
-        fv = np.pad(fv, (0, gen.size - fv.size))
-    out = gen.diagonal * fv
-    out[:-1] += gen.offdiagonal * fv[1:]
-    out[1:] += gen.offdiagonal * fv[:-1]
-    return out

@@ -1,8 +1,9 @@
 """Path functionals along heat flows and the discrete operators built from them.
 
-A sampled path is the restriction of t -> W_t f(n) to a finite decreasing-time
-view; variation, oscillation and jump counts are computed exactly on the grid,
-so they are lower bounds for the continuous-parameter functionals that only
+A path is t -> W_t f(n) sampled on a time grid and stored along the last
+axis of an array; the batch routes take any number of paths at once.
+Variation, oscillation and jump counts are computed exactly on the grid, so
+they are lower bounds for the continuous-parameter functionals that only
 improve under refinement.
 """
 
@@ -18,29 +19,21 @@ from .semigroup import DEFAULT_QUAD_TOL, _fit_signal, apply_heat, kernel_tensor
 
 __all__ = [
     "TimeGrid",
-    "SampledPath",
     "BandSequence",
     "LacunarySequence",
     "DifferenceWindow",
     "default_time_grid",
     "default_bands",
-    "rho_variation",
     "variation_batch",
     "brute_variation",
-    "oscillation",
     "oscillation_batch",
-    "jump_count",
     "jump_count_batch",
     "brute_jump_count",
-    "jump_functional",
-    "heat_path",
     "qn_kernel_matrix",
     "s_star",
     "hardy_upper",
     "hardy_lower",
-    "hl_maximal",
     "hl_maximal_all",
-    "hl_maximal_q",
 ]
 
 BRUTE_VARIATION_CAP = 16
@@ -73,20 +66,6 @@ class TimeGrid:
 def default_time_grid() -> TimeGrid:
     """96 log-uniform times spanning [1e-3, 1e2]."""
     return TimeGrid.geometric(1e-3, 1e2, 96)
-
-
-@dataclass(frozen=True)
-class SampledPath:
-    """Values of one path over a time grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.times.shape:
-            raise ValueError("path values must align with the time grid")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -171,16 +150,6 @@ class DifferenceWindow:
             raise ValueError("window needs n1 < n2")
 
 
-def rho_variation(path: SampledPath, rho: float) -> float:
-    """Largest (sum |increments|^rho)^(1/rho) over subsequences of the grid.
-
-    Dynamic program over chain endpoints: best[i] = max_{j<i} best[j] + |a_i - a_j|^rho.
-    """
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    return float(variation_batch(path.values[None, :], rho)[0])
-
-
 def _turning_mask(flat: np.ndarray) -> np.ndarray:
     """Endpoints, plus each point whose incoming step is nonzero and whose
     outgoing step does not continue in the same direction: every reversal and
@@ -242,11 +211,12 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
     return (total ** (1.0 / rho)).reshape(lead)
 
 
-def brute_variation(path: SampledPath, rho: float) -> float:
-    """Exhaustive maximum over all subsequences; oracle for the dynamic program."""
+def brute_variation(values: np.ndarray, rho: float) -> float:
+    """Exhaustive maximum over all subsequences of one path; tests check
+    `variation_batch` against it."""
     if rho <= 1.0:
         raise ValueError("rho must exceed 1")
-    vals = path.values
+    vals = np.asarray(values, dtype=float)
     length = vals.size
     if length > BRUTE_VARIATION_CAP:
         raise ValueError(f"brute-force variation capped at length {BRUTE_VARIATION_CAP}")
@@ -271,14 +241,6 @@ def _band_slices(times: np.ndarray, bands: BandSequence) -> list[np.ndarray]:
     return out
 
 
-def oscillation(path: SampledPath, bands: BandSequence) -> float:
-    """Square root of the summed squared per-band value spreads.
-
-    A band holding fewer than two grid points contributes zero.
-    """
-    return float(oscillation_batch(path.grid.times, path.values[None, :], bands)[0])
-
-
 def oscillation_batch(times: np.ndarray, values: np.ndarray, bands: BandSequence) -> np.ndarray:
     """Vectorized oscillation along the last axis."""
     v = np.asarray(values, dtype=float)
@@ -292,19 +254,13 @@ def oscillation_batch(times: np.ndarray, values: np.ndarray, bands: BandSequence
     return np.sqrt(total)
 
 
-def jump_count(path: SampledPath, lam: float) -> int:
-    """Greedy count of moves larger than lam, scanning in increasing time.
+def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
+    """Greedy count of moves larger than lam along the last axis, scanning in
+    increasing time.
 
     Keeps the running min and max since the last counted jump; a point farther
     than lam from either extreme closes a jump and resets both extremes there.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    return int(jump_count_batch(path.values[None, :], lam)[0])
-
-
-def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
-    """Vectorized greedy jump count along the last axis."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     v = np.asarray(values, dtype=float)
@@ -322,11 +278,13 @@ def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     return count.reshape(lead)
 
 
-def brute_jump_count(path: SampledPath, lam: float) -> int:
-    """Exhaustive maximal pairing s_1 < t_1 <= s_2 < t_2 <= ... with |a_{t_i} - a_{s_i}| > lam."""
+def brute_jump_count(values: np.ndarray, lam: float) -> int:
+    """Exhaustive maximal pairing s_1 < t_1 <= s_2 < t_2 <= ... with
+    |a_{t_i} - a_{s_i}| > lam on one path; tests check `jump_count_batch`
+    against it."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    vals = path.values
+    vals = np.asarray(values, dtype=float)
     length = vals.size
     memo: dict[int, int] = {}
 
@@ -349,23 +307,6 @@ def brute_jump_count(path: SampledPath, lam: float) -> int:
     return best_from(0)
 
 
-def jump_functional(path: SampledPath, lam: float, rho: float) -> float:
-    """lam * (jump count)^(1/rho)."""
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    return lam * jump_count(path, lam) ** (1.0 / rho)
-
-
-def heat_path(params: JacobiParams, f: np.ndarray, n: int, grid: TimeGrid,
-              size: int) -> SampledPath:
-    """The path t -> W_t f(n) over the grid, on the size-truncation."""
-    if not 0 <= n < size:
-        raise ValueError("index n must lie in the truncated range")
-    fv = _fit_signal(f, size)
-    tensor = kernel_tensor(params, grid.times, size)
-    return SampledPath(grid=grid, values=tensor[:, n, :] @ fv)
-
-
 def _resolve_bcoef(bcoef, lac: LacunarySequence) -> np.ndarray:
     """Coefficients b_j aligned with lac indices j_min..j_max-1."""
     if callable(bcoef):
@@ -381,7 +322,8 @@ def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: Lacuna
     """Dense kernel sum_{j=n1}^{n2} b_j (K_{a_{j+1}} - K_{a_j}) of the difference
     sum; its row n applied to f is the sum at index n. The kernels come from the
     one tensor over lac.values that the batch routes use; the window is summed
-    directly, so this stays the oracle for batch window sums."""
+    directly, so tests check the window prefix sums of `jhl.verify` (the
+    "s_star" route of `operator_images`) against it."""
     if window.n1 < lac.j_min or window.n2 + 1 > lac.j_max:
         raise ValueError("difference window leaves the lacunary index range")
     b = _resolve_bcoef(bcoef, lac)
@@ -392,9 +334,18 @@ def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: Lacuna
     return total
 
 
+def _local_mask(size: int) -> np.ndarray:
+    """Row n marks the local region n/2 <= m <= 3n/2 of index n."""
+    n = np.arange(size)[:, None]
+    m = np.arange(size)[None, :]
+    return (2 * m >= n) & (2 * m <= 3 * n)
+
+
 def s_star(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
            f: np.ndarray, n: int, size: int, variant: str = "full") -> float:
-    """sup over windows -M <= n1 < n2 <= M of |difference sum| at index n.
+    """sup over windows -M <= n1 < n2 <= M of |difference sum| at index n, one
+    `apply_heat` per lacunary time; tests check the "s_star" route of
+    `jhl.verify.operator_images` against it.
 
     variant selects the input restriction: "local" keeps entries with
     n/2 <= m <= 3n/2, "global" keeps the complement, "full" keeps everything.
@@ -411,8 +362,7 @@ def s_star(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
         raise ValueError("lacunary window must cover [-M, M+1]")
     fv = _fit_signal(f, size).copy()
     if variant != "full":
-        m_idx = np.arange(size)
-        local = (2 * m_idx >= n) & (2 * m_idx <= 3 * n)
+        local = _local_mask(size)[n]
         fv *= local if variant == "local" else ~local
     b = _resolve_bcoef(bcoef, lac)
     path = np.array([apply_heat(params, lac.value(j), fv, size)[n]
@@ -442,38 +392,21 @@ def hardy_lower(f: np.ndarray, n: int) -> float:
     return float((fv[keep] / idx[keep]).sum())
 
 
-def hl_maximal(f: np.ndarray, n: int) -> float:
-    """Centered Hardy-Littlewood maximal average over balls {m >= 0 : |m-n| < r}.
+def hl_maximal_all(f: np.ndarray) -> np.ndarray:
+    """Centered Hardy-Littlewood maximal average of |f| over balls
+    {m >= 0 : |m-n| < r}, at every index n of f, vectorized over radii.
 
     Balls live in the nonnegative integers but their counting measure includes
     every lattice point of the ball, support or not; only integer radii change
     the ball, so finitely many averages realize the sup.
     """
-    if n < 0:
-        raise ValueError("index n must be nonnegative")
-    return float(hl_maximal_all(f, n + 1)[n])
-
-
-def hl_maximal_all(f: np.ndarray, size: int | None = None) -> np.ndarray:
-    """Maximal function at every index 0..size-1, vectorized over radii."""
     fv = np.abs(np.asarray(f, dtype=float))
     length = fv.size
-    if size is None:
-        size = length
     cs = np.concatenate(([0.0], np.cumsum(fv)))
-    n = np.arange(size)[:, None]
-    d_max = max(size - 1, length - 1)
-    d = np.arange(d_max + 1)[None, :]
+    n = np.arange(length)[:, None]
+    d = np.arange(length)[None, :]
     lo = np.clip(n - d, 0, length)
     hi = np.minimum(n + d, length - 1)
     sums = cs[hi + 1] - cs[lo]
     counts = (n + d) - np.maximum(n - d, 0) + 1
     return (sums / counts).max(axis=1)
-
-
-def hl_maximal_q(f: np.ndarray, n: int, q: float) -> float:
-    """(M(|f|^q)(n))^(1/q) for q >= 1."""
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    fv = np.abs(np.asarray(f, dtype=float)) ** q
-    return float(hl_maximal(fv, n) ** (1.0 / q))

@@ -36,7 +36,6 @@ __all__ = [
     "markov_defect",
     "semigroup_defect",
     "fourier_transform",
-    "parseval_defect",
     "weight_at_one",
     "clear_caches",
 ]
@@ -95,13 +94,15 @@ def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
 
 def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
                  rule: QuadratureRule) -> float:
-    """Quadrature value of K_t(n, m); symmetric in (n, m) exactly."""
+    """Quadrature value of K_t(n, m); symmetric in (n, m) exactly. Tests check
+    `kernel_matrix` and `kernel_tensor` against it."""
     return _entry(params, t, n, m, rule, derivative=False)
 
 
 def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
                     rule: QuadratureRule) -> float:
-    """Time derivative d/dt K_t(n, m) = -int (1-x) e^{-t(1-x)} p_n p_m dmu."""
+    """Time derivative d/dt K_t(n, m) = -int (1-x) e^{-t(1-x)} p_n p_m dmu;
+    tests check `kernel_dt_tensor` against it."""
     return _entry(params, t, n, m, rule, derivative=True)
 
 
@@ -281,10 +282,3 @@ def fourier_transform(params: JacobiParams, f: np.ndarray, x):
     table = ortho_table(params, fv.size - 1, xv)
     vals = fv @ table
     return vals if np.ndim(x) else float(vals[0])
-
-
-def parseval_defect(params: JacobiParams, f: np.ndarray, rule: QuadratureRule) -> float:
-    """|  ||f||^2_{l^2} - int |F(f)|^2 dmu  | under the given rule."""
-    fv = np.asarray(f, dtype=float)
-    vals = fourier_transform(params, fv, rule.nodes)
-    return float(abs(fv @ fv - rule.weights @ (vals * vals)))

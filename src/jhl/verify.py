@@ -25,6 +25,7 @@ from .paths import (
     jump_count_batch,
     oscillation_batch,
     variation_batch,
+    _local_mask,
     _resolve_bcoef,
 )
 from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_tensor
@@ -242,7 +243,12 @@ def _lacunary_step_matrices(params: JacobiParams, lac: LacunarySequence, coef: n
 
 def _window_prefix(steps: np.ndarray, lac: LacunarySequence, m_range: int) -> np.ndarray:
     """Zero row, then running sums of the steps j = -M..M: every window sum over
-    n1 <= j <= n2 is prefix[n2 + M + 1] - prefix[n1 + M]."""
+    n1 <= j <= n2 is prefix[n2 + M + 1] - prefix[n1 + M]. Needs M > 0 and lac
+    to cover [-M, M+1]."""
+    if m_range <= 0:
+        raise ValueError("window range M must be positive")
+    if lac.j_min > -m_range or lac.j_max < m_range + 1:
+        raise ValueError("lacunary window must cover [-M, M+1]")
     offset = -m_range - lac.j_min
     window = steps[offset:offset + 2 * m_range + 1]
     return np.concatenate([np.zeros((1,) + window.shape[1:]), np.cumsum(window, axis=0)])
@@ -259,10 +265,6 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
-    if m_range <= 0:
-        raise ValueError("window range M must be positive")
-    if lac.j_min > -m_range or lac.j_max < m_range + 1:
-        raise ValueError("lacunary window must cover [-M, M+1]")
     b = _resolve_bcoef(bcoef, lac)
     windows = [(n1, n2) for n1 in range(-m_range, m_range)
                for n2 in range(n1 + 1, m_range + 1)]
@@ -357,12 +359,6 @@ def verify_lacunary_tail(params: JacobiParams, lac: LacunarySequence, vcoef, siz
                    {"suffix": c_suffix, "tail": c_tail}, started, extras)
 
 
-def _local_mask(size: int) -> np.ndarray:
-    n = np.arange(size)[:, None]
-    m = np.arange(size)[None, :]
-    return (2 * m >= n) & (2 * m <= 3 * n)
-
-
 def _hl_columns(g: np.ndarray) -> np.ndarray:
     return np.stack([hl_maximal_all(g[:, j]) for j in range(g.shape[1])], axis=1)
 
@@ -380,10 +376,6 @@ def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bco
     sizes = _check_sizes(sizes)
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    if m_range <= 0:
-        raise ValueError("window range M must be positive")
-    if lac.j_min > -m_range or lac.j_max < m_range + 1:
-        raise ValueError("lacunary window must cover [-M, M+1]")
     b = _resolve_bcoef(bcoef, lac)
     constants, skipped = [], []
     for size in sizes:

@@ -20,7 +20,6 @@ __all__ = [
     "weighted_norm",
     "weak_quasinorm",
     "probe_matrix",
-    "operator_norm_estimate",
     "norm_ratio_max",
 ]
 
@@ -112,7 +111,8 @@ def a1_constant(w: np.ndarray) -> float:
 
 
 def weighted_norm(f: np.ndarray, p: float, w: np.ndarray) -> float:
-    """(sum |f|^p w)^(1/p) with f and w aligned from index 0."""
+    """(sum |f|^p w)^(1/p) with f and w aligned from index 0; at p = 1 tests
+    check `weak_quasinorm` against it."""
     if p < 1.0:
         raise ValueError("p must be at least 1")
     fv = np.asarray(f, dtype=float)
@@ -173,13 +173,3 @@ def norm_ratio_max(images: np.ndarray, probes: np.ndarray, p: float,
     if not keep.any():
         return 0.0
     return float((num[keep] / den[keep]).max())
-
-
-def operator_norm_estimate(op, p: float, w: np.ndarray, policy: ProbePolicy) -> float:
-    """Lower estimate of the l^p(w) operator norm of `op` over the probe family."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    probes = probe_matrix(policy)
-    images = np.stack([np.asarray(op(probes[:, j]), dtype=float)
-                       for j in range(probes.shape[1])], axis=1)
-    return norm_ratio_max(images, probes, p, w)

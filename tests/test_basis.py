@@ -9,7 +9,6 @@ from scipy.special import eval_jacobi
 
 from jhl.basis import (
     JacobiParams,
-    apply_generator,
     build_generator,
     coeff_a,
     coeff_b,
@@ -168,31 +167,13 @@ class TestGenerator:
     def test_eigenrelation_on_polynomial_columns(self):
         params = JacobiParams(0.5, 1.5)
         size = 60
-        gen = build_generator(params, size)
+        gen = build_generator(params, size).to_matrix()
         for x in (-0.6, 0.1, 0.9):
             col = ortho_table(params, size - 1, np.array([x]))[:, 0]
-            image = apply_generator(gen, col)
+            image = gen @ col
             # the last entry omits the truncated coupling, so stop one short
             assert_allclose(image[:size - 1], (x - 1.0) * col[:size - 1],
                             rtol=1e-10, atol=1e-12)
-
-    def test_apply_generator_matches_matrix(self):
-        params = JacobiParams(2.5, 0.5)
-        gen = build_generator(params, 12)
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal(12)
-        assert_allclose(apply_generator(gen, f), gen.to_matrix() @ f, rtol=1e-13)
-
-    def test_short_signal_padded(self):
-        gen = build_generator(LEGENDRE, 6)
-        f = np.array([1.0, 2.0])
-        full = apply_generator(gen, np.pad(f, (0, 4)))
-        assert_allclose(apply_generator(gen, f), full)
-
-    def test_oversized_signal_rejected(self):
-        gen = build_generator(LEGENDRE, 4)
-        with pytest.raises(ValueError, match="support"):
-            apply_generator(gen, np.ones(5))
 
     def test_size_floor(self):
         with pytest.raises(ValueError, match="size"):

@@ -11,7 +11,6 @@ from jhl.paths import (
     BandSequence,
     DifferenceWindow,
     LacunarySequence,
-    SampledPath,
     TimeGrid,
     brute_jump_count,
     brute_variation,
@@ -19,31 +18,22 @@ from jhl.paths import (
     default_time_grid,
     hardy_lower,
     hardy_upper,
-    heat_path,
-    hl_maximal,
     hl_maximal_all,
-    hl_maximal_q,
-    jump_count,
     jump_count_batch,
-    jump_functional,
-    oscillation,
     oscillation_batch,
     qn_kernel_matrix,
-    rho_variation,
     s_star,
     variation_batch,
 )
 from jhl.quadrature import build_rule
-from jhl.semigroup import apply_heat, kernel_entry, kernel_matrix
+from jhl.semigroup import apply_heat, kernel_entry, kernel_matrix, kernel_tensor
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 
 
-def _path(values, times=None):
-    v = np.asarray(values, dtype=float)
-    if times is None:
-        times = np.arange(1.0, v.size + 1.0)
-    return SampledPath(grid=TimeGrid(np.asarray(times, dtype=float)), values=v)
+def heat_paths(params, f, grid, size):
+    """Row n is the path t -> W_t f(n) over the grid."""
+    return (kernel_tensor(params, grid.times, size) @ f).T
 
 
 def unpruned_variation(values, rho):
@@ -83,11 +73,6 @@ class TestGridsAndSequences:
         grid = default_time_grid()
         assert len(grid) == 96
         assert_allclose([grid.times[0], grid.times[-1]], [1e-3, 1e2])
-
-    def test_sampled_path_alignment(self):
-        grid = TimeGrid(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="align"):
-            SampledPath(grid=grid, values=np.zeros(3))
 
     def test_band_sequence_validation(self):
         with pytest.raises(ValueError, match="two edges"):
@@ -131,26 +116,19 @@ class TestGridsAndSequences:
 class TestVariation:
     def test_hand_values(self):
         # skipping the middle point wins for rho = 3: 3 > (1 + 8)^(1/3)
-        assert_allclose(rho_variation(_path([0.0, 1.0, 3.0]), 3.0), 3.0)
+        assert_allclose(variation_batch([0.0, 1.0, 3.0], 3.0), 3.0)
         # returning to the start leaves sqrt(1 + 1)
-        assert_allclose(rho_variation(_path([0.0, 1.0, 0.0]), 2.0), np.sqrt(2.0))
+        assert_allclose(variation_batch([0.0, 1.0, 0.0], 2.0), np.sqrt(2.0))
         # monotone path: one long increment beats any split
-        assert_allclose(rho_variation(_path([0.0, 1.0, 2.0, 5.0]), 2.0), 5.0)
+        assert_allclose(variation_batch([0.0, 1.0, 2.0, 5.0], 2.0), 5.0)
 
     def test_rejects_rho_at_most_one(self):
         with pytest.raises(ValueError, match="rho"):
-            rho_variation(_path([0.0, 1.0]), 1.0)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((5, 9))
-        batch = variation_batch(values, 2.5)
-        for i in range(5):
-            assert_allclose(batch[i], rho_variation(_path(values[i]), 2.5))
+            variation_batch([0.0, 1.0], 1.0)
 
     def test_brute_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            brute_variation(_path(np.zeros(17)), 2.0)
+            brute_variation(np.zeros(17), 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -158,8 +136,7 @@ class TestVariation:
         st.sampled_from([1.5, 2.0, 3.0]),
     )
     def test_dynamic_program_matches_brute_force(self, values, rho):
-        path = _path(values)
-        assert_allclose(rho_variation(path, rho), brute_variation(path, rho),
+        assert_allclose(variation_batch(values, rho), brute_variation(values, rho),
                         rtol=1e-10, atol=1e-12)
 
     # Bit identity needs rho away from 1: as rho -> 1 superadditivity fades
@@ -207,70 +184,50 @@ class TestOscillation:
     def test_hand_value(self):
         # bands [1, 2] and [2, 4] on times 1, 2, 3, 4; the shared edge point
         # belongs to both bands
-        path = _path([0.0, 2.0, 1.0, 5.0], times=[1.0, 2.0, 3.0, 4.0])
         bands = BandSequence(np.array([4.0, 2.0, 1.0]))
-        assert_allclose(oscillation(path, bands), np.hypot(2.0, 4.0))
+        got = oscillation_batch([1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 1.0, 5.0], bands)
+        assert_allclose(got, np.hypot(2.0, 4.0))
 
     def test_band_with_single_point_contributes_zero(self):
-        path = _path([3.0, 7.0], times=[1.0, 4.0])
         bands = BandSequence(np.array([4.0, 2.0, 1.0]))
-        assert_allclose(oscillation(path, bands), 0.0)
+        assert_allclose(oscillation_batch([1.0, 4.0], [3.0, 7.0], bands), 0.0)
 
     def test_edges_must_stay_in_span(self):
-        path = _path([0.0, 1.0], times=[1.0, 2.0])
         with pytest.raises(ValueError, match="span"):
-            oscillation(path, BandSequence(np.array([8.0, 4.0])))
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(8)
-        times = np.linspace(1.0, 16.0, 12)
-        values = rng.standard_normal((4, 12))
-        bands = BandSequence(np.array([16.0, 8.0, 4.0, 2.0, 1.0]))
-        batch = oscillation_batch(times, values, bands)
-        for i in range(4):
-            path = SampledPath(grid=TimeGrid(times), values=values[i])
-            assert_allclose(batch[i], oscillation(path, bands))
+            oscillation_batch([1.0, 2.0], [0.0, 1.0], BandSequence(np.array([8.0, 4.0])))
 
     def test_dominated_by_two_variation(self):
         grid = TimeGrid.geometric(1e-2, 50.0, 40)
         bands = default_bands(grid)
         f = np.zeros(32)
         f[3] = 1.0
-        for n in (0, 3, 7):
-            path = heat_path(LEGENDRE, f, n, grid, 32)
-            assert oscillation(path, bands) <= rho_variation(path, 2.0) + 1e-12
+        paths = heat_paths(LEGENDRE, f, grid, 32)[[0, 3, 7]]
+        assert np.all(oscillation_batch(grid.times, paths, bands)
+                      <= variation_batch(paths, 2.0) + 1e-12)
 
 
 class TestJumpCounts:
     def test_hand_values(self):
-        path = _path([0.0, 2.0, 0.0, 2.0, 0.0])
-        assert jump_count(path, 1.5) == 4
-        assert jump_count(path, 2.5) == 0
-        assert jump_count(_path([0.0, 0.5, 1.1]), 1.0) == 1
+        path = [0.0, 2.0, 0.0, 2.0, 0.0]
+        assert jump_count_batch(path, 1.5) == 4
+        assert jump_count_batch(path, 2.5) == 0
+        assert jump_count_batch([0.0, 0.5, 1.1], 1.0) == 1
 
     def test_rejects_bad_lam(self):
         with pytest.raises(ValueError, match="lam"):
-            jump_count(_path([0.0, 1.0]), 0.0)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal((6, 14))
-        batch = jump_count_batch(values, 0.7)
-        for i in range(6):
-            assert batch[i] == jump_count(_path(values[i]), 0.7)
+            jump_count_batch([0.0, 1.0], 0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=10))
     def test_greedy_matches_exhaustive_pairing(self, values):
-        path = _path(values)
-        assert jump_count(path, 1.5) == brute_jump_count(path, 1.5)
+        assert jump_count_batch(values, 1.5) == brute_jump_count(values, 1.5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=8),
            st.sampled_from([0.5, 1.5, 2.5]))
     def test_greedy_matches_exhaustive_integer_paths(self, values, lam):
-        path = _path([float(v) for v in values])
-        assert jump_count(path, lam) == brute_jump_count(path, lam)
+        path = [float(v) for v in values]
+        assert jump_count_batch(path, lam) == brute_jump_count(path, lam)
 
     def test_jump_functional_below_variation(self):
         # lam * N(lam)^(1/rho) collects disjoint increments above lam, so the
@@ -279,11 +236,10 @@ class TestJumpCounts:
         f = np.zeros(24)
         f[0] = 1.0
         rho = 2.5
-        for n in (0, 2, 5):
-            path = heat_path(LEGENDRE, f, n, grid, 24)
-            v = rho_variation(path, rho)
-            for lam in (1e-4, 1e-3, 1e-2):
-                assert jump_functional(path, lam, rho) <= v + 1e-12
+        paths = heat_paths(LEGENDRE, f, grid, 24)[[0, 2, 5]]
+        v = variation_batch(paths, rho)
+        for lam in (1e-4, 1e-3, 1e-2):
+            assert np.all(lam * jump_count_batch(paths, lam) ** (1.0 / rho) <= v + 1e-12)
 
 
 class TestHeatPaths:
@@ -291,14 +247,9 @@ class TestHeatPaths:
         grid = TimeGrid.geometric(1e-2, 10.0, 12)
         rng = np.random.default_rng(4)
         f = rng.standard_normal(20)
-        path = heat_path(LEGENDRE, f, 6, grid, 20)
         expected = [apply_heat(LEGENDRE, t, f, 20)[6] for t in grid.times]
-        assert_allclose(path.values, expected, rtol=1e-12, atol=1e-14)
-
-    def test_index_range_checked(self):
-        grid = TimeGrid.geometric(0.1, 1.0, 4)
-        with pytest.raises(ValueError, match="range"):
-            heat_path(LEGENDRE, np.zeros(8), 8, grid, 8)
+        assert_allclose(heat_paths(LEGENDRE, f, grid, 20)[6], expected,
+                        rtol=1e-12, atol=1e-14)
 
 
 class TestDifferenceSums:
@@ -420,15 +371,17 @@ class TestHardyAndMaximal:
     def test_hl_delta_value(self):
         f = np.zeros(12)
         f[0] = 1.0
-        for n in range(12):
-            assert_allclose(hl_maximal(f, n), 1.0 / (2 * n + 1))
+        assert_allclose(hl_maximal_all(f), 1.0 / (2 * np.arange(12) + 1))
 
     def test_hl_all_matches_loop(self):
+        # balls [max(n - d, 0), n + d] count every lattice point, support or not
         rng = np.random.default_rng(17)
         f = rng.standard_normal(15)
         allv = hl_maximal_all(f)
         for n in range(15):
-            assert_allclose(allv[n], hl_maximal(f, n))
+            best = max(np.abs(f[max(n - d, 0):n + d + 1]).sum() / (n + d + 1 - max(n - d, 0))
+                       for d in range(30))
+            assert_allclose(allv[n], best)
 
     def test_hl_dominates_pointwise(self):
         rng = np.random.default_rng(23)
@@ -438,8 +391,4 @@ class TestHardyAndMaximal:
     def test_hl_q_power_mean(self):
         rng = np.random.default_rng(29)
         f = rng.standard_normal(16)
-        for n in (0, 4, 9):
-            assert_allclose(hl_maximal_q(f, n, 1.0), hl_maximal(f, n))
-            assert hl_maximal_q(f, n, 2.0) >= hl_maximal(f, n) - 1e-12
-        with pytest.raises(ValueError, match="q"):
-            hl_maximal_q(f, 0, 0.5)
+        assert np.all(hl_maximal_all(f ** 2) ** 0.5 >= hl_maximal_all(f) - 1e-12)

@@ -308,6 +308,20 @@ class TestOperatorImages:
         assert single.shape == batch[..., -1].shape
         assert_allclose(single, batch[..., -1], rtol=1e-12, atol=1e-14)
 
+    def test_s_star_window_must_fit_sequence(self):
+        # steps j = -2..2 cannot hold the window [-4, 4]
+        lac = LacunarySequence.geometric(2.0, -2, 3)
+        with pytest.raises(ValueError, match="cover"):
+            operator_images(LEGENDRE, "s_star", 8, SMALL_GRID, DEFAULT_RHO, (1.0,), lac,
+                            np.ones(5), 4, np.eye(8), DEFAULT_QUAD_TOL)
+        with pytest.raises(ValueError, match="cover"):
+            verify_theorem_norms(LEGENDRE, "s_star", 2.0, WeightSpec("constant"), (8, 12),
+                                 grid=SMALL_GRID, n_random=4, lac=lac,
+                                 bcoef=np.ones(5), m_range=4)
+        with pytest.raises(ValueError, match="positive"):
+            operator_images(LEGENDRE, "s_star", 8, SMALL_GRID, DEFAULT_RHO, (1.0,), lac,
+                            np.ones(5), 0, np.eye(8), DEFAULT_QUAD_TOL)
+
     def test_unknown_operator_builds_no_kernel(self, monkeypatch):
         clear_caches()
         monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
