@@ -244,6 +244,8 @@ def _band_slices(times: np.ndarray, bands: BandSequence) -> list[np.ndarray]:
 def oscillation_batch(times: np.ndarray, values: np.ndarray, bands: BandSequence) -> np.ndarray:
     """Vectorized oscillation along the last axis."""
     v = np.asarray(values, dtype=float)
+    if v.shape[-1] != np.size(times):
+        raise ValueError("path values must align with the time grid")
     total = np.zeros(v.shape[:-1])
     for idx in _band_slices(np.asarray(times, dtype=float), bands):
         if idx.size < 2:

@@ -5,6 +5,21 @@ import pytest
 from jhl._memo import clear, memo
 
 
+def test_compute_runs_once_per_key():
+    keys = [("test", "once", object()) for _ in range(3)]
+    calls = []
+
+    def compute(i):
+        calls.append(i)
+        return object()
+
+    first = [memo(key, lambda i=i: compute(i)) for i, key in enumerate(keys)]
+    again = [memo(key, lambda i=i: compute(i)) for i, key in enumerate(keys)]
+    assert calls == [0, 1, 2]
+    assert all(a is b for a, b in zip(first, again))
+    assert len({id(v) for v in first}) == 3
+
+
 def test_raising_compute_is_not_cached():
     key = ("test", "raises", object())
 

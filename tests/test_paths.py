@@ -74,6 +74,13 @@ class TestGridsAndSequences:
         assert len(grid) == 96
         assert_allclose([grid.times[0], grid.times[-1]], [1e-3, 1e2])
 
+    def test_sampled_path_alignment(self):
+        bands = BandSequence(np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match="align"):
+            oscillation_batch([1.0, 2.0], np.zeros(3), bands)
+        with pytest.raises(ValueError, match="align"):
+            oscillation_batch([1.0, 1.5, 2.0], np.zeros((4, 2)), bands)
+
     def test_band_sequence_validation(self):
         with pytest.raises(ValueError, match="two edges"):
             BandSequence(np.array([1.0]))
@@ -125,6 +132,14 @@ class TestVariation:
     def test_rejects_rho_at_most_one(self):
         with pytest.raises(ValueError, match="rho"):
             variation_batch([0.0, 1.0], 1.0)
+
+    def test_batch_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((5, 9))
+        batch = variation_batch(values, 2.5)
+        assert batch.shape == (5,)
+        for i in range(5):
+            assert_allclose(batch[i], variation_batch(values[i], 2.5))
 
     def test_brute_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -196,6 +211,16 @@ class TestOscillation:
         with pytest.raises(ValueError, match="span"):
             oscillation_batch([1.0, 2.0], [0.0, 1.0], BandSequence(np.array([8.0, 4.0])))
 
+    def test_batch_matches_scalar(self):
+        rng = np.random.default_rng(8)
+        times = np.linspace(1.0, 16.0, 12)
+        values = rng.standard_normal((4, 12))
+        bands = BandSequence(np.array([16.0, 8.0, 4.0, 2.0, 1.0]))
+        batch = oscillation_batch(times, values, bands)
+        assert batch.shape == (4,)
+        for i in range(4):
+            assert_allclose(batch[i], oscillation_batch(times, values[i], bands))
+
     def test_dominated_by_two_variation(self):
         grid = TimeGrid.geometric(1e-2, 50.0, 40)
         bands = default_bands(grid)
@@ -216,6 +241,14 @@ class TestJumpCounts:
     def test_rejects_bad_lam(self):
         with pytest.raises(ValueError, match="lam"):
             jump_count_batch([0.0, 1.0], 0.0)
+
+    def test_batch_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((6, 14))
+        batch = jump_count_batch(values, 0.7)
+        assert batch.shape == (6,)
+        for i in range(6):
+            assert batch[i] == jump_count_batch(values[i], 0.7)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=10))
@@ -351,6 +384,11 @@ class TestSStar:
         with pytest.raises(ValueError, match="cover"):
             s_star(LEGENDRE, 3, short, np.ones(3), f, 1, 16)
 
+    def test_index_range_checked(self):
+        lac, bcoef, f = self._setup()
+        for n in (-1, 16):
+            with pytest.raises(ValueError, match="range"):
+                s_star(LEGENDRE, 3, lac, bcoef, f, n, 16)
 
 class TestHardyAndMaximal:
     def test_hardy_upper_delta(self):
@@ -367,6 +405,8 @@ class TestHardyAndMaximal:
         assert_allclose(hardy_lower(f, 3), 0.2)
         assert hardy_lower(f, 5) == 0.0
         assert hardy_lower(f, 9) == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            hardy_lower(f, -1)
 
     def test_hl_delta_value(self):
         f = np.zeros(12)

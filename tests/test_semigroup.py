@@ -174,6 +174,17 @@ class TestTildeScale:
         assert_allclose(image, kernel_matrix(LEGENDRE, 0.9, 24).entries @ f,
                         rtol=1e-13)
 
+    def test_short_signal_padded(self):
+        f = np.array([1.0, 2.0])
+        full = apply_heat(LEGENDRE, 0.9, np.pad(f, (0, 10)), 12)
+        assert_allclose(apply_heat(LEGENDRE, 0.9, f, 12), full)
+
+    def test_oversized_signal_rejected(self):
+        with pytest.raises(ValueError, match="support"):
+            apply_heat(LEGENDRE, 0.9, np.ones(5), 4)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            apply_heat(LEGENDRE, 0.9, np.ones((2, 2)), 4)
+
     def test_contraction_on_stochastic_scale(self):
         # conjugation by p_n(1) is a contraction of l^2 with weight p_n(1)^2
         params = JacobiParams(1.0, 0.0)
