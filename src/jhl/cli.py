@@ -6,16 +6,15 @@ measurements go only to timings.json.
 
 `--workers N` (or the `workers` config key) is a count of worker processes
 for `verify` and `norms`. With N > 1 their independent tasks run in processes
-forked from this one, so scipy is not imported again; results come back in
-submission order and a worker's exception is raised here, so the data files
-and the exit code are the same for any N. With N = 1 every task runs in this
-process and no process is started.
+forked from this one, so numpy and jhl are not imported again; results come
+back in submission order and a worker's exception is raised here, so the data
+files and the exit code are the same for any N. With N = 1 every task runs in
+this process and no process is started.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -354,10 +353,11 @@ def _run_task(function, *args):
 def _run_tasks(tasks: list, workers: int) -> list:
     """Results of `function(*args)` for each `(function, *args)` task, in task
     order. With more than one worker and task, the tasks run in that many
-    processes forked from this one (spawn or forkserver would import scipy
-    again in each); the functions must be module-level and the arguments and
-    results picklable. A task's exception is raised here and the tasks not yet
-    started are cancelled. Each task ends by emptying its process's memo.
+    processes forked from this one (spawn or forkserver would import numpy
+    and jhl again in each); the functions must be module-level and the
+    arguments and results picklable. A task's exception is raised here and
+    the tasks not yet started are cancelled. Each task ends by emptying its
+    process's memo.
 
     Forking is safe because this process runs no other thread when the pool
     starts, and from Python 3.11 the executor forks every worker before it
@@ -365,7 +365,8 @@ def _run_tasks(tasks: list, workers: int) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [_run_task(*task) for task in tasks]
-    # Looked up here, so a run that builds no pool never imports multiprocessing.
+    # Imported here, so a run that builds no pool imports neither.
+    import concurrent.futures
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(

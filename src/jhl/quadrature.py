@@ -1,13 +1,16 @@
-"""Gauss-Jacobi quadrature from the eigenvalues of the Jacobi matrix.
+"""Gauss-Jacobi quadrature from Newton's method on the three-term recurrence.
 
-Nodes are the eigenvalues of the symmetric tridiagonal recurrence matrix of the
-measure, refined by one Newton step; the weight at node x is the Christoffel
-number 1 / sum_{k<Q} p_k(x)^2 (Gautschi, Orthogonal Polynomials: Computation
-and Approximation, OUP 2004, sec. 3.1). A Q-point rule integrates polynomials
-up to degree 2Q-1 exactly. The one rule per (params, order) serves both the
-order search and every output. Golub-Welsch (total mass times the squared first
-eigenvector components) is the fallback where Christoffel weights fail the
-checks, and the oracle the tests compare against.
+Nodes are the zeros of p_Q, found by Newton's method from asymptotic guesses
+(Gatteschi-Pittaluga in the interior, Bessel zeros next to the endpoints; Hale
+& Townsend, SIAM J. Sci. Comput. 35, 2013) and refined by one
+Christoffel-Darboux step; the weight at node x is the Christoffel number
+1 / sum_{k<Q} p_k(x)^2 (Gautschi, Orthogonal Polynomials: Computation and
+Approximation, OUP 2004, sec. 3.1). A Q-point rule integrates polynomials up
+to degree 2Q-1 exactly. The one rule per (params, order) serves both the order
+search and every output. Golub-Welsch (total mass times the squared first
+eigenvector components of the Jacobi matrix) is the fallback where Newton does
+not converge or the Christoffel weights fail the checks, and the oracle the
+tests compare against; it is the only code here that imports scipy.
 
 The order search certifies an order a priori where it can, from the Chebyshev
 coefficients of e^{tx}, which are Bessel values: Trefethen's error bound for
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._memo import memo
 from .basis import JacobiParams, coeff_a, generator_coefficients, normalization, ortho_table
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 MAX_ORDER = 2 ** 16
+NEWTON_STEPS = 10  # past this, the rule falls back to Golub-Welsch
+BESSEL_GUESSES = 10  # nodes next to each endpoint guessed from Bessel zeros
 
 
 def total_mass(params: JacobiParams) -> float:
@@ -59,8 +63,9 @@ class QuadratureRule:
 
 
 def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss-Jacobi rule with `order` points: eigenvalue nodes after one Newton
-    step, Christoffel weights, Golub-Welsch where those fail the checks.
+    """Gauss-Jacobi rule with `order` points: Newton nodes after one
+    Christoffel-Darboux step, Christoffel weights, Golub-Welsch where those
+    fail.
 
     Rules are memoised per (params, order); their arrays are read-only.
     """
@@ -74,7 +79,10 @@ def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
 
 def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
     """Golub-Welsch rule: nodes and first eigenvector components from one
-    tridiagonal eigensolve; the fallback of `_christoffel`."""
+    tridiagonal eigensolve; the fallback of `_christoffel`. scipy is imported
+    here, so runs that never fall back do not load it."""
+    import scipy.linalg
+
     mass = total_mass(params)
     b, off = generator_coefficients(params, order)
     try:
@@ -85,27 +93,102 @@ def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
 
 
 def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
-    """Eigenvalue nodes refined by one Newton step on p_order, and weights
-    1 / sum_{k<order} p_k(x)^2; both stream the orthonormal three-term
-    recurrence, so memory stays O(order)."""
+    """Newton nodes (`_newton_nodes`) refined by one Christoffel-Darboux step,
+    and weights 1 / sum_{k<order} p_k(x)^2; all of it streams the orthonormal
+    three-term recurrence, so memory stays O(order)."""
     b, off = generator_coefficients(params, order)
     diag = b + 1.0
-    try:
-        nodes = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
     off = np.append(off, coeff_a(params, order - 1))
-    total, p_last, p_next = _christoffel_sums(params, diag, off, nodes)
-    # At a zero of p_order, Christoffel-Darboux gives p_order' = total / (a p_{order-1}).
-    nodes = nodes - off[-1] * p_last * p_next / total
-    total = _christoffel_sums(params, diag, off, nodes)[0]
     try:
+        nodes = _newton_nodes(params, diag, off)
+        total, p_last, p_next = _christoffel_sums(params, diag, off, nodes)
+        # At a zero of p_order, Christoffel-Darboux gives p_order' = total / (a p_{order-1}).
+        nodes = nodes - off[-1] * p_last * p_next / total
+        total = _christoffel_sums(params, diag, off, nodes)[0]
         return _checked_rule(params, order, nodes, 1.0 / total, total_mass(params))
     except NumericFailure:
-        # A node's absolute error of an ulp moves its Christoffel weight by
-        # about order^2 ulps relative next to an endpoint, which can break the
-        # mass check for an exponent below -1/2; use Golub-Welsch there.
+        # Newton did not converge, or the checks failed: a node's absolute
+        # error of an ulp moves its Christoffel weight by about order^2 ulps
+        # relative next to an endpoint, which can break the mass check for an
+        # exponent below -1/2. Use Golub-Welsch there.
         return _golub_welsch(params, order)
+
+
+def _newton_nodes(params: JacobiParams, diag, off) -> np.ndarray:
+    """Zeros of p_Q, Q = len(diag), ascending: asymptotic guesses, then Newton
+    steps on the nodes whose last correction was 1e-15 or more.
+
+    The derivative comes from (2Q+a+b)(1-x^2) P_Q' = Q(a-b-(2Q+a+b)x) P_Q
+    + 2(Q+a)(Q+b) P_{Q-1} for the Jacobi polynomials P_n = p_n / w_n (Szego,
+    Orthogonal Polynomials, sec. 4.5), which holds away from the zeros as
+    well. Raises NumericFailure if a correction is still that large after
+    NEWTON_STEPS steps.
+    """
+    order = len(diag)
+    a, b = params.alpha, params.beta
+    c = 2.0 * order + a + b
+    c_last = 2.0 * (order + a) * (order + b) \
+        * normalization(params, order) / normalization(params, order - 1)
+    x = _node_guesses(params, order)
+    active = np.arange(order)
+    for _ in range(NEWTON_STEPS):
+        xa = x[active]
+        _, p_last, p_next = _christoffel_sums(params, diag, off, xa)
+        step = c * (1.0 - xa) * (1.0 + xa) * p_next \
+            / (order * (a - b - c * xa) * p_next + c_last * p_last)
+        x[active] = xa - step
+        active = active[~(np.abs(step) < 1e-15)]
+        if not active.size:
+            return x
+    raise NumericFailure(f"Newton iteration for the nodes did not converge at order {order}")
+
+
+def _node_guesses(params: JacobiParams, order: int) -> np.ndarray:
+    """Ascending guesses for the zeros of p_order; the half nearest -1 are
+    the zeros of P_order^(b,a), mirrored."""
+    a, b = params.alpha, params.beta
+    return np.concatenate([-np.cos(_theta_guesses(order, b, a, order // 2)),
+                           np.cos(_theta_guesses(order, a, b, (order + 1) // 2)[::-1])])
+
+
+def _theta_guesses(order: int, a: float, b: float, count: int) -> np.ndarray:
+    """theta_k ~ arccos of the k-th largest zero of P_order^(a,b), k = 1..count.
+
+    Interior: Gatteschi-Pittaluga. The BESSEL_GUESSES zeros nearest x = 1:
+    Gatteschi's formula in j_{a,k} / rho, rho = order + (a + b + 1) / 2 (Hale
+    & Townsend, SIAM J. Sci. Comput. 35, 2013, sec. 3).
+    """
+    rho = order + 0.5 * (a + b + 1.0)
+    phi = (np.arange(1, count + 1) + 0.5 * a - 0.25) * np.pi / rho
+    theta = phi + ((0.25 - a * a) / np.tan(0.5 * phi)
+                   - (0.25 - b * b) * np.tan(0.5 * phi)) / (2.0 * rho) ** 2
+    near = min(count, BESSEL_GUESSES)
+    phi = _bessel_zeros(a, near) / rho
+    theta[:near] = phi + ((a * a - 0.25) * (1.0 - phi / np.tan(phi)) / (2.0 * phi)
+                          - 0.25 * (a * a - b * b) * np.tan(0.5 * phi)) / rho ** 2
+    return theta
+
+
+def _bessel_zeros(nu: float, count: int) -> np.ndarray:
+    """j_{nu,k}, k = 1..count, by McMahon's expansion in 1 / (8 beta_k),
+    beta_k = (k + nu/2 - 1/4) pi (Abramowitz & Stegun 9.5.12).
+
+    The series diverges at k = 1 as nu -> -1, where j_{nu,1} -> 0. The
+    Euler-Rayleigh bound j_{nu,1}^2 < sigma_2 / sigma_3 = 2(nu+1)(nu+3), from
+    the sums sigma_m = sum_k j_{nu,k}^{-2m}, caps it; the cap is the smaller
+    value below about nu = -1/2, and there it is within 0.2% of the zero
+    spacing.
+    """
+    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * np.pi
+    mu = 4.0 * nu * nu
+    e = 1.0 / (8.0 * beta)
+    series = 1.0 + e * e * (4.0 * (7.0 * mu - 31.0) / 3.0 + e * e * (
+        32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15.0 + e * e
+        * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu * mu + 1585743.0 * mu - 6277237.0) / 105.0))
+    zeros = beta - (mu - 1.0) * e * series
+    if count:
+        zeros[0] = min(zeros[0], math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)))
+    return zeros
 
 
 def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._memo import clear as clear_caches
 from ._memo import memo
@@ -45,7 +44,12 @@ POSITIVITY_FLOOR = -1e-12
 
 
 def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the size x size truncated operator, for
+    the spectral route; the one place outside the Golub-Welsch fallback that
+    imports scipy."""
     def compute():
+        import scipy.linalg
+
         diag, off = generator_coefficients(params, size)
         try:
             return scipy.linalg.eigh_tridiagonal(diag, off)

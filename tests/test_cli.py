@@ -305,6 +305,21 @@ class TestMainErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
+def _scipy_modules_after(tmp_path, command, cfg):
+    """Names of the scipy modules a fresh interpreter holds after
+    `jhl <command>` on cfg, which must exit 0."""
+    path = _write_config(tmp_path, cfg, f"{command}.json")
+    code = ("import json, sys\nfrom jhl.cli import main\n"
+            f"assert main([{command!r}, '--config', {path!r}]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.partition('.')[0] == 'scipy')))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jhl.__file__)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    return json.loads(result.stdout)
+
+
 class TestKernelCommand:
     def test_outputs_and_identity(self, tmp_path):
         out = tmp_path / "run"
@@ -352,16 +367,24 @@ class TestKernelCommand:
 
     def test_run_leaves_scipy_special_unimported(self, tmp_path):
         # Importing scipy.special adds about 4 MB to peak RSS; the quadrature
-        # order certificate computes its Bessel tails without it.
-        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "run")))
-        code = ("import sys\nfrom jhl.cli import main\n"
-                f"assert main(['kernel', '--config', {path!r}]) == 0\n"
-                "print('scipy.special' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(jhl.__file__)))
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, timeout=120, check=True,
-                                env={**os.environ, "PYTHONPATH": src})
-        assert result.stdout.strip() == "False"
+        # order certificate computes its Bessel tails without it. The spectral
+        # cross-check imports scipy.linalg, and still agrees with quadrature.
+        out = tmp_path / "run"
+        modules = _scipy_modules_after(tmp_path, "kernel", _base_config(out_dir=str(out)))
+        assert "scipy.linalg" in modules and "scipy.special" not in modules
+        report = json.loads((out / "kernel" / "alpha0_beta0" / "report.json").read_text())
+        assert max(report["defects"]["cross_method"]) < 1e-8
+
+
+class TestScipyFreeCommands:
+    @pytest.mark.parametrize("command", ["verify", "norms", "operators"])
+    def test_run_leaves_scipy_unimported(self, tmp_path, command):
+        # Importing scipy.linalg costs each process about 0.3 s and 28 MB; the
+        # Newton-node rules need only numpy, and none of these parameters
+        # falls back to Golub-Welsch.
+        cfg = _base_config(out_dir=str(tmp_path / "run"),
+                           params=[[-0.5, -0.5], [0.0, 0.0], [2.5, 0.5], [3.0, -0.9]])
+        assert _scipy_modules_after(tmp_path, command, cfg) == []
 
 
 class TestMatrixWriter:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import jhl.quadrature as quadrature
 from jhl import _memo
-from jhl.basis import JacobiParams, build_generator, ortho_table
+from jhl.basis import JacobiParams, build_generator, coeff_a, generator_coefficients, ortho_table
 from jhl.config import RunConfig
 from jhl.errors import ConvergenceFailure, NumericFailure
 from jhl.quadrature import auto_order, build_rule, integrate, moments, total_mass
@@ -218,6 +218,53 @@ class TestBesselTail:
                 assert abs(coarse - fine) <= bound + 1e-14, (t, order)
                 order *= 2
             clear_caches()
+
+
+class TestNewtonNodes:
+    """Nodes by Newton's method from asymptotic guesses, against the
+    eigenvalues of the Jacobi matrix."""
+
+    EXPONENTS = (-0.99, -0.9, -0.5, 0.0, 0.5, 2.5, 5.0, 10.0)
+
+    @pytest.mark.parametrize("alpha", EXPONENTS)
+    def test_nodes_match_eigenvalues(self, monkeypatch, alpha):
+        fallbacks = []
+        golub_welsch = quadrature._golub_welsch
+
+        def spy(params, order):
+            fallbacks.append((params.beta, order))
+            return golub_welsch(params, order)
+
+        monkeypatch.setattr(quadrature, "_golub_welsch", spy)
+        for beta in self.EXPONENTS:
+            params = JacobiParams(alpha, beta)
+            for order in (1, 2, 3, 5, 10, 31, 100, 316, 1000):
+                diag, off = generator_coefficients(params, order)
+                expected = scipy.linalg.eigvalsh_tridiagonal(diag + 1.0, off)
+                nodes = quadrature._christoffel(params, order).nodes
+                assert_allclose(nodes, expected, rtol=0.0, atol=1e-13,
+                                err_msg=f"beta={beta}, order={order}")
+                if order >= 10:
+                    # Guesses within a tenth of the local spacing in theta;
+                    # without the Bessel-zero guesses the endpoints are 0.21 off.
+                    theta = np.arccos(expected)
+                    guess = np.arccos(quadrature._node_guesses(params, order))
+                    assert np.all(np.abs(guess - theta) < 0.1 * np.abs(np.gradient(theta)))
+        # Newton converged everywhere else: only the mass check of an exponent
+        # below -1/2 sends a rule to Golub-Welsch.
+        assert all(min(alpha, beta) < -0.5 for beta, _ in fallbacks)
+
+    def test_newton_failure_falls_back_to_golub_welsch(self, monkeypatch):
+        # One step from the guesses leaves corrections far above 1e-15.
+        monkeypatch.setattr(quadrature, "NEWTON_STEPS", 1)
+        diag, off = generator_coefficients(ASYMMETRIC, 40)
+        with pytest.raises(NumericFailure, match="Newton"):
+            quadrature._newton_nodes(ASYMMETRIC, diag + 1.0,
+                                     np.append(off, coeff_a(ASYMMETRIC, 39)))
+        rule = quadrature._christoffel(ASYMMETRIC, 40)
+        gw = quadrature._golub_welsch(ASYMMETRIC, 40)
+        assert np.array_equal(rule.nodes, gw.nodes)
+        assert np.array_equal(rule.weights, gw.weights)
 
 
 class TestSearchRule:
