@@ -42,6 +42,7 @@ __all__ = [
 MAX_ORDER = 2 ** 16
 NEWTON_STEPS = 10  # past this, the rule falls back to Golub-Welsch
 BESSEL_GUESSES = 10  # nodes next to each endpoint guessed from Bessel zeros
+LARGE_NU = 3.0  # above this, j_{nu,1} comes from its large-nu expansion
 
 
 def total_mass(params: JacobiParams) -> float:
@@ -177,7 +178,9 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     Euler-Rayleigh bound j_{nu,1}^2 < sigma_2 / sigma_3 = 2(nu+1)(nu+3), from
     the sums sigma_m = sum_k j_{nu,k}^{-2m}, caps it; the cap is the smaller
     value below about nu = -1/2, and there it is within 0.2% of the zero
-    spacing.
+    spacing. McMahon's j_{nu,1} also drifts high as nu grows (1.03 at
+    nu = 30), so above LARGE_NU it comes from the large-nu expansion
+    (A&S 9.5.14) instead; the two are equally good, 1.9e-4 off, at nu = 2.5.
     """
     beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * np.pi
     mu = 4.0 * nu * nu
@@ -186,7 +189,11 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
         32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15.0 + e * e
         * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu * mu + 1585743.0 * mu - 6277237.0) / 105.0))
     zeros = beta - (mu - 1.0) * e * series
-    if count:
+    if count and nu > LARGE_NU:
+        c = nu ** (1.0 / 3.0)
+        zeros[0] = (nu + 1.8557571 * c + 1.033150 / c - 0.00397 / nu
+                    - 0.0908 / c ** 5 + 0.043 / c ** 7)
+    elif count:
         zeros[0] = min(zeros[0], math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)))
     return zeros
 

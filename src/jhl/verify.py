@@ -2,9 +2,11 @@
 
 Each verifier sweeps truncation sizes, extracts the best empirical constant per
 size, and grades stability by the ratio of the two largest sizes: at most 1.10
-is "stable" and anything larger is "growing". An exception propagates and ends
-the run; no verdict is "failed" until failures are isolated per cell. The
-module measures, it does not prove.
+is "stable" and anything larger is "growing". A kernel entry K_t(n, m) does not
+depend on the truncation, so each sweep builds its kernels once, at the largest
+size, and reads every smaller size from their leading block. An exception
+propagates and ends the run; no verdict is "failed" until failures are
+isolated per cell. The module measures, it does not prove.
 """
 
 from __future__ import annotations
@@ -150,6 +152,23 @@ def _sep(size: int) -> np.ndarray:
     return np.abs(idx[:, None] - idx[None, :]).astype(float)
 
 
+def _leading_max(q: np.ndarray, sizes, lag: int = 0) -> list:
+    """Constant per size s: the max of q over rows below s - lag and columns
+    below s. q holds one nonnegative value per entry at the largest size, with
+    0 where masked; lag 1 suits a first difference in n."""
+    return [float(q[:s - lag, :s].max()) for s in sizes]
+
+
+def _path_routes(kt: np.ndarray, dkt: np.ndarray, times, rho: float, weight: np.ndarray,
+                 sizes, lag: int = 0) -> dict:
+    """Routes "majorant" (of the dK paths) and "variation" (of the K paths),
+    each weighted per entry and maxed over leading blocks."""
+    maj = majorant_batch(dkt.transpose(1, 2, 0), times)
+    var = variation_batch(kt.transpose(1, 2, 0), rho)
+    return {"majorant": _leading_max(weight * maj, sizes, lag),
+            "variation": _leading_max(weight * var, sizes, lag)}
+
+
 def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = None,
                         rho: float = DEFAULT_RHO,
                         quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
@@ -162,20 +181,14 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
-    c_maj, c_var = [], []
-    for size in sizes:
-        kt = kernel_tensor(params, grid.times, size, quad_tol)
-        dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
-        sep = _sep(size)
-        mask = (sep > 0.0)
-        mask[0, :] = False
-        mask[:, 0] = False
-        maj = majorant_batch(dkt.transpose(1, 2, 0), grid.times)
-        var = variation_batch(kt.transpose(1, 2, 0), rho)
-        c_maj.append((sep * maj)[mask].max())
-        c_var.append((sep * var)[mask].max())
+    size = sizes[-1]
+    kt = kernel_tensor(params, grid.times, size, quad_tol)
+    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
+    sep = _sep(size)
+    sep[0, :] = 0.0
+    sep[:, 0] = 0.0
     return _finish("kernel_decay", params, sizes,
-                   {"majorant": c_maj, "variation": c_var}, started,
+                   _path_routes(kt, dkt, grid.times, rho, sep, sizes), started,
                    {"rho": rho})
 
 
@@ -197,25 +210,17 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
-    c_maj, c_var = [], []
-    excluded = []
-    for size in sizes:
-        kt = kernel_tensor(params, grid.times, size, quad_tol)
-        dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
-        diff = kt[:, 1:, :] - kt[:, :-1, :]
-        ddiff = dkt[:, 1:, :] - dkt[:, :-1, :]
-        n = np.arange(size - 1)[:, None]
-        m = np.arange(size)[None, :]
-        sep2 = (n - m).astype(float) ** 2
-        mask = _smoothness_mask(size)
-        excluded.append(int(((n != m) & ~mask).sum()))
-        maj = majorant_batch(ddiff.transpose(1, 2, 0), grid.times)
-        var = variation_batch(diff.transpose(1, 2, 0), rho)
-        c_maj.append((sep2 * maj)[mask].max())
-        c_var.append((sep2 * var)[mask].max())
-    return _finish("kernel_smoothness", params, sizes,
-                   {"majorant": c_maj, "variation": c_var}, started,
-                   {"rho": rho, "excluded_pairs": excluded})
+    size = sizes[-1]
+    kt = kernel_tensor(params, grid.times, size, quad_tol)
+    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
+    sep = _sep(size)[:-1]
+    mask = _smoothness_mask(size)
+    excluded = (sep > 0.0) & ~mask
+    routes = _path_routes(kt[:, 1:] - kt[:, :-1], dkt[:, 1:] - dkt[:, :-1], grid.times,
+                          rho, np.where(mask, sep ** 2, 0.0), sizes, lag=1)
+    return _finish("kernel_smoothness", params, sizes, routes, started,
+                   {"rho": rho,
+                    "excluded_pairs": [int(excluded[:s - 1, :s].sum()) for s in sizes]})
 
 
 def verify_dt_sup(params: JacobiParams, sizes, grid: TimeGrid | None = None,
@@ -224,13 +229,10 @@ def verify_dt_sup(params: JacobiParams, sizes, grid: TimeGrid | None = None,
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
-    constants = []
-    for size in sizes:
-        dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
-        sup_t = np.abs(dkt).max(axis=0)
-        sep = _sep(size)
-        constants.append((sep ** 3 * sup_t)[sep > 0.0].max())
-    return _finish("dt_sup", params, sizes, {"dt_sup": constants}, started)
+    size = sizes[-1]
+    sup_t = np.abs(kernel_dt_tensor(params, grid.times, size, quad_tol)).max(axis=0)
+    return _finish("dt_sup", params, sizes,
+                   {"dt_sup": _leading_max(_sep(size) ** 3 * sup_t, sizes)}, started)
 
 
 def _lacunary_step_matrices(params: JacobiParams, lac: LacunarySequence, coef: np.ndarray,
@@ -266,97 +268,71 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     b = _resolve_bcoef(bcoef, lac)
-    windows = [(n1, n2) for n1 in range(-m_range, m_range)
-               for n2 in range(n1 + 1, m_range + 1)]
-    c_size, c_smooth = [], []
-    per_window_last = None
-    uniformity = None
-    window_series: dict[tuple, list] = {w: [] for w in windows}
-    for size in sizes:
-        prefix = _window_prefix(_lacunary_step_matrices(params, lac, b, size, quad_tol),
-                                lac, m_range)
-        sep = _sep(size)
-        mask_a = sep > 0.0
-        n = np.arange(size - 1)[:, None]
-        m = np.arange(size)[None, :]
-        sep2 = (n - m).astype(float) ** 2
-        mask_b = _smoothness_mask(size)
-        best_a = best_b = 0.0
-        per_window = []
-        for n1, n2 in windows:
+    size = sizes[-1]
+    prefix = _window_prefix(_lacunary_step_matrices(params, lac, b, size, quad_tol),
+                            lac, m_range)
+    sep = _sep(size)
+    sep2 = np.where(_smoothness_mask(size), sep[:-1] ** 2, 0.0)
+    window_series, smooth_series = {}, []
+    for n1 in range(-m_range, m_range):
+        for n2 in range(n1 + 1, m_range + 1):
             q = prefix[n2 + m_range + 1] - prefix[n1 + m_range]
-            ca = float((sep * np.abs(q))[mask_a].max())
-            dq = q[1:, :] - q[:-1, :]
-            cb = float((sep2 * np.abs(dq))[mask_b].max())
-            per_window.append([n1, n2, ca])
-            window_series[(n1, n2)].append(ca)
-            best_a = max(best_a, ca)
-            best_b = max(best_b, cb)
-        c_size.append(best_a)
-        c_smooth.append(best_b)
-        lowest = min(c for _, _, c in per_window)
-        uniformity = lowest / best_a if best_a > 0.0 else 1.0
-        per_window_last = per_window
+            window_series[(n1, n2)] = _leading_max(sep * np.abs(q), sizes)
+            smooth_series.append(_leading_max(sep2 * np.abs(np.diff(q, axis=0)), sizes,
+                                              lag=1))
+    c_size = np.max(list(window_series.values()), axis=0)
+    best_a = float(c_size[-1])
+    lowest = min(c[-1] for c in window_series.values())
+    uniformity = lowest / best_a if best_a > 0.0 else 1.0
     window_stability = max(_ratio(v) for v in window_series.values())
     extras = {
-        "windows": len(windows),
-        "per_window_size_constants": per_window_last,
+        "windows": len(window_series),
+        "per_window_size_constants": [[n1, n2, c[-1]]
+                                      for (n1, n2), c in window_series.items()],
         "uniformity_ratio": uniformity,
         "uniform_within_10pct": bool(uniformity >= 0.9),
         "window_stability_ratio": window_stability,
         "windows_stable": bool(window_stability <= STABILITY_THRESHOLD),
     }
     return _finish("qn_bounds", params, sizes,
-                   {"window_size": c_size, "window_smoothness": c_smooth},
-                   started, extras)
+                   {"window_size": c_size,
+                    "window_smoothness": np.max(smooth_series, axis=0)}, started, extras)
 
 
 def verify_lacunary_tail(params: JacobiParams, lac: LacunarySequence, vcoef, sizes,
-                         quad_tol: float = DEFAULT_QUAD_TOL,
-                         cutoff_c: float = 1.0) -> EstimateReport:
+                         quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
     """Suffix and geometric-tail bounds for lacunary difference sums.
 
     Route "suffix": sup over k, n, m of sqrt(a_k) |sum_{j>=k} v_j dK_j(n,m)|.
-    Route "tail": sup over k > l and |n-m| > cutoff_c sqrt(a_k) of
-    ratio^(k-l+1) sqrt(a_k) |sum_{j<l} v_j dK_j(n,m)|; sensitivity of the tail
-    constant to cutoff_c in {1, 2, 4} lands in extras.
+    Route "tail": sup over k > l and |n-m| > c sqrt(a_k) of
+    ratio^(k-l+1) sqrt(a_k) |sum_{j<l} v_j dK_j(n,m)| at cutoff c = 1; the
+    tail constants at c in {1, 2, 4} land in extras.
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     v = _resolve_bcoef(vcoef, lac)
     lam = lac.ratio
     j_lo, j_hi = lac.j_min, lac.j_max
-    c_suffix, c_tail = [], []
+    size = sizes[-1]
+    steps = _lacunary_step_matrices(params, lac, v, size, quad_tol)
+    suffix = np.cumsum(steps[::-1], axis=0)[::-1]
+    c_suffix = _leading_max(np.max([np.sqrt(lac.value(k)) * np.abs(suffix[k - j_lo])
+                                    for k in range(j_lo, j_hi)], axis=0), sizes)
+    prefix = np.cumsum(steps, axis=0)
+    sep = _sep(size)
     sensitivity = {}
-    for size in sizes:
-        steps = _lacunary_step_matrices(params, lac, v, size, quad_tol)
-        suffix = np.cumsum(steps[::-1], axis=0)[::-1]
-        best = 0.0
-        for k in range(j_lo, j_hi):
-            a_k = lac.value(k)
-            best = max(best, float(np.sqrt(a_k) * np.abs(suffix[k - j_lo]).max()))
-        c_suffix.append(best)
-        prefix = np.cumsum(steps, axis=0)
-        sep = _sep(size)
-        for c_cut in sorted({1.0, 2.0, 4.0, float(cutoff_c)}):
-            best_t = 0.0
-            for l in range(j_lo + 1, j_hi):
-                part = np.abs(prefix[l - 1 - j_lo])
-                for k in range(l + 1, j_hi + 1):
-                    a_k = lac.value(k)
-                    mask = sep > c_cut * np.sqrt(a_k)
-                    if not mask.any():
-                        continue
-                    best_t = max(best_t, float(
-                        lam ** (k - l + 1) * np.sqrt(a_k) * part[mask].max()))
-            sensitivity.setdefault(c_cut, []).append(best_t)
-        c_tail.append(sensitivity[cutoff_c][-1])
-    extras = {
-        "cutoff_c": cutoff_c,
-        "tail_sensitivity": {f"c={c:g}": vals for c, vals in sensitivity.items()},
-    }
+    for c_cut in (1.0, 2.0, 4.0):
+        tail = np.zeros((size, size))
+        for l in range(j_lo + 1, j_hi):
+            part = np.abs(prefix[l - 1 - j_lo])
+            for k in range(l + 1, j_hi + 1):
+                root = np.sqrt(lac.value(k))
+                far = np.where(sep > c_cut * root, lam ** (k - l + 1) * root * part, 0.0)
+                tail = np.maximum(tail, far)
+        sensitivity[f"c={c_cut:g}"] = _leading_max(tail, sizes)
+    extras = {"cutoff_c": 1.0, "tail_sensitivity": sensitivity}
     return _finish("lacunary_tail", params, sizes,
-                   {"suffix": c_suffix, "tail": c_tail}, started, extras)
+                   {"suffix": c_suffix, "tail": sensitivity["c=1"]}, started, extras)
 
 
 def _hl_columns(g: np.ndarray) -> np.ndarray:
@@ -377,13 +353,14 @@ def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bco
     if q < 1.0:
         raise ValueError("q must be at least 1")
     b = _resolve_bcoef(bcoef, lac)
+    steps = _lacunary_step_matrices(params, lac, b, sizes[-1], quad_tol)
+    prefix = _window_prefix(steps * _local_mask(sizes[-1]), lac, m_range)
     constants, skipped = [], []
     for size in sizes:
         rng = np.random.default_rng(seed)
         probes = np.concatenate(
             [np.eye(size), rng.standard_normal((size, n_random))], axis=1)
-        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        images = _window_prefix(steps * _local_mask(size), lac, m_range) @ probes
+        images = prefix[:, :size, :size] @ probes
         s_star_loc = images.max(axis=0) - images.min(axis=0)
         g = images[-1] - images[0]
         denom = _hl_columns(np.abs(g)) + _hl_columns(np.abs(probes) ** q) ** (1.0 / q)
@@ -423,21 +400,24 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
 def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
                     rho: float, lambdas, lac: LacunarySequence | None, b, m_range: int,
                     probes: np.ndarray, quad_tol: float) -> np.ndarray:
-    """Images of one operator of heat paths on a probe matrix (size, P) or on
-    one signal (size,), one entry per index and probe.
+    """Images of one operator of heat paths on a probe matrix (k, P) or on
+    one signal (k,), one entry per index n < k and probe.
 
-    "jump" stacks one image per lambda; "s_star" is the spread of the window
-    prefix sums over [-M, M] with step coefficients b.
+    The kernels are built at truncation `size` and the probes act through
+    their leading k x k block, k = probes.shape[0] <= size. "jump" stacks one
+    image per lambda; "s_star" is the spread of the window prefix sums over
+    [-M, M] with step coefficients b.
     """
+    k = probes.shape[0]
     if operator == "s_star":
         if lac is None:
             raise ValueError("s_star sweeps need a lacunary sequence")
         steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        sums = _window_prefix(steps, lac, m_range) @ probes
+        sums = _window_prefix(steps[:, :k, :k], lac, m_range) @ probes
         return sums.max(axis=0) - sums.min(axis=0)
     if operator not in ("variation", "oscillation", "jump"):
         raise ValueError(f"unknown operator choice {operator!r}")
-    kt = kernel_tensor(params, grid.times, size, quad_tol)
+    kt = kernel_tensor(params, grid.times, size, quad_tol)[:, :k, :k]
     paths = np.moveaxis(np.tensordot(kt, probes, axes=([2], [0])), 0, -1)
     if operator == "variation":
         return variation_batch(paths, rho)
@@ -446,21 +426,22 @@ def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGr
     return np.stack([lam * jump_count_batch(paths, lam) ** (1.0 / rho) for lam in lambdas])
 
 
-def _operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
-                     rho: float, lambdas, lac: LacunarySequence | None, bcoef,
-                     m_range: int, seed: int, n_random: int,
+def _operator_images(params: JacobiParams, operator: str, size: int, kernel_size: int,
+                     grid: TimeGrid, rho: float, lambdas, lac: LacunarySequence | None,
+                     bcoef, m_range: int, seed: int, n_random: int,
                      quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probe matrix and its `operator_images`, memoised per call key."""
+    """Probe matrix on the first `size` indices and its `operator_images` with
+    kernels truncated at `kernel_size`, memoised per call key."""
     lac_key = None if lac is None else (lac.j_min, tuple(lac.values), lac.ratio)
     b = _resolve_bcoef(bcoef, lac) if operator == "s_star" and lac is not None else None
-    key = ("images", operator, params.alpha, params.beta, size, tuple(grid.times), rho,
-           tuple(lambdas), lac_key, None if b is None else tuple(b), m_range, seed,
-           n_random, quad_tol)
+    key = ("images", operator, params.alpha, params.beta, size, kernel_size,
+           tuple(grid.times), rho, tuple(lambdas), lac_key, None if b is None else tuple(b),
+           m_range, seed, n_random, quad_tol)
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
-        return probes, operator_images(params, operator, size, grid, rho, lambdas, lac,
-                                       b, m_range, probes, quad_tol)
+        return probes, operator_images(params, operator, kernel_size, grid, rho, lambdas,
+                                       lac, b, m_range, probes, quad_tol)
 
     return memo(key, compute)
 
@@ -473,6 +454,9 @@ def verify_theorem_norms(params: JacobiParams, operator: str, p: float,
                          n_random: int = 8, mode: str = "strong",
                          quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
     """Operator-norm sweep of a path operator on l^p(w) over truncation sizes.
+
+    Size s takes probes on the first s indices through the leading block of
+    kernels built at max(sizes).
 
     mode "strong" maxes ||Tf||/||f|| over delta and random probes (for jump,
     additionally over the lambda family); mode "weak11" uses delta probes and
@@ -490,8 +474,9 @@ def verify_theorem_norms(params: JacobiParams, operator: str, p: float,
         bcoef = np.ones(lac.values.size - 1)
     constants = []
     for size in sizes:
-        probes, images = _operator_images(params, operator, size, grid, rho, lambdas,
-                                          lac, bcoef, m_range, seed, n_random, quad_tol)
+        probes, images = _operator_images(params, operator, size, sizes[-1], grid, rho,
+                                          lambdas, lac, bcoef, m_range, seed, n_random,
+                                          quad_tol)
         w = weight_spec.resolve(size)
         per_family = images if images.ndim == 3 else images[None, ...]
         best = 0.0

@@ -254,6 +254,22 @@ class TestNewtonNodes:
         # below -1/2 sends a rule to Golub-Welsch.
         assert all(min(alpha, beta) < -0.5 for beta, _ in fallbacks)
 
+    @pytest.mark.parametrize("order", [33, 64, 316])
+    def test_large_exponent_converges_without_fallback(self, order):
+        # McMahon's j_{30,1} is 1.03 high, which sent the largest node's first
+        # Newton step outside (-1, 1); the large-nu expansion is 2e-7 off.
+        params = JacobiParams(30.0, -0.5)
+        diag, off = generator_coefficients(params, order)
+        nodes = quadrature._newton_nodes(params, diag + 1.0,
+                                         np.append(off, coeff_a(params, order - 1)))
+        expected = scipy.linalg.eigvalsh_tridiagonal(diag + 1.0, off)
+        assert_allclose(nodes, expected, rtol=0.0, atol=1e-13)
+
+    def test_large_nu_first_bessel_zero(self):
+        # j_{nu,1} from mpmath.besseljzero
+        for nu, j in [(5.0, 8.771483815959954), (30.0, 36.09833695674772)]:
+            assert abs(quadrature._bessel_zeros(nu, 1)[0] - j) < 1e-5
+
     def test_newton_failure_falls_back_to_golub_welsch(self, monkeypatch):
         # One step from the guesses leaves corrections far above 1e-15.
         monkeypatch.setattr(quadrature, "NEWTON_STEPS", 1)

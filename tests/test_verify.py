@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 import jhl.quadrature
 from jhl.basis import JacobiParams
+from jhl.config import RunConfig
 from jhl.errors import ConvergenceFailure
 from jhl.paths import (
     DifferenceWindow,
     LacunarySequence,
     TimeGrid,
     default_time_grid,
+    jump_count_batch,
     qn_kernel_matrix,
     s_star,
     variation_batch,
@@ -33,7 +35,7 @@ from jhl.verify import (
     verify_theorem_norms,
 )
 from jhl.verify import _lacunary_step_matrices, _smoothness_mask, _window_prefix
-from jhl.weights import ProbePolicy, WeightSpec, probe_matrix, weak_quasinorm
+from jhl.weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -155,11 +157,14 @@ class TestWindowVerifiers:
 
     def test_lacunary_sensitivity_keys(self):
         lac, bcoef = _lac(2)
-        rep = verify_lacunary_tail(LEGENDRE, lac, bcoef, (8, 12), cutoff_c=2.0)
+        rep = verify_lacunary_tail(LEGENDRE, lac, bcoef, (8, 12))
         sens = rep.extras["tail_sensitivity"]
         assert set(sens) == {"c=1", "c=2", "c=4"}
         assert all(len(v) == 2 for v in sens.values())
-        assert rep.extras["cutoff_c"] == 2.0
+        assert rep.extras["cutoff_c"] == 1.0
+        assert sens["c=1"] == rep.extras["route_tail"]
+        # a wider cutoff admits fewer pairs, so its tail constant is no larger
+        assert all(0.0 < c2 <= c1 for c1, c2 in zip(sens["c=1"], sens["c=2"]))
 
     def test_cotlar_reports_skips(self):
         lac, bcoef = _lac(2)
@@ -174,6 +179,53 @@ class TestWindowVerifiers:
             verify_cotlar(LEGENDRE, 2, lac, bcoef, 0.5, (8, 12))
         with pytest.raises(ValueError, match="positive"):
             verify_cotlar(LEGENDRE, 0, lac, bcoef, 1.5, (8, 12))
+
+
+LEADING_BLOCK_SWEEPS = {
+    "kernel_decay": lambda sizes: verify_kernel_decay(LEGENDRE, sizes, SMALL_GRID),
+    "kernel_smoothness": lambda sizes: verify_kernel_smoothness(LEGENDRE, sizes, SMALL_GRID),
+    "dt_sup": lambda sizes: verify_dt_sup(LEGENDRE, sizes, SMALL_GRID),
+    "qn_bounds": lambda sizes: verify_qn_bounds(LEGENDRE, *_lac(2), 2, sizes),
+    "lacunary_tail": lambda sizes: verify_lacunary_tail(LEGENDRE, *_lac(2), sizes),
+}
+
+
+class TestLeadingBlocks:
+    """Each sweep builds its kernels once, at max(sizes), and reads every
+    smaller size from their leading block."""
+
+    @pytest.mark.parametrize("name", sorted(LEADING_BLOCK_SWEEPS))
+    def test_same_block_same_bits(self, name):
+        sweep = LEADING_BLOCK_SWEEPS[name]
+        clear_caches()
+        two = sweep((16, 64))
+        clear_caches()
+        three = sweep((16, 32, 64))
+        assert two.constants[0] == three.constants[0]
+        assert two.constants[-1] == three.constants[-1]
+        assert all(a <= b for a, b in zip(three.constants, three.constants[1:]))
+
+    def test_dt_sup_reads_the_largest_kernel(self):
+        rep = verify_dt_sup(LEGENDRE, (16, 64), SMALL_GRID)
+        block = kernel_dt_tensor(LEGENDRE, SMALL_GRID.times, 64)[:, :16, :16]
+        idx = np.arange(16)
+        sep = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        assert rep.constants[0] == (sep ** 3 * np.abs(block).max(axis=0)).max()
+
+    def test_norm_sweep_reads_the_largest_kernel(self):
+        # on the default norms grid (t up to 1e5) a size-16 kernel of its own
+        # is off by about 1e-2, while the size-64 block is right to 1e-13
+        grid = RunConfig().norms_t_grid.build()
+        spec = WeightSpec("power", exponent=1.5)
+        rep = verify_theorem_norms(LEGENDRE, "jump", 1.5, spec, (16, 64), grid=grid)
+        block = kernel_tensor(LEGENDRE, grid.times, 64)[:, :16, :16]
+        probes = probe_matrix(ProbePolicy(size=16, n_random=8, seed=0))
+        paths = np.moveaxis(np.tensordot(block, probes, axes=([2], [0])), 0, -1)
+        expected = max(
+            norm_ratio_max(lam * jump_count_batch(paths, lam) ** (1.0 / DEFAULT_RHO),
+                           probes, 1.5, spec.resolve(16))
+            for lam in DEFAULT_LAMBDAS)
+        assert rep.constants[0] == expected
 
 
 class TestPolyBound:
@@ -214,7 +266,7 @@ class TestTheoremNorms:
                                    n_random=4, lambdas=lambdas, mode="weak11")
         for size, constant in zip((8, 12), rep.constants):
             probes = probe_matrix(ProbePolicy(size=size, n_random=4, seed=0))
-            images = operator_images(LEGENDRE, "jump", size, SMALL_GRID, DEFAULT_RHO,
+            images = operator_images(LEGENDRE, "jump", 12, SMALL_GRID, DEFAULT_RHO,
                                      lambdas, None, None, 6, probes, DEFAULT_QUAD_TOL)
             w = spec.resolve(size)
             expected = max(weak_quasinorm(fam[:, m], w) / w[m]
