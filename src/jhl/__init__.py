@@ -41,7 +41,6 @@ from .paths import (
 )
 from .quadrature import QuadratureRule, auto_order, build_rule, integrate, moments, total_mass
 from .semigroup import (
-    HeatKernel,
     apply_heat,
     apply_heat_tilde,
     clear_caches,
@@ -50,6 +49,7 @@ from .semigroup import (
     kernel_dt_tensor,
     kernel_entry,
     kernel_matrix,
+    kernel_order,
     kernel_tensor,
     markov_defect,
     semigroup_defect,

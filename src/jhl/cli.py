@@ -29,6 +29,7 @@ from .semigroup import (
     clear_caches,
     kernel_dt_tensor,
     kernel_matrix,
+    kernel_order,
     markov_defect,
     semigroup_defect,
 )
@@ -120,23 +121,20 @@ def cmd_kernel(config: RunConfig) -> int:
             spectral = kernel_matrix(params, t, size, method="spectral",
                                      quad_tol=config.quad_tol)
             dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
-            _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"),
-                              quad.entries)
+            _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
             _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
             defects["markov"].append(max(
                 markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
             defects["semigroup"].append(
                 semigroup_defect(params, t / 2.0, t / 2.0, size))
             defects["cross_method"].append(
-                float(np.abs(quad.entries - spectral.entries).max()))
-        order = kernel_matrix(params, max(times), size, method="quadrature",
-                              quad_tol=config.quad_tol).order_info
+                float(np.abs(quad - spectral).max()))
         _write_json(os.path.join(tag_dir, "report.json"), {
             "alpha": params.alpha,
             "beta": params.beta,
             "size": size,
             "method": "quadrature",
-            "order": order,
+            "order": kernel_order(params, max(times), size, config.quad_tol),
             "times": times,
             "defects": defects,
         })
@@ -236,11 +234,11 @@ def _verify_params(config: RunConfig, params: JacobiParams) -> list:
 
 
 def _negative_control(config: RunConfig):
+    cell = (NEGATIVE_CONTROL_P, WeightSpec("power", exponent=NEGATIVE_CONTROL_P), "strong")
     return verify_theorem_norms(
-        NEGATIVE_CONTROL_PARAMS, "variation", NEGATIVE_CONTROL_P,
-        WeightSpec("power", exponent=NEGATIVE_CONTROL_P), config.sizes,
+        NEGATIVE_CONTROL_PARAMS, "variation", [cell], config.sizes,
         grid=config.norms_t_grid.build(), rho=config.rho,
-        lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)
+        lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)[0]
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -288,22 +286,19 @@ def _norm_pairs(config: RunConfig) -> list:
 
 
 def _norms_params(config: RunConfig, params: JacobiParams) -> list:
-    """(strong, weak11) reports for every (operator, p, weight) cell of one
-    params. The cells share its memoised kernels and operator images, so they
-    stay in one task."""
+    """One sweep per operator of one params: the strong and weak11 reports of
+    every (p, weight) pair, in that order. Each sweep takes its operator's
+    images once per size and reduces them over all its cells."""
     grid = config.norms_t_grid.build()
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
-
-    def sweep(operator, p, wspec, mode):
-        return verify_theorem_norms(
-            params, operator, p, wspec, config.sizes, grid=grid, rho=config.rho,
-            lambdas=config.lambdas, lac=lac, bcoef=b,
-            m_range=config.lacunary.window, seed=config.seed, mode=mode,
-            quad_tol=config.quad_tol)
-
-    return [(sweep(operator, p, wspec, "strong"), sweep(operator, 1.0, wspec, "weak11"))
-            for operator in config.operators for p, wspec in _norm_pairs(config)]
+    cells = [cell for p, wspec in _norm_pairs(config)
+             for cell in ((p, wspec, "strong"), (1.0, wspec, "weak11"))]
+    return [verify_theorem_norms(
+        params, operator, cells, config.sizes, grid=grid, rho=config.rho,
+        lambdas=config.lambdas, lac=lac, bcoef=b,
+        m_range=config.lacunary.window, seed=config.seed, quad_tol=config.quad_tol)
+        for operator in config.operators]
 
 
 def cmd_norms(config: RunConfig) -> int:
@@ -314,20 +309,18 @@ def cmd_norms(config: RunConfig) -> int:
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
     pairs = _norm_pairs(config)
-    cells = [(params, operator, p, wspec) for params in config.params
-             for operator in config.operators for p, wspec in pairs]
-    results = [result for group in _run_tasks(
-        [(_norms_params, config, params) for params in config.params],
-        config.workers or 1) for result in group]
+    groups = _run_tasks([(_norms_params, config, params) for params in config.params],
+                        config.workers or 1)
     timings = {}
     rows = []
-    for (params, operator, p, wspec), (strong, weak) in zip(cells, results):
-        timings[f"{params.tag()}/{operator}/p{p:g}/{wspec.label()}"] = \
-            strong.runtime + weak.runtime
-        for i, size in enumerate(config.sizes):
-            rows.append([params.tag(), operator, p, wspec.label(), size,
-                         strong.constants[i], weak.constants[i],
-                         strong.stability_ratio])
+    for params, sweeps in zip(config.params, groups):
+        for operator, reports in zip(config.operators, sweeps):
+            timings[f"{params.tag()}/{operator}"] = reports[0].runtime
+            for (p, wspec), strong, weak in zip(pairs, reports[::2], reports[1::2]):
+                for i, size in enumerate(config.sizes):
+                    rows.append([params.tag(), operator, p, wspec.label(), size,
+                                 strong.constants[i], weak.constants[i],
+                                 strong.stability_ratio])
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     _write_csv(os.path.join(base, "norms.csv"),
                ("params", "operator", "p", "weight", "size", "norm_estimate",
@@ -420,12 +413,8 @@ def main(argv=None) -> int:
         if args.out is not None:
             overrides["out_dir"] = args.out
         if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
-                raise ConfigError("seed must fit in an unsigned 64-bit integer")
             overrides["seed"] = args.seed
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("workers must be at least 1")
             overrides["workers"] = args.workers
         if overrides:
             config = RunConfig.from_dict({**config.to_dict(), **overrides})

@@ -5,15 +5,14 @@ quadrature route evaluates this integral with the Gauss-Jacobi rule of
 `build_rule`, at the order `auto_order` certifies for the largest time of a
 batch (a priori, or by probing that same rule); the spectral route
 diagonalizes a 4N truncation of the operator and exponentiates. Every derived
-value of the batch routes (order, rule, table, eigenbasis, kernel, tensor,
-p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
-one cache. The scalar oracles `kernel_entry` and `kernel_dt_entry` build their
-own tables, so scalar calls do not grow the cache.
+value of the batch routes (order, rule, table, eigenbasis, tensor, p_n(1)
+vector) is memoised in `jhl._memo`, and `clear_caches` empties that one
+cache; a quadrature `kernel_matrix` is a slice of its one-time tensor. The
+scalar oracles `kernel_entry` and `kernel_dt_entry` build their own tables,
+so scalar calls do not grow the cache.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +23,9 @@ from .errors import ConvergenceFailure, NumericFailure
 from .quadrature import QuadratureRule, auto_order, build_rule
 
 __all__ = [
-    "HeatKernel",
     "kernel_entry",
     "kernel_dt_entry",
+    "kernel_order",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
@@ -56,18 +55,6 @@ def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise NumericFailure(f"generator eigensolver failed at size {size}") from exc
     return memo(("eig", params.alpha, params.beta, size), compute)
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    """Dense truncated heat kernel at one time, tagged with how it was computed."""
-
-    params: JacobiParams
-    t: float
-    size: int
-    entries: np.ndarray
-    method: str
-    order_info: int
 
 
 def _require_time(t: float) -> None:
@@ -110,13 +97,6 @@ def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
     return _entry(params, t, n, m, rule, derivative=True)
 
 
-def _identity_kernel(params: JacobiParams, size: int, method: str) -> HeatKernel:
-    entries = np.eye(size)
-    entries.setflags(write=False)
-    return HeatKernel(params=params, t=0.0, size=size, entries=entries,
-                      method=method, order_info=0)
-
-
 def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
     if params.positivity_regime:
         low = float(entries.min())
@@ -135,50 +115,53 @@ def _assemble(rows: np.ndarray, base, rate: np.ndarray, times) -> np.ndarray:
     return out
 
 
+def kernel_order(params: JacobiParams, t_max: float, size: int,
+                 quad_tol: float = DEFAULT_QUAD_TOL) -> int:
+    """Gauss-Jacobi order of the quadrature route for kernels of the given
+    size at times up to t_max (at least 1e-3), as `auto_order` certifies it."""
+    t_max = max(float(t_max), 1e-3)
+    return memo(("order", params.alpha, params.beta, size - 1, t_max, quad_tol),
+                lambda: auto_order(params, size - 1, t_max, quad_tol))
+
+
 def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
-                  derivative: bool = False) -> tuple[int, np.ndarray]:
-    """Quadrature order and stack of K_t (or d/dt K_t) for every t, from the
-    one rule chosen for max(times): weights w for K, -w (1 - x) for dK."""
-    t_max = max(float(np.max(times)), 1e-3)
-    order = memo(("order", params.alpha, params.beta, size - 1, t_max, tol),
-                 lambda: auto_order(params, size - 1, t_max, tol))
+                  derivative: bool = False) -> np.ndarray:
+    """Stack of K_t (or d/dt K_t) for every t, from the one rule chosen for
+    max(times): weights w for K, -w (1 - x) for dK."""
+    order = kernel_order(params, np.max(times), size, tol)
     rule = build_rule(params, order)
     table = memo(("table", params.alpha, params.beta, size - 1, order),
                  lambda: ortho_table(params, size - 1, rule.nodes))
     g = 1.0 - rule.nodes
     base = -rule.weights * g if derivative else rule.weights
-    return order, _assemble(table, base, g, times)
+    return _assemble(table, base, g, times)
 
 
 def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quadrature",
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> HeatKernel:
-    """Truncated kernel matrix (K_t(n, m))_{n,m < size} by the requested method.
+                  quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
+    """Read-only truncated kernel matrix (K_t(n, m))_{n,m < size} by the
+    requested method.
 
-    t = 0 returns the exact identity. The spectral method diagonalizes the
-    4*size truncation of the operator and keeps the leading block.
+    t = 0 returns the exact identity. The quadrature method returns
+    `kernel_tensor(params, [t], size, quad_tol)[0]`. The spectral method
+    diagonalizes the 4*size truncation of the operator and keeps the leading
+    block.
     """
     _require_time(t)
     if size < 1:
         raise ValueError("size must be positive")
     if method not in ("quadrature", "spectral"):
         raise ValueError(f"unknown kernel method {method!r}")
-
-    def compute() -> HeatKernel:
-        if t == 0.0:
-            return _identity_kernel(params, size, method)
-        if method == "quadrature":
-            order, stack = _quad_kernels(params, [t], size, quad_tol)
-        else:
-            order = 4 * size
-            lam, vec = _eigenbasis(params, order)
-            stack = _assemble(vec[:size, :], 1.0, -lam, [t])  # e^{t lam}, exactly
-        entries = stack[0]
+    if t == 0.0:
+        entries = np.eye(size)
+    elif method == "quadrature":
+        return kernel_tensor(params, [t], size, quad_tol)[0]
+    else:
+        lam, vec = _eigenbasis(params, 4 * size)
+        entries = _assemble(vec[:size, :], 1.0, -lam, [t])[0]  # e^{t lam}, exactly
         _check_positivity(params, entries)
-        entries.setflags(write=False)  # memoised object is shared across callers
-        return HeatKernel(params=params, t=t, size=size, entries=entries,
-                          method=method, order_info=order)
-
-    return memo(("kernel", params.alpha, params.beta, t, size, method, quad_tol), compute)
+    entries.setflags(write=False)
+    return entries
 
 
 def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
@@ -188,7 +171,7 @@ def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
         raise ValueError("time grid must be nonempty with positive entries")
 
     def compute() -> np.ndarray:
-        out = _quad_kernels(params, times, size, quad_tol, derivative)[1]
+        out = _quad_kernels(params, times, size, quad_tol, derivative)
         if not derivative:
             _check_positivity(params, out)
         out.setflags(write=False)
@@ -227,7 +210,7 @@ def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int,
     fv = _fit_signal(f, size)
     if t == 0.0:
         return fv.copy()
-    return kernel_matrix(params, t, size, method).entries @ fv
+    return kernel_matrix(params, t, size, method) @ fv
 
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
@@ -260,7 +243,7 @@ def markov_defect(params: JacobiParams, t: float, n: int, size: int) -> float:
         return 0.0
     kern = kernel_matrix(params, t, size)
     v = weight_at_one(params, size)
-    return float(abs(kern.entries[n] @ v - v[n]) / v[n])
+    return float(abs(kern[n] @ v - v[n]) / v[n])
 
 
 def semigroup_defect(params: JacobiParams, t: float, s: float, size: int) -> float:
@@ -270,9 +253,9 @@ def semigroup_defect(params: JacobiParams, t: float, s: float, size: int) -> flo
     if t == 0.0 or s == 0.0:
         return 0.0
     block = max(1, size // 4)
-    kt = kernel_matrix(params, t, size).entries
-    ks = kernel_matrix(params, s, size).entries
-    kts = kernel_matrix(params, t + s, size).entries
+    kt = kernel_matrix(params, t, size)
+    ks = kernel_matrix(params, s, size)
+    kts = kernel_matrix(params, t + s, size)
     prod = kt[:block] @ ks
     return float(np.abs(prod[:, :block] - kts[:block, :block]).max())
 

@@ -12,11 +12,10 @@ isolated per cell. The module measures, it does not prove.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._memo import memo
 from .basis import JacobiParams, normalization, ortho_table
 from .paths import (
     LacunarySequence,
@@ -74,8 +73,8 @@ class EstimateReport:
     runtime: float
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "alpha": self.params.alpha,
             "beta": self.params.beta,
@@ -85,9 +84,6 @@ class EstimateReport:
             "verdict": self.verdict,
             "extras": self.extras,
         }
-        if include_runtime:
-            out["runtime"] = self.runtime
-        return out
 
 
 def _ratio(series) -> float:
@@ -426,37 +422,18 @@ def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGr
     return np.stack([lam * jump_count_batch(paths, lam) ** (1.0 / rho) for lam in lambdas])
 
 
-def _operator_images(params: JacobiParams, operator: str, size: int, kernel_size: int,
-                     grid: TimeGrid, rho: float, lambdas, lac: LacunarySequence | None,
-                     bcoef, m_range: int, seed: int, n_random: int,
-                     quad_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probe matrix on the first `size` indices and its `operator_images` with
-    kernels truncated at `kernel_size`, memoised per call key."""
-    lac_key = None if lac is None else (lac.j_min, tuple(lac.values), lac.ratio)
-    b = _resolve_bcoef(bcoef, lac) if operator == "s_star" and lac is not None else None
-    key = ("images", operator, params.alpha, params.beta, size, kernel_size,
-           tuple(grid.times), rho, tuple(lambdas), lac_key, None if b is None else tuple(b),
-           m_range, seed, n_random, quad_tol)
-
-    def compute() -> tuple[np.ndarray, np.ndarray]:
-        probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
-        return probes, operator_images(params, operator, kernel_size, grid, rho, lambdas,
-                                       lac, b, m_range, probes, quad_tol)
-
-    return memo(key, compute)
-
-
-def verify_theorem_norms(params: JacobiParams, operator: str, p: float,
-                         weight_spec: WeightSpec, sizes,
+def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
                          grid: TimeGrid | None = None, rho: float = DEFAULT_RHO,
                          lambdas=DEFAULT_LAMBDAS, lac: LacunarySequence | None = None,
                          bcoef=None, m_range: int = 6, seed: int = 0,
-                         n_random: int = 8, mode: str = "strong",
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Operator-norm sweep of a path operator on l^p(w) over truncation sizes.
+                         n_random: int = 8,
+                         quad_tol: float = DEFAULT_QUAD_TOL) -> list:
+    """Operator-norm sweep of a path operator on l^p(w) over truncation sizes,
+    one report per (p, weight_spec, mode) cell, in cell order.
 
     Size s takes probes on the first s indices through the leading block of
-    kernels built at max(sizes).
+    kernels built at max(sizes); their images are taken once and reduced for
+    every cell. Every report carries the wall time of the whole sweep.
 
     mode "strong" maxes ||Tf||/||f|| over delta and random probes (for jump,
     additionally over the lambda family); mode "weak11" uses delta probes and
@@ -464,29 +441,38 @@ def verify_theorem_norms(params: JacobiParams, operator: str, p: float,
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
-    if mode not in ("strong", "weak11"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    for p, _, mode in cells:
+        if mode not in ("strong", "weak11"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if p < 1.0:
+            raise ValueError("p must be at least 1")
     grid = grid or default_time_grid()
-    if operator == "s_star" and lac is None:
-        lac = LacunarySequence.geometric(2.0, -m_range - 1, m_range + 2)
-        bcoef = np.ones(lac.values.size - 1)
-    constants = []
+    b = None
+    if operator == "s_star":
+        if lac is None:
+            lac = LacunarySequence.geometric(2.0, -m_range - 1, m_range + 2)
+            bcoef = np.ones(lac.values.size - 1)
+        b = _resolve_bcoef(bcoef, lac)
+    constants = [[] for _ in cells]
     for size in sizes:
-        probes, images = _operator_images(params, operator, size, sizes[-1], grid, rho,
-                                          lambdas, lac, bcoef, m_range, seed, n_random,
-                                          quad_tol)
-        w = weight_spec.resolve(size)
+        probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
+        images = operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, b,
+                                 m_range, probes, quad_tol)
         per_family = images if images.ndim == 3 else images[None, ...]
-        best = 0.0
-        for fam in per_family:
-            if mode == "strong":
-                best = max(best, norm_ratio_max(fam, probes, p, w))
-            else:
-                ratios = weak_quasinorm(fam[:, :size], w) / w
-                best = max(best, float(ratios.max()))
-        constants.append(best)
-    name = f"theorem_norms_{operator}" + ("_weak11" if mode == "weak11" else "")
-    extras = {"p": p, "weight": weight_spec.label(), "mode": mode, "rho": rho}
-    return _finish(name, params, sizes, {"norm": constants}, started, extras)
+        for (p, weight_spec, mode), series in zip(cells, constants):
+            w = weight_spec.resolve(size)
+            best = 0.0
+            for fam in per_family:
+                if mode == "strong":
+                    best = max(best, norm_ratio_max(fam, probes, p, w))
+                else:
+                    ratios = weak_quasinorm(fam[:, :size], w) / w
+                    best = max(best, float(ratios.max()))
+            series.append(best)
+    reports = [
+        _finish(f"theorem_norms_{operator}" + ("_weak11" if mode == "weak11" else ""),
+                params, sizes, {"norm": series}, started,
+                {"p": p, "weight": weight_spec.label(), "mode": mode, "rho": rho})
+        for (p, weight_spec, mode), series in zip(cells, constants)]
+    elapsed = time.perf_counter() - started
+    return [replace(report, runtime=elapsed) for report in reports]

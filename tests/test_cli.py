@@ -354,7 +354,7 @@ class TestKernelCommand:
         clear_caches()
         path = _write_config(tmp_path, {**cfg, "out_dir": str(out1)}, "c1.json")
         assert main(["kernel", "--config", path]) == 0
-        tensor_kinds = {"K", "dK", "kernel", "eig", "rule", "table"}
+        tensor_kinds = {"K", "dK", "eig", "rule", "table"}
         assert not [key for key in jhl._memo._cache if key[0] in tensor_kinds]
         # The same files as runs that each start on an empty memo.
         for params in cfg["params"]:
@@ -406,7 +406,7 @@ class TestMatrixWriter:
         yield matrix
         yield np.zeros((0, 0))
         yield np.zeros((0, 3))
-        yield kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 64).entries  # bitwise symmetric
+        yield kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 64)  # bitwise symmetric
 
     def test_matches_generic_writer(self, tmp_path):
         ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"

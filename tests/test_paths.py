@@ -306,8 +306,8 @@ class TestDifferenceSums:
         window = DifferenceWindow(-2, 2)
         size = 12
         dense = qn_kernel_matrix(LEGENDRE, window, lac, np.ones(9), size)
-        hi = kernel_matrix(LEGENDRE, lac.value(3), size).entries
-        lo = kernel_matrix(LEGENDRE, lac.value(-2), size).entries
+        hi = kernel_matrix(LEGENDRE, lac.value(3), size)
+        lo = kernel_matrix(LEGENDRE, lac.value(-2), size)
         assert_allclose(dense, hi - lo, atol=1e-13)
 
     def test_scalar_kernel_matches_dense(self):

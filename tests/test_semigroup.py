@@ -18,6 +18,7 @@ from jhl.semigroup import (
     kernel_dt_tensor,
     kernel_entry,
     kernel_matrix,
+    kernel_order,
     kernel_tensor,
     markov_defect,
     semigroup_defect,
@@ -70,18 +71,18 @@ class TestKernelEntry:
 class TestKernelMatrix:
     def test_time_zero_is_identity(self):
         kern = kernel_matrix(LEGENDRE, 0.0, 10)
-        assert_allclose(kern.entries, np.eye(10))
+        assert_allclose(kern, np.eye(10))
 
     def test_tiny_time_near_identity(self):
         kern = kernel_matrix(LEGENDRE, 1e-12, 16)
-        assert np.abs(kern.entries - np.eye(16)).max() < 1e-9
+        assert np.abs(kern - np.eye(16)).max() < 1e-9
 
     def test_methods_agree(self):
         for params in (LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)):
             for t in (0.1, 1.0, 10.0):
                 quad = kernel_matrix(params, t, 30, method="quadrature")
                 spec = kernel_matrix(params, t, 30, method="spectral")
-                assert np.abs(quad.entries - spec.entries).max() < 1e-8
+                assert np.abs(quad - spec).max() < 1e-8
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
@@ -89,18 +90,20 @@ class TestKernelMatrix:
 
     def test_positive_in_regime(self):
         kern = kernel_matrix(JacobiParams(2.5, 0.5), 0.7, 40)
-        assert kern.entries.min() >= -1e-12
+        assert kern.min() >= -1e-12
 
-    def test_entries_immutable(self):
-        kern = kernel_matrix(LEGENDRE, 0.5, 8)
+    @pytest.mark.parametrize("t, method", [(0.0, "quadrature"), (0.5, "quadrature"),
+                                           (0.5, "spectral")])
+    def test_entries_immutable(self, t, method):
+        kern = kernel_matrix(LEGENDRE, t, 8, method)
         with pytest.raises(ValueError):
-            kern.entries[0, 0] = 99.0
+            kern[0, 0] = 99.0
 
     def test_tensor_stacks_matrices(self):
         times = np.array([0.2, 1.5])
         tensor = kernel_tensor(LEGENDRE, times, 12)
         for i, t in enumerate(times):
-            assert_allclose(tensor[i], kernel_matrix(LEGENDRE, t, 12).entries,
+            assert_allclose(tensor[i], kernel_matrix(LEGENDRE, t, 12),
                             rtol=1e-13)
 
 
@@ -140,7 +143,7 @@ class TestDefects:
     def test_markov_defect_matches_fresh_weights_bitwise(self, params):
         size, t = 64, 0.7
         fresh = np.array([ortho_poly_at_one(params, n) for n in range(size)])
-        rows = kernel_matrix(params, t, size).entries
+        rows = kernel_matrix(params, t, size)
         for n in range(size // 4 + 1):
             expected = float(abs(rows[n] @ fresh - fresh[n]) / fresh[n])
             assert markov_defect(params, t, n, size) == expected
@@ -171,7 +174,7 @@ class TestTildeScale:
         rng = np.random.default_rng(5)
         f = rng.standard_normal(24)
         image = apply_heat(LEGENDRE, 0.9, f, 24)
-        assert_allclose(image, kernel_matrix(LEGENDRE, 0.9, 24).entries @ f,
+        assert_allclose(image, kernel_matrix(LEGENDRE, 0.9, 24) @ f,
                         rtol=1e-13)
 
     def test_short_signal_padded(self):
@@ -231,13 +234,13 @@ class TestCaches:
 
     def test_clear_and_recompute(self):
         clear_caches()
-        first = kernel_matrix(LEGENDRE, 0.3, 8)
-        again = kernel_matrix(LEGENDRE, 0.3, 8)
+        first = kernel_tensor(LEGENDRE, [0.3], 8)
+        again = kernel_tensor(LEGENDRE, [0.3], 8)
         assert first is again
         clear_caches()
-        fresh = kernel_matrix(LEGENDRE, 0.3, 8)
+        fresh = kernel_tensor(LEGENDRE, [0.3], 8)
         assert fresh is not first
-        assert_allclose(fresh.entries, first.entries)
+        assert_allclose(fresh, first)
 
 
 ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
@@ -248,7 +251,7 @@ class TestAssemblyOracles:
     @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
     def test_matrix_is_tensor_slice_bitwise(self, params, t):
         kern = kernel_matrix(params, t, 24)
-        assert np.array_equal(kern.entries, kernel_tensor(params, [t], 24)[0])
+        assert np.array_equal(kern, kernel_tensor(params, [t], 24)[0])
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS)
     @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
@@ -256,9 +259,9 @@ class TestAssemblyOracles:
         # Relative to the largest entry: entries at rounding level carry no
         # relative accuracy on either route.
         size = 24
-        kern = kernel_matrix(params, t, size).entries
+        kern = kernel_matrix(params, t, size)
         dkern = kernel_dt_tensor(params, [t], size)[0]
-        rule = build_rule(params, kernel_matrix(params, t, size).order_info)
+        rule = build_rule(params, kernel_order(params, t, size))
         scalar = np.array([[kernel_entry(params, t, n, m, rule) for m in range(size)]
                            for n in range(size)])
         dscalar = np.array([[kernel_dt_entry(params, t, n, m, rule) for m in range(size)]
