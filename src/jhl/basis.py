@@ -140,6 +140,50 @@ def ortho_table(params: JacobiParams, n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ortho_table_near_one(params: JacobiParams, n_max: int, gap: np.ndarray) -> np.ndarray:
+    """Table p_n(1 - gap) for n = 0..n_max, shape (n_max+1, len(gap)), with
+    the relative accuracy of gap; `ortho_table` is its oracle.
+
+    Forming x = 1 - gap rounds a small gap to an ulp of 1, which p_n, varying
+    on the scale 1/n^2 next to x = 1, amplifies about n^2 times. So the
+    recurrence runs on q_n = p_n(x) / p_n(1) and d_n = q_n - q_{n-1}, d_0 = 0:
+    the recurrence at x = 1 - gap minus the one at x = 1 leaves
+    a_n p_{n+1}(1) d_{n+1} = a_{n-1} p_{n-1}(1) d_n - gap p_n(1) q_n,
+    in which gap enters only as a factor (Reinsch's modification of the
+    recurrence next to an endpoint).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    gv = np.atleast_1d(np.asarray(gap, dtype=float))
+    at_one = _at_one_by_ratios(params, n_max)
+    out = np.empty((n_max + 1, gv.size))
+    out[0] = at_one[0]
+    q, d = np.ones_like(gv), np.zeros_like(gv)
+    carry = 0.0  # a_{n-1} p_{n-1}(1)
+    for n in range(n_max):
+        a_n = coeff_a(params, n)
+        lead = a_n * at_one[n + 1]
+        d = (carry / lead) * d - (at_one[n] / lead) * (gv * q)
+        q = q + d
+        out[n + 1] = at_one[n + 1] * q
+        carry = a_n * at_one[n]
+    return out
+
+
+def _at_one_by_ratios(params: JacobiParams, n_max: int) -> list:
+    """p_n(1) for n = 0..n_max as running products of
+    p_{n+1}(1) / p_n(1) = (w_{n+1} / w_n) (n + 1 + a) / (n + 1): about n ulps,
+    where `ortho_poly_at_one`, a difference of log-gammas near n log n, is
+    2.5e-13 relative off at n = 255 and 3.5e-12 at n = 2000 (Chebyshev)."""
+    a, b = params.alpha, params.beta
+    out = [ortho_poly_at_one(params, n) for n in range(min(n_max, 1) + 1)]
+    for n in range(1, n_max):
+        w_sq = (2.0 * n + a + b + 3.0) / (2.0 * n + a + b + 1.0) \
+            * (n + 1.0) * (n + a + b + 1.0) / ((n + a + 1.0) * (n + b + 1.0))
+        out.append(out[-1] * math.sqrt(w_sq) * (n + 1.0 + a) / (n + 1.0))
+    return out
+
+
 def coeff_a(params: JacobiParams, n: int) -> float:
     """Off-diagonal coefficient a_n of the difference operator."""
     if n < 0:

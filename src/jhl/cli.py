@@ -30,6 +30,7 @@ from .semigroup import (
     kernel_dt_tensor,
     kernel_matrix,
     kernel_order,
+    laguerre_split,
     markov_defect,
     semigroup_defect,
 )
@@ -129,12 +130,19 @@ def cmd_kernel(config: RunConfig) -> int:
                 semigroup_defect(params, t / 2.0, t / 2.0, size))
             defects["cross_method"].append(
                 float(np.abs(quad - spectral).max()))
+        # "order" is the Gauss-Jacobi order of the times below the split, or
+        # null if every time takes the Gauss-Laguerre route.
+        split = laguerre_split(params, size)
+        routes = ["jacobi" if t < split else "laguerre" for t in times]
+        jacobi_times = [t for t, route in zip(times, routes) if route == "jacobi"]
         _write_json(os.path.join(tag_dir, "report.json"), {
             "alpha": params.alpha,
             "beta": params.beta,
             "size": size,
             "method": "quadrature",
-            "order": kernel_order(params, max(times), size, config.quad_tol),
+            "order": (kernel_order(params, max(jacobi_times), size, config.quad_tol)
+                      if jacobi_times else None),
+            "routes": routes,
             "times": times,
             "defects": defects,
         })

@@ -1,4 +1,5 @@
-"""Gauss-Jacobi quadrature from Newton's method on the three-term recurrence.
+"""Gauss-Jacobi quadrature from Newton's method on the three-term recurrence,
+and the Gauss-Laguerre rule of the large-t kernel route.
 
 Nodes are the zeros of p_Q, found by Newton's method from asymptotic guesses
 (Gatteschi-Pittaluga in the interior, Bessel zeros next to the endpoints; Hale
@@ -16,7 +17,16 @@ The order search certifies an order a priori where it can, from the Chebyshev
 coefficients of e^{tx}, which are Bessel values: Trefethen's error bound for
 Gauss quadrature ("Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
 Review 50, 2008) then bounds the kernel error by a Bessel tail, so no rule of
-twice the order has to be built to confirm it.
+twice the order has to be built to confirm it. Elsewhere a doubling test
+decides, relative, so a probe that has underflowed never passes.
+
+At large t, u = t(1 - x) turns the kernel integral into one against
+u^alpha e^{-u} on (0, 2t), which a generalized Gauss-Laguerre rule resolves
+with about size + 16 nodes where Gauss-Jacobi needs orders near 4 sqrt(t)
+(Gautschi, OUP 2004, sec. 1.4). Its nodes come from Newton's method on the
+Laguerre recurrence, Golub-Welsch by numpy.linalg.eigh being the fallback,
+so scipy stays unloaded; its order from a relative doubling test
+(`laguerre_order`).
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memo import memo
-from .basis import JacobiParams, coeff_a, generator_coefficients, normalization, ortho_table
+from .basis import (JacobiParams, _ortho_table_near_one, coeff_a, generator_coefficients,
+                    normalization, ortho_table)
 from .errors import ConvergenceFailure, NumericFailure
 
 __all__ = [
@@ -37,12 +48,14 @@ __all__ = [
     "integrate",
     "moments",
     "auto_order",
+    "laguerre_order",
 ]
 
 MAX_ORDER = 2 ** 16
 NEWTON_STEPS = 10  # past this, the rule falls back to Golub-Welsch
 BESSEL_GUESSES = 10  # nodes next to each endpoint guessed from Bessel zeros
 LARGE_NU = 3.0  # above this, j_{nu,1} comes from its large-nu expansion
+LAGUERRE_MAX_ORDER = 4096  # dense eigensolve: a 128 MB Jacobi matrix at the cap
 
 
 def total_mass(params: JacobiParams) -> float:
@@ -102,10 +115,10 @@ def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
     off = np.append(off, coeff_a(params, order - 1))
     try:
         nodes = _newton_nodes(params, diag, off)
-        total, p_last, p_next = _christoffel_sums(params, diag, off, nodes)
+        total, p_last, p_next = _christoffel_sums(params, diag, off, nodes, with_total=True)
         # At a zero of p_order, Christoffel-Darboux gives p_order' = total / (a p_{order-1}).
         nodes = nodes - off[-1] * p_last * p_next / total
-        total = _christoffel_sums(params, diag, off, nodes)[0]
+        total = _christoffel_sums(params, diag, off, nodes, with_total=True)[0]
         return _checked_rule(params, order, nodes, 1.0 / total, total_mass(params))
     except NumericFailure:
         # Newton did not converge, or the checks failed: a node's absolute
@@ -123,7 +136,7 @@ def _newton_nodes(params: JacobiParams, diag, off) -> np.ndarray:
     + 2(Q+a)(Q+b) P_{Q-1} for the Jacobi polynomials P_n = p_n / w_n (Szego,
     Orthogonal Polynomials, sec. 4.5), which holds away from the zeros as
     well. Raises NumericFailure if a correction is still that large after
-    NEWTON_STEPS steps.
+    NEWTON_STEPS steps, or is not finite.
     """
     order = len(diag)
     a, b = params.alpha, params.beta
@@ -134,9 +147,12 @@ def _newton_nodes(params: JacobiParams, diag, off) -> np.ndarray:
     active = np.arange(order)
     for _ in range(NEWTON_STEPS):
         xa = x[active]
-        _, p_last, p_next = _christoffel_sums(params, diag, off, xa)
-        step = c * (1.0 - xa) * (1.0 + xa) * p_next \
-            / (order * (a - b - c * xa) * p_next + c_last * p_last)
+        _, p_last, p_next = _christoffel_sums(params, diag, off, xa, with_total=False)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = c * (1.0 - xa) * (1.0 + xa) * p_next \
+                / (order * (a - b - c * xa) * p_next + c_last * p_last)
+        if not np.all(np.isfinite(step)):
+            raise NumericFailure(f"Newton step overflowed at order {order}")
         x[active] = xa - step
         active = active[~(np.abs(step) < 1e-15)]
         if not active.size:
@@ -198,16 +214,25 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     return zeros
 
 
-def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray):
-    """sum_{k<Q} p_k(x)^2, p_{Q-1}(x) and p_Q(x) for Q = len(diag) = len(off),
-    streaming the orthonormal recurrence in O(len(x)) memory."""
+def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray, with_total: bool):
+    """sum_{k<Q} p_k(x)^2 (None unless with_total), p_{Q-1}(x) and p_Q(x) for
+    Q = len(diag) = len(off), streaming the orthonormal recurrence in
+    O(len(x)) memory.
+
+    Raises NumericFailure if p_Q or the sum is not finite: at large exponents
+    the recurrence overflows, and the rule then falls back to Golub-Welsch.
+    """
     p_prev, p_cur = np.zeros_like(x), np.full_like(x, normalization(params, 0))
-    total = np.zeros_like(x)
+    total = np.zeros_like(x) if with_total else None
     a_prev = 0.0
-    for b, a in zip(diag.tolist(), off.tolist()):
-        total += p_cur * p_cur
-        p_prev, p_cur = p_cur, ((x - b) * p_cur - a_prev * p_prev) / a
-        a_prev = a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, a in zip(diag.tolist(), off.tolist()):
+            if with_total:
+                total += p_cur * p_cur
+            p_prev, p_cur = p_cur, ((x - b) * p_cur - a_prev * p_prev) / a
+            a_prev = a
+    if not (np.all(np.isfinite(p_cur)) and (total is None or np.all(np.isfinite(total)))):
+        raise NumericFailure(f"orthonormal recurrence overflowed at order {len(diag)}")
     return total, p_prev, p_cur
 
 
@@ -302,6 +327,14 @@ def _bessel_tail_table(t: float) -> np.ndarray:
     return tails[:last + 1]
 
 
+def _agree(coarse, fine, tol: float) -> bool:
+    """True when every fine value is positive and finite and its coarse
+    counterpart is within tol of it, relative. Kernel diagonals are positive,
+    so a probe that underflowed to 0 or below never counts as agreement."""
+    coarse, fine = np.asarray(coarse, dtype=float), np.asarray(fine, dtype=float)
+    return bool(np.all((fine > 0.0) & (np.abs(coarse - fine) < tol * fine)))
+
+
 def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
     """Smallest order, doubling from n_max + 16, that a Bessel-tail certificate
     or a doubling test accepts for the stiffest kernel entry.
@@ -316,9 +349,16 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
     probe times the doubling test below could only have found a difference of
     at most tol / 2. Where the certificate does not fire, the doubling test
     decides: the diagonal entry at index n_max, probed at t in {t_max, 1e-3},
-    must move by less than tol between order Q and 2Q. Entries are probed on
+    must move by less than tol relative between order Q and 2Q (`_agree`, so
+    a probe that has underflowed never passes). Entries are probed on
     `build_rule` rules, so the rule the test accepts is the rule the kernels
     then use.
+
+    Past the certificate's reach, t_max above about 1.2e8 (`_bessel_tail`),
+    no order below the cap resolves e^{-t(1-x)}: the node nearest 1 sits about
+    2.9 / MAX_ORDER^2 below it, where the factor is below e^{-80}. The search
+    raises ConvergenceFailure there at once instead of doubling to the cap on
+    probes that underflow.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -326,6 +366,9 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
         raise ValueError("t_max must be finite and positive")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    if 12.0 * math.sqrt(t_max) + 40.0 > 2 * MAX_ORDER:
+        raise ConvergenceFailure(
+            f"t_max = {t_max:g} is past the reach of quadrature orders up to {MAX_ORDER}")
     probes = (t_max, 1e-3)
     t_cert = max(probes)
     order = n_max + 16
@@ -340,7 +383,198 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
         if 16.0 * _bessel_tail(2 * order - 2 * n_max, t_cert) <= tol:
             return order
         nxt = _diag_entries(params, 2 * order, n_max, probes)
-        if max(abs(c - n) for c, n in zip(cur, nxt)) < tol:
+        if _agree(cur, nxt, tol):
+            return order
+        order *= 2
+        cur = nxt
+
+
+def _laguerre_rule(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule for the probability weight
+    u^alpha e^{-u} / Gamma(alpha + 1) on (0, inf): ascending nodes and weights
+    summing to 1, memoised per (alpha, order) and read-only.
+
+    Nodes by Newton's method (`_laguerre_newton`); Golub-Welsch
+    (`_laguerre_golub_welsch`) where Newton does not converge or its rule
+    fails the checks.
+    """
+    def compute():
+        try:
+            nodes, weights = _laguerre_newton(alpha, order)
+        except NumericFailure:
+            nodes, weights = _laguerre_golub_welsch(alpha, order)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
+    return memo(("laguerre", alpha, order), compute)
+
+
+def _laguerre_golub_welsch(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Welsch on the dense Jacobi matrix, diagonal 2k + alpha + 1 and
+    off-diagonal sqrt(k (k + alpha)) (Golub & Welsch, Math. Comp. 23, 1969;
+    Gautschi, OUP 2004, sec. 1.4), by numpy.linalg.eigh; the fallback of
+    `_laguerre_rule` and the oracle the tests compare against. The first
+    LAPACK call of a process maps about 7 MB, so the Newton route avoids it.
+    """
+    k = np.arange(order, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    matrix = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    try:
+        _, vectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"Laguerre eigensolver failed at order {order}") from exc
+    # J = B B^T with B lower bidiagonal, diagonal sqrt(k + alpha + 1) and
+    # subdiagonal sqrt(k + 1). The Rayleigh quotient |B^T v|^2 has the
+    # eigenvector's relative accuracy, where eigh leaves an absolute error
+    # of about eps |J| ~ 4 eps order: 2e-12 relative on the smallest node.
+    lifted = np.sqrt(k + alpha + 1.0)[:, None] * vectors
+    lifted[:-1] += np.sqrt(k[1:])[:, None] * vectors[1:]
+    return np.einsum("ij,ij->j", lifted, lifted), vectors[0] ** 2
+
+
+def _laguerre_newton(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of p_Q, Q = order, by Newton's method from `_laguerre_guesses`,
+    and Christoffel weights 1 / sum_{k<Q} p_k(u)^2, with p_k orthonormal for
+    the probability weight (p_0 = 1).
+
+    The derivative comes from u L_Q' = Q L_Q - (Q + alpha) L_{Q-1}, which in
+    the orthonormal p_k reads u p_Q' = Q p_Q + sqrt(Q (Q + alpha)) p_{Q-1}.
+    Nodes whose last correction was 1e-14 relative or more take another step.
+    Where the recurrence overflows, about u > 1400, a node keeps its guess:
+    its weight underflows to 0. Raises NumericFailure if Newton has not
+    converged after NEWTON_STEPS steps, or the rule fails the checks (nodes
+    positive and strictly rising, weights summing to 1).
+    """
+    nodes = _laguerre_guesses(alpha, order)
+    lead = math.sqrt(order * (order + alpha))
+    active = np.arange(order)
+    for _ in range(NEWTON_STEPS):
+        ua = nodes[active]
+        _, p_last, p_next = _laguerre_sums(alpha, order, ua, with_total=False)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = ua * p_next / (order * p_next + lead * p_last)
+        finite = np.isfinite(step)
+        nodes[active[finite]] = ua[finite] - step[finite]
+        active = active[finite & ~(np.abs(step) < 1e-14 * ua)]
+        if not active.size:
+            break
+    else:
+        raise NumericFailure(f"Newton iteration for the Laguerre nodes did not converge at order {order}")
+    total = _laguerre_sums(alpha, order, nodes, with_total=True)[0]
+    with np.errstate(divide="ignore"):
+        weights = np.where(np.isfinite(total), 1.0 / total, 0.0)
+    if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0) and np.all(weights >= 0.0)
+            and abs(weights.sum() - 1.0) <= 1e-12):
+        raise NumericFailure("Laguerre nodes or weights failed the checks")
+    return nodes, weights
+
+
+def _laguerre_guesses(alpha: float, order: int) -> np.ndarray:
+    """Ascending guesses for the zeros of L_Q^alpha, Q = order, from the
+    Liouville-Green phase of u^{(a+1)/2} e^{-u/2} L_Q^alpha: with
+    nu = 4Q + 2a + 2 and u = nu sin^2(s/2), the phase is (nu/4)(s + sin s),
+    and the k-th zero sits where it equals the Bessel zero j_{a,k}, which it
+    matches next to u = 0. Within 0.2 of the local spacing up to alpha = 10;
+    at alpha = 30 the largest are more than a spacing off, and the rule falls
+    back to Golub-Welsch."""
+    nu = 4.0 * order + 2.0 * alpha + 2.0
+    phase = 4.0 * _bessel_zeros(alpha, order) / nu
+    s = np.minimum(0.5 * phase, np.pi)
+    for _ in range(40):  # s + sin s is concave and rising: Newton from below
+        s = np.clip(s - (s + np.sin(s) - phase) / (1.0 + np.cos(s)), 0.0, np.pi)
+    return nu * np.sin(0.5 * s) ** 2
+
+
+def _laguerre_sums(alpha: float, order: int, u: np.ndarray, with_total: bool):
+    """sum_{k<Q} p_k(u)^2 (None unless with_total), p_{Q-1}(u) and p_Q(u) for
+    Q = order, streaming the recurrence in O(len(u)) memory.
+
+    As in `basis._ortho_table_near_one`, the recurrence runs on
+    q_k = p_k(u) / p_k(0) and d_k = q_k - q_{k-1}: with c_k = sqrt(k (k + a)),
+    c_{k+1} p_{k+1}(0) d_{k+1} = c_k p_{k-1}(0) d_k + u p_k(0) q_k, so u enters
+    only as a factor and small nodes keep their relative accuracy;
+    p_{k+1}(0) = -p_k(0) sqrt((k + a + 1) / (k + 1)).
+    """
+    q, d = np.ones_like(u), np.zeros_like(u)
+    total = np.ones_like(u) if with_total else None
+    at_zero, c = 1.0, 0.0  # p_k(0) and c_k p_{k-1}(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order):
+            c_next = math.sqrt((k + 1.0) * (k + alpha + 1.0))
+            next_at_zero = -at_zero * math.sqrt((k + alpha + 1.0) / (k + 1.0))
+            lead = c_next * next_at_zero
+            d = (c / lead) * d + (at_zero / lead) * (u * q)
+            q = q + d
+            c, at_zero = c_next * at_zero, next_at_zero
+            if with_total and k + 1 < order:
+                total += (at_zero * q) ** 2
+        p_last = at_zero / -math.sqrt((order + alpha) / order) * (q - d)
+        return total, p_last, at_zero * q
+
+
+def _laguerre_scale(alpha: float, t: float) -> float:
+    """Gamma(alpha + 1) t^(-alpha-1); in log space only where a factor would
+    leave the float range, since exp of a large argument loses digits."""
+    a1 = alpha + 1.0
+    if alpha < 170.0 and a1 * math.log10(t) < 300.0:
+        return math.gamma(a1) * t ** -a1
+    return math.exp(math.lgamma(a1) - a1 * math.log(t))
+
+
+def _laguerre_terms(params: JacobiParams, n_max: int, times, order: int) -> list:
+    """Per time t, (table, weights, gap) of the Laguerre route
+    K_t(n, m) = sum_k weights_k p_n(1 - gap_k) p_m(1 - gap_k).
+
+    With u = t(1 - x), K_t(n, m) = t^(-a-1) int_0^{2t} u^a e^{-u} (2 - u/t)^b
+    p_n(1 - u/t) p_m(1 - u/t) du. The rule's nodes above 2t are dropped, and
+    gap = u / t; the weights are Gamma(a+1) t^(-a-1) w_k (2 - gap)^b. One
+    `_ortho_table_near_one` call builds the tables of every time.
+    """
+    nodes, weights = _laguerre_rule(params.alpha, order)
+    gaps, scaled = [], []
+    for t in times:
+        keep = nodes < 2.0 * t
+        gap = nodes[keep] / t
+        gaps.append(gap)
+        scaled.append(_laguerre_scale(params.alpha, t) * weights[keep] * (2.0 - gap) ** params.beta)
+    table = _ortho_table_near_one(params, n_max, np.concatenate(gaps))
+    tables = np.split(table, np.cumsum([g.size for g in gaps])[:-1], axis=1)
+    return list(zip(tables, scaled, gaps))
+
+
+def laguerre_order(params: JacobiParams, n_max: int, t_lo: float, t_hi: float,
+                   tol: float) -> int:
+    """Order of the Gauss-Laguerre route for kernels of size n_max + 1 at times
+    in [t_lo, t_hi]: the smallest order, doubling from n_max + 17 (the size
+    plus 16), at which every diagonal entry K_t(n, n), n <= n_max, at t_lo and
+    at t_hi is within tol relative of its value under twice the order
+    (`_agree`).
+
+    For beta = 0 the rule is exact once the order exceeds n_max, up to the
+    nodes dropped above 2t; otherwise (2 - u/t)^beta is analytic with its
+    singularity at u = 2t. The route is meant for t_lo >= size^2 / 4
+    (`semigroup.laguerre_split`), where p_n(1 - u/t) is smooth on the scale
+    of e^{-u}; there the first doubling already agrees.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0.0 < t_lo <= t_hi):
+        raise ValueError("t_lo and t_hi must be finite with 0 < t_lo <= t_hi")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+
+    def diagonals(order):
+        return [(table * table) @ weights
+                for table, weights, _ in _laguerre_terms(params, n_max, (t_lo, t_hi), order)]
+
+    order = n_max + 17
+    cur = diagonals(order)
+    while True:
+        if 2 * order > LAGUERRE_MAX_ORDER:
+            raise ConvergenceFailure(
+                f"Laguerre quadrature did not converge below order cap {LAGUERRE_MAX_ORDER}")
+        nxt = diagonals(2 * order)
+        if _agree(cur, nxt, tol):
             return order
         order *= 2
         cur = nxt

@@ -1,15 +1,20 @@
 """Heat kernel of the Jacobi difference operator, by quadrature and by spectral truncation.
 
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
-quadrature route evaluates this integral with the Gauss-Jacobi rule of
-`build_rule`, at the order `auto_order` certifies for the largest time of a
-batch (a priori, or by probing that same rule); the spectral route
-diagonalizes a 4N truncation of the operator and exponentiates. Every derived
-value of the batch routes (order, rule, table, eigenbasis, tensor, p_n(1)
-vector) is memoised in `jhl._memo`, and `clear_caches` empties that one
-cache; a quadrature `kernel_matrix` is a slice of its one-time tensor. The
-scalar oracles `kernel_entry` and `kernel_dt_entry` build their own tables,
-so scalar calls do not grow the cache.
+quadrature route splits a batch of times at `laguerre_split`, about N^2 / 4
+for size N. Below it, the integral is evaluated with the Gauss-Jacobi rule of
+`build_rule`, at the order `auto_order` certifies for the largest of those
+times (a priori, or by probing that same rule). At and above it, with
+u = t(1 - x), it is an integral against u^alpha e^{-u} on (0, 2t), evaluated
+with a Gauss-Laguerre rule whose nodes above 2t are dropped, one table of
+p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
+route diagonalizes a 4N truncation of the operator and exponentiates; it is a
+cross-check only well below t = N^2, so not in the Laguerre range. Every
+derived value of the batch routes (order, rule, table, eigenbasis, tensor,
+p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
+one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
+The scalar oracles `kernel_entry` and `kernel_dt_entry` take a Gauss-Jacobi
+rule and build their own tables, so scalar calls do not grow the cache.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from ._memo import clear as clear_caches
 from ._memo import memo
 from .basis import JacobiParams, generator_coefficients, ortho_poly_at_one, ortho_table
 from .errors import ConvergenceFailure, NumericFailure
-from .quadrature import QuadratureRule, auto_order, build_rule
+from .quadrature import QuadratureRule, _laguerre_terms, auto_order, build_rule, laguerre_order
 
 __all__ = [
     "kernel_entry",
     "kernel_dt_entry",
     "kernel_order",
+    "laguerre_split",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
@@ -106,35 +112,69 @@ def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
             )
 
 
-def _assemble(rows: np.ndarray, base, rate: np.ndarray, times) -> np.ndarray:
-    """Stack over t of the symmetrised (rows * (base * e^{-t rate})) @ rows.T."""
-    out = np.empty((len(times), rows.shape[0], rows.shape[0]))
-    for i, t in enumerate(times):
-        raw = (rows * (base * np.exp(-t * rate))) @ rows.T
-        out[i] = 0.5 * (raw + raw.T)
-    return out
+def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetrised (rows * weights) @ rows.T."""
+    raw = (rows * weights) @ rows.T
+    return 0.5 * (raw + raw.T)
 
 
 def kernel_order(params: JacobiParams, t_max: float, size: int,
                  quad_tol: float = DEFAULT_QUAD_TOL) -> int:
     """Gauss-Jacobi order of the quadrature route for kernels of the given
-    size at times up to t_max (at least 1e-3), as `auto_order` certifies it."""
+    size at times up to t_max (at least 1e-3), as `auto_order` certifies it.
+    A batch passes the largest of its times below `laguerre_split`; the
+    times at or above it take the Gauss-Laguerre route instead."""
     t_max = max(float(t_max), 1e-3)
     return memo(("order", params.alpha, params.beta, size - 1, t_max, quad_tol),
                 lambda: auto_order(params, size - 1, t_max, quad_tol))
 
 
-def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
-                  derivative: bool = False) -> np.ndarray:
-    """Stack of K_t (or d/dt K_t) for every t, from the one rule chosen for
-    max(times): weights w for K, -w (1 - x) for dK."""
-    order = kernel_order(params, np.max(times), size, tol)
+def laguerre_split(params: JacobiParams, size: int) -> float:
+    """Smallest time at which the quadrature route uses Gauss-Laguerre:
+    size^2 / 4, and at least 2 (alpha + 16), so that u^alpha e^{-u} keeps
+    less than e^{-58} of its mass past the dropped u = 2t."""
+    return max(size * size / 4.0, 2.0 * (params.alpha + 16.0))
+
+
+def _jacobi_kernels(out: np.ndarray, index: np.ndarray, params: JacobiParams, times,
+                    size: int, tol: float, derivative: bool) -> None:
+    """K_t (or d/dt K_t) into out[i] for i in index, from the one Gauss-Jacobi
+    rule chosen for the largest of those times: weights w e^{-t(1-x)} for K,
+    times -(1 - x) for dK."""
+    order = kernel_order(params, np.max(times[index]), size, tol)
     rule = build_rule(params, order)
     table = memo(("table", params.alpha, params.beta, size - 1, order),
                  lambda: ortho_table(params, size - 1, rule.nodes))
     g = 1.0 - rule.nodes
     base = -rule.weights * g if derivative else rule.weights
-    return _assemble(table, base, g, times)
+    for i in index:
+        out[i] = _gram(table, base * np.exp(-times[i] * g))
+
+
+def _laguerre_kernels(out: np.ndarray, index: np.ndarray, params: JacobiParams, times,
+                      size: int, tol: float, derivative: bool) -> None:
+    """K_t (or d/dt K_t) into out[i] for i in index, from the Gauss-Laguerre
+    rule in u = t(1 - x) that `laguerre_order` chooses for those times; dK
+    takes the factor -u/t."""
+    late = times[index]
+    t_lo, t_hi = float(late.min()), float(late.max())
+    order = memo(("laguerre_order", params.alpha, params.beta, size - 1, t_lo, t_hi, tol),
+                 lambda: laguerre_order(params, size - 1, t_lo, t_hi, tol))
+    for i, (table, weights, gap) in zip(index, _laguerre_terms(params, size - 1, late, order)):
+        out[i] = _gram(table, -weights * gap if derivative else weights)
+
+
+def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
+                  derivative: bool = False) -> np.ndarray:
+    """Stack of K_t (or d/dt K_t) for every t: times below `laguerre_split`
+    by Gauss-Jacobi, the others by Gauss-Laguerre."""
+    out = np.empty((len(times), size, size))
+    late = times >= laguerre_split(params, size)
+    for route, index in ((_jacobi_kernels, np.flatnonzero(~late)),
+                         (_laguerre_kernels, np.flatnonzero(late))):
+        if index.size:
+            route(out, index, params, times, size, tol, derivative)
+    return out
 
 
 def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quadrature",
@@ -158,7 +198,7 @@ def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quad
         return kernel_tensor(params, [t], size, quad_tol)[0]
     else:
         lam, vec = _eigenbasis(params, 4 * size)
-        entries = _assemble(vec[:size, :], 1.0, -lam, [t])[0]  # e^{t lam}, exactly
+        entries = _gram(vec[:size, :], np.exp(t * lam))
         _check_positivity(params, entries)
     entries.setflags(write=False)
     return entries

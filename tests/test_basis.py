@@ -9,6 +9,7 @@ from scipy.special import eval_jacobi
 
 from jhl.basis import (
     JacobiParams,
+    _ortho_table_near_one,
     build_generator,
     coeff_a,
     coeff_b,
@@ -127,6 +128,30 @@ class TestOrthoTable:
         for n in range(1, 11):
             assert_allclose(table[n], np.sqrt(2 / np.pi) * np.cos(n * theta),
                             rtol=1e-11, atol=1e-13)
+
+
+class TestOrthoTableNearOne:
+    @pytest.mark.parametrize("ab", [(0.8, -0.3), (-0.9, 3.0), (2.5, 0.5), (-0.5, -0.5)])
+    def test_matches_ortho_table(self, ab):
+        params = JacobiParams(*ab)
+        x = np.linspace(-1.0, 1.0, 41)
+        table = ortho_table(params, 40, x)
+        near = _ortho_table_near_one(params, 40, 1.0 - x)
+        scale = np.abs(table).max(axis=1, keepdims=True)
+        assert np.abs(near - table).max(axis=1).max() <= 1e-12 * scale.max()
+        assert np.all(np.abs(near - table) <= 1e-12 * scale)
+
+    def test_relative_accuracy_next_to_one(self):
+        # p_n(cos theta) = sqrt(2/pi) cos(n theta) for Chebyshev, and
+        # 1 - cos theta = 2 sin^2(theta / 2) keeps every digit of a small gap.
+        # With n theta <= 0.26 the values stay near p_n(1); ortho_table at
+        # x = 1 - gap is 5e-12 relative off there, from the rounding of x.
+        theta = np.geomspace(1e-6, 1e-3, 7)
+        gap = 2.0 * np.sin(0.5 * theta) ** 2
+        near = _ortho_table_near_one(CHEBYSHEV, 255, gap)
+        n = np.arange(1, 256)[:, None]
+        assert_allclose(near[1:], np.sqrt(2 / np.pi) * np.cos(n * theta), rtol=5e-14)
+        assert_allclose(near[0], 1 / np.sqrt(np.pi), rtol=1e-15)
 
 
 class TestCoefficients:

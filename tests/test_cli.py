@@ -336,6 +336,22 @@ class TestKernelCommand:
         assert max(report["defects"]["semigroup"]) < 1e-8
         assert (out / "kernel" / "timings.json").exists()
 
+    def test_report_routes_each_time(self, tmp_path):
+        # At size 64, t = 1e4 is past 64^2 / 4 and takes the Gauss-Laguerre
+        # route; "order" stays the Gauss-Jacobi order of t = 0.1, and is null
+        # once no time is left below the split.
+        cfg = _base_config(params=[[3.0, -0.9]], sizes=[16, 64], kernel_times=[0.1, 1e4])
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, {**cfg, "out_dir": str(out)})
+        assert main(["kernel", "--config", path]) == 0
+        report = json.loads((out / "kernel" / "alpha3_beta-0.9" / "report.json").read_text())
+        assert report["routes"] == ["jacobi", "laguerre"]
+        assert report["order"] == 79
+        path = _write_config(tmp_path, {**cfg, "kernel_times": [1e4], "out_dir": str(out)})
+        assert main(["kernel", "--config", path]) == 0
+        report = json.loads((out / "kernel" / "alpha3_beta-0.9" / "report.json").read_text())
+        assert report["routes"] == ["laguerre"] and report["order"] is None
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         p1 = _write_config(tmp_path, _base_config(out_dir=str(out1)), "c1.json")
@@ -354,7 +370,7 @@ class TestKernelCommand:
         clear_caches()
         path = _write_config(tmp_path, {**cfg, "out_dir": str(out1)}, "c1.json")
         assert main(["kernel", "--config", path]) == 0
-        tensor_kinds = {"K", "dK", "eig", "rule", "table"}
+        tensor_kinds = {"K", "dK", "eig", "rule", "table", "laguerre"}
         assert not [key for key in jhl._memo._cache if key[0] in tensor_kinds]
         # The same files as runs that each start on an empty memo.
         for params in cfg["params"]:

@@ -144,9 +144,30 @@ class TestAutoOrder:
         with pytest.raises(ConvergenceFailure, match="order"):
             auto_order(LEGENDRE, 40, 10.0, 1e-33)
 
+    def test_no_order_accepted_on_an_underflowed_probe(self):
+        # The absolute doubling test accepted order 31 here: K_t(15, 15) was
+        # 1.2e-129 at orders 31 and 62, against 5e-6. Relative, the search
+        # ends where K_t(0, 0) meets its closed form (1 - e^{-2t}) / (2t).
+        t = 1e5
+        order = auto_order(LEGENDRE, 15, t, DEFAULT_QUAD_TOL)
+        rule = build_rule(LEGENDRE, order)
+        value = 0.5 * float(rule.weights @ np.exp(-t * (1.0 - rule.nodes)))
+        exact = -math.expm1(-2.0 * t) / (2.0 * t)
+        assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
+
+    def test_agreement_is_relative_and_needs_a_positive_value(self):
+        assert quadrature._agree([1e-30], [1e-30 * (1 + 1e-13)], 1e-12)
+        assert not quadrature._agree([1e-30], [2e-30], 1e-12)
+        assert not quadrature._agree([0.0], [0.0], 1e-12)
+        assert not quadrature._agree([1.0, 1e-129], [1.0, 1e-150], 1e-12)
+
 
 def _golub_welsch_search(params, n_max, t_max, tol=1e-12):
-    """Oracle: the doubling search of auto_order, probing Golub-Welsch rules."""
+    """Oracle: the search of auto_order (the Bessel-tail certificate, then the
+    relative doubling test), probing Golub-Welsch rules. Where the certificate
+    does not fire by order 2528 the oracle fails: relative doubling on
+    Golub-Welsch rules alone need not stop, as their endpoint weights are up
+    to 3e-11 relative off."""
     def probe(order):
         rule = quadrature._golub_welsch(params, order)
         row = ortho_table(params, n_max, rule.nodes)[n_max]
@@ -155,11 +176,14 @@ def _golub_welsch_search(params, n_max, t_max, tol=1e-12):
 
     order = n_max + 16
     cur = probe(order)
-    while True:
+    while order <= 2528:
+        if 16.0 * quadrature._bessel_tail(2 * order - 2 * n_max, max(t_max, 1e-3)) <= tol:
+            return order
         nxt = probe(2 * order)
-        if max(abs(c - n) for c, n in zip(cur, nxt)) < tol:
+        if all(n > 0.0 and abs(c - n) < tol * n for c, n in zip(cur, nxt)):
             return order
         order, cur = 2 * order, nxt
+    raise AssertionError(f"no order up to 2528 accepted at t_max = {t_max}")
 
 
 ASYMMETRIC = JacobiParams(2.5, 0.5)
@@ -191,14 +215,15 @@ class TestBesselTail:
     @pytest.mark.parametrize("t", [1.2e8, 1e12, 1e20])
     def test_no_table_past_the_order_cap(self, t):
         # A table for t = 1e20 would take about 2.4e11 recurrence steps. Past
-        # 2 MAX_ORDER the tail reads 1, an upper bound, and the doubling test
-        # decides the order alone.
+        # 2 MAX_ORDER the tail reads 1, an upper bound. There no order below
+        # the cap resolves e^{-t(1-x)}, and the probes underflow, so the search
+        # fails at once instead of doubling to the cap.
         clear_caches()
         assert quadrature._bessel_tail(0, t) == 1.0
         assert quadrature._bessel_tail(2 * quadrature.MAX_ORDER, t) == 1.0
-        assert auto_order(LEGENDRE, 15, t, 1e-12) == _golub_welsch_search(LEGENDRE, 15, t)
-        assert not [key for key in _memo._cache if key[0] == "bessel_tail"]
-        clear_caches()
+        with pytest.raises(ConvergenceFailure, match="reach"):
+            auto_order(LEGENDRE, 15, t, 1e-12)
+        assert not _memo._cache
 
     # Not Chebyshev: its rules of orders 496 to 2528 are 1e-14 to 4.5e-14 off
     # the closed form K_t(n, n) = e^{-t} (I_0(t) + I_2n(t)) where the bound is
@@ -265,6 +290,33 @@ class TestNewtonNodes:
         expected = scipy.linalg.eigvalsh_tridiagonal(diag + 1.0, off)
         assert_allclose(nodes, expected, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("order", [10, 100])
+    def test_overflow_falls_back_at_once_without_warnings(self, order):
+        # At alpha = 50 the orthonormal recurrence overflows; the Newton
+        # passes stop at the first non-finite value, with no RuntimeWarning.
+        import warnings
+
+        for beta in (-0.5, 0.0, 2.5):
+            params = JacobiParams(50.0, beta)
+            clear_caches()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rule = build_rule(params, order)
+                gw = quadrature._golub_welsch(params, order)
+            assert np.array_equal(rule.nodes, gw.nodes)
+            assert np.array_equal(rule.weights, gw.weights)
+        clear_caches()
+
+    def test_newton_passes_skip_the_sum_bitwise(self):
+        params = ASYMMETRIC
+        diag, off = generator_coefficients(params, 40)
+        diag, off = diag + 1.0, np.append(off, coeff_a(params, 39))
+        x = np.linspace(-0.99, 0.99, 17)
+        total, last, nxt = quadrature._christoffel_sums(params, diag, off, x, with_total=True)
+        none, last2, nxt2 = quadrature._christoffel_sums(params, diag, off, x, with_total=False)
+        assert none is None and np.all(total > 0.0)
+        assert np.array_equal(last, last2) and np.array_equal(nxt, nxt2)
+
     def test_large_nu_first_bessel_zero(self):
         # j_{nu,1} from mpmath.besseljzero
         for nu, j in [(5.0, 8.771483815959954), (30.0, 36.09833695674772)]:
@@ -303,13 +355,15 @@ class TestSearchRule:
         clear_caches()
 
     def test_norms_grid_builds_no_rule_above_the_chosen_order(self):
-        # The certificate accepts order 1264 at t = 1e5 without building the
-        # order-2528 rule that the doubling test would compare it with.
+        # Times from 64^2 / 4 on take the Gauss-Laguerre route; below it the
+        # certificate accepts order 316 without building the order-632 rule
+        # that the doubling test would compare it with.
         clear_caches()
         times = RunConfig().norms_t_grid.build().times
         kernel_tensor(LEGENDRE, times, 64)
         built = [key[3] for key in _memo._cache if key[0] == "rule"]
-        assert max(built) == auto_order(LEGENDRE, 63, times[-1], DEFAULT_QUAD_TOL)
+        below = times[times < 1024.0].max()
+        assert max(built) == auto_order(LEGENDRE, 63, below, DEFAULT_QUAD_TOL) == 316
         clear_caches()
 
     @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC,
@@ -381,17 +435,14 @@ class TestSearchRule:
                   for order in (79, 158, 316)]
         assert max(values) - min(values) <= 1e-14
 
-    @pytest.mark.parametrize("t_max", [
-        1e3,
-        pytest.param(1e4, marks=pytest.mark.xfail(
-            strict=True, reason="the order-1264 witness of the doubling test "
-            "is a Golub-Welsch rule with the same error")),
-    ])
+    @pytest.mark.parametrize("t_max", [1e3, 1e4])
     def test_fallback_kernel_matches_generator_exponential(self, t_max):
         # K_t = exp(t L) on the truncated generator L; at t = 1e-3 the heat from
         # index 63 stays far inside 88 sites. At t_max = 1e3 the certificate
-        # accepts the order-316 Christoffel rule, 1e-16 off at (63, 63). At 1e4
-        # the search ends on the order-632 Golub-Welsch rule, 1.55e-12 off.
+        # accepts the order-316 Christoffel rule, 1e-16 off at (63, 63). At 1e4,
+        # above 64^2 / 4, t_max takes the Gauss-Laguerre route, so t = 1e-3 gets
+        # its own Gauss-Jacobi order rather than the order-632 Golub-Welsch
+        # rule that t = 1e4 would need, which is 1.55e-12 off here.
         exact = scipy.linalg.expm(
             1e-3 * build_generator(NEAR_SINGULAR, 88).to_matrix())[63, 63]
         value = kernel_tensor(NEAR_SINGULAR, np.array([1e-3, t_max]), 64)[0][63, 63]
@@ -414,3 +465,88 @@ class TestSearchRule:
         with pytest.raises(ValueError, match="finite"):
             auto_order(LEGENDRE, 8, t_max, tol)
         assert not _memo._cache
+
+
+class TestLaguerreRule:
+    """The generalized Gauss-Laguerre rule of the large-t route."""
+
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 2.5, 10.0])
+    def test_integrates_moments_exactly(self, alpha):
+        # int u^k u^a e^{-u} du / Gamma(a + 1) = Gamma(a + k + 1) / Gamma(a + 1).
+        # Only low moments: the weights of the large nodes, below 1e-20, carry
+        # the eigenvectors' absolute error, which high moments magnify.
+        order = 40
+        nodes, weights = quadrature._laguerre_rule(alpha, order)
+        assert np.all(np.diff(nodes) > 0.0) and nodes[0] > 0.0
+        for k in range(16):
+            exact = math.exp(math.lgamma(alpha + k + 1.0) - math.lgamma(alpha + 1.0))
+            assert abs(weights @ nodes ** k - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+    @pytest.mark.parametrize("rule", ["newton", "golub_welsch"])
+    def test_small_nodes_have_relative_accuracy(self, alpha, rule):
+        # Against numpy's eigenvalues of the same matrix, whose error is
+        # absolute: about eps |J|, 2e-12 relative on the smallest node here.
+        order = 80
+        nodes, _ = getattr(quadrature, f"_laguerre_{rule}")(alpha, order)
+        k = np.arange(order, dtype=float)
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        eig = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+        assert_allclose(nodes, eig, rtol=0.0, atol=1e-12 * eig[-1])
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for i in (0, 1, 2):
+                zero = mpmath.findroot(lambda u: mpmath.laguerre(order, alpha, u), nodes[i])
+                assert abs(nodes[i] - float(zero)) <= 1e-14 * nodes[i]
+
+    @pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 2.5, 10.0])
+    @pytest.mark.parametrize("order", [33, 80, 160, 544])
+    def test_newton_matches_golub_welsch(self, alpha, order):
+        # Golub-Welsch weights below about 1e-12 carry the eigenvectors'
+        # absolute error; the Christoffel weights of the Newton rule do not.
+        nodes, weights = quadrature._laguerre_newton(alpha, order)
+        gw_nodes, gw_weights = quadrature._laguerre_golub_welsch(alpha, order)
+        held = gw_weights > 1e-12
+        assert_allclose(nodes[held], gw_nodes[held], rtol=1e-14)
+        assert_allclose(weights[held], gw_weights[held], rtol=1e-9)
+        assert np.all(weights[~held] < 1e-11)
+
+    def test_large_exponent_falls_back_to_golub_welsch(self):
+        # At alpha = 30 the largest guesses are more than a spacing off.
+        clear_caches()
+        with pytest.raises(NumericFailure):
+            quadrature._laguerre_newton(30.0, 80)
+        nodes, weights = quadrature._laguerre_rule(30.0, 80)
+        gw_nodes, gw_weights = quadrature._laguerre_golub_welsch(30.0, 80)
+        assert np.array_equal(nodes, gw_nodes) and np.array_equal(weights, gw_weights)
+        clear_caches()
+
+    def test_default_exponents_never_call_lapack(self, monkeypatch):
+        # The first LAPACK call of a process maps about 7 MB.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        clear_caches()
+        times = RunConfig().norms_t_grid.build().times
+        for params in (CHEBYSHEV, LEGENDRE, ASYMMETRIC):
+            for size in (16, 64, 128):
+                kernel_tensor(params, times, size)
+        clear_caches()
+
+    def test_memoised_read_only(self):
+        clear_caches()
+        nodes, weights = quadrature._laguerre_rule(0.5, 24)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert quadrature._laguerre_rule(0.5, 24)[0] is nodes
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        clear_caches()
+
+    def test_order_cap_and_arguments(self, monkeypatch):
+        with pytest.raises(ValueError, match="t_lo"):
+            quadrature.laguerre_order(LEGENDRE, 15, 100.0, 10.0, 1e-12)
+        with pytest.raises(ValueError, match="tol"):
+            quadrature.laguerre_order(LEGENDRE, 15, 100.0, 100.0, math.nan)
+        monkeypatch.setattr(quadrature, "LAGUERRE_MAX_ORDER", 64)
+        with pytest.raises(ConvergenceFailure, match="Laguerre"):
+            quadrature.laguerre_order(LEGENDRE, 15, 100.0, 100.0, 1e-30)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import jhl.quadrature as quadrature
+import jhl.semigroup as semigroup
 from jhl import _memo
 from jhl.basis import JacobiParams, normalization, ortho_poly_at_one
 from jhl.config import RunConfig
-from jhl.quadrature import build_rule
+from jhl.quadrature import build_rule, laguerre_order
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
     apply_heat,
@@ -20,6 +22,7 @@ from jhl.semigroup import (
     kernel_matrix,
     kernel_order,
     kernel_tensor,
+    laguerre_split,
     markov_defect,
     semigroup_defect,
     weight_at_one,
@@ -270,48 +273,159 @@ class TestAssemblyOracles:
         assert np.abs(dscalar - dkern).max() <= 1e-13 * np.abs(dkern).max()
 
 
-# The relative stopping test for large t is still open (ROADMAP item 2): at
-# t = 1e4 these measures miss quad_tol, and at t = 1e5 and 1e7 every measure
-# tried does (relative errors from 1.5e-12 to 1, where the probe underflows);
-# the misses must stay visible.
-_LARGE_T_MISSES = {(-0.5, -0.5), (3.0, -0.9)}
-_LARGE_T_XFAIL = pytest.mark.xfail(
-    strict=True, reason="absolute stopping test at large t, ROADMAP item 2")
+def _corner_exact(params, t):
+    """K_t(0, 0) = w_0^2 int e^{-t(1-x)} dmu; with 1 - x = 2u the integral is
+    2^(a+b+1) B(a+1, b+1) 1F1(a+1; a+b+2; -2t)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        return float(mpmath.mpf(normalization(params, 0)) ** 2 * 2 ** (a + b + 1)
+                     * mpmath.beta(a + 1, b + 1) * mpmath.hyp1f1(a + 1, a + b + 2, -2 * t))
 
 
 def _closed_form_cases():
+    # At size 64, t = 1e4, 1e5 and 1e7 take the Gauss-Laguerre route.
     for ab in [(-0.5, -0.5), (0.0, 0.0), (2.5, 0.5), (4.0, 1.5), (3.0, -0.9)]:
         for t in (1e-3, 1.0, 1e2, 1e4):
-            marks = _LARGE_T_XFAIL if t == 1e4 and ab in _LARGE_T_MISSES else ()
-            yield pytest.param(JacobiParams(*ab), t, marks=marks, id=f"{ab}-{t:g}")
+            yield pytest.param(JacobiParams(*ab), t, id=f"{ab}-{t:g}")
     for ab in [(0.0, 0.0), (-0.5, -0.5), (2.5, 0.5)]:
         for t in (1e5, 1e7):
-            yield pytest.param(JacobiParams(*ab), t, marks=_LARGE_T_XFAIL,
-                               id=f"{ab}-{t:g}")
+            yield pytest.param(JacobiParams(*ab), t, id=f"{ab}-{t:g}")
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("params, t", list(_closed_form_cases()))
     def test_corner_entry_matches_confluent_hypergeometric(self, params, t):
-        # K_t(0, 0) = w_0^2 int e^{-t(1-x)} dmu; with 1 - x = 2u the integral is
-        # 2^(a+b+1) B(a+1, b+1) 1F1(a+1; a+b+2; -2t).
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
-            exact = float(mpmath.mpf(normalization(params, 0)) ** 2 * 2 ** (a + b + 1)
-                          * mpmath.beta(a + 1, b + 1) * mpmath.hyp1f1(a + 1, a + b + 2, -2 * t))
+        exact = _corner_exact(params, t)
         value = kernel_tensor(params, [t], 64)[0][0, 0]
         assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
 
-    @_LARGE_T_XFAIL
     @pytest.mark.parametrize("size", [16, 32, 64])
     def test_corner_entry_at_default_norms_grid_end(self, size):
-        # The default norms grid ends at t = 1e5, where the absolute order test
-        # passes on an underflowed probe: K_t(0, 0) is 1.2e-129 at size 16,
-        # 3.7e-59 at size 32 and 1.5e-12 relative off at size 64. For Legendre
-        # the closed form is (1 - e^{-2t}) / (2t).
+        # The default norms grid ends at t = 1e5, above size^2 / 4 for every
+        # size here, so the Gauss-Laguerre route computes it; Gauss-Jacobi at
+        # order 1264 is 1.5e-12 relative off at size 64. For Legendre the
+        # closed form is (1 - e^{-2t}) / (2t).
         times = RunConfig().norms_t_grid.build().times
         t = times[-1]
         exact = -np.expm1(-2.0 * t) / (2.0 * t)
         value = kernel_tensor(LEGENDRE, times, size)[-1][0, 0]
         assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
+
+
+def _mp_kernels(params, t, size):
+    """Oracle: K_t and d/dt K_t by Gauss-Legendre quadrature in u = t(1 - x)
+    at 30 digits, from the recurrence coefficients' closed forms; independent
+    of the package. K_t(n, m) = t^(-a-1) int_0^{2t} u^a e^{-u} (2 - u/t)^b
+    p_n(1 - u/t) p_m(1 - u/t) du, and dK takes the factor -u/t. The integral
+    runs over [0, 800] (u = v^2 on [0, 1], which leaves v^(2a+1)), so it needs
+    2t >= 800; beyond 800, e^{-u} leaves nothing a double can hold. Sums are
+    taken in long double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, t = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(t)
+        ab = a + b
+        diag = [(b * b - a * a) / ((2 * n + ab) * (2 * n + ab + 2)) if n else
+                1 - (2 * a + 2) / (ab + 2) for n in range(size)]
+        off = [2 / (ab + 2) * mpmath.sqrt((a + 1) * (b + 1) / (ab + 3))]
+        for n in range(1, size):
+            s = 2 * n + ab + 2
+            off.append(2 / s * mpmath.sqrt((n + 1) * (n + a + 1) * (n + b + 1) * (n + ab + 1)
+                                           / ((s - 1) * (s + 1))))
+        p0 = mpmath.sqrt(mpmath.gamma(ab + 2)
+                         / (2 ** (ab + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1)))
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).get_nodes(
+            -1, 1, 5, mpmath.mp.prec)
+        points = [((y + 1) ** 2 / 4, w * (y + 1) / 2) for y, w in rule]
+        cuts = [1, 4, 16, 64, 256, 800]
+        for lo, hi in zip(cuts, cuts[1:]):
+            points += [(lo + (hi - lo) * (y + 1) / 2, w * (hi - lo) / 2) for y, w in rule]
+        cols, weights = [], []
+        for u, w in points:
+            x = 1 - u / t
+            col = [p0, (x - diag[0]) * p0 / off[0]]
+            for n in range(1, size - 1):
+                col.append(((x - diag[n]) * col[n] - off[n - 1] * col[n - 1]) / off[n])
+            cols.append([mpmath.nstr(v, 25) for v in col[:size]])
+            weights.append(w * u ** a * mpmath.exp(-u) * (2 - u / t) ** b * t ** (-a - 1))
+        gaps = [mpmath.nstr(u / t, 25) for u, _ in points]
+        weights = [mpmath.nstr(w, 25) for w in weights]
+    table = np.array(cols, dtype=np.longdouble).T
+    w = np.array(weights, dtype=np.longdouble)
+    gap = np.array(gaps, dtype=np.longdouble)
+    return (((table * w) @ table.T).astype(float),
+            ((table * (-w * gap)) @ table.T).astype(float))
+
+
+LAGUERRE_ORACLE_PARAMS = [LEGENDRE, JacobiParams(2.5, 0.5), JacobiParams(3.0, -0.9)]
+
+
+class TestLaguerreRoute:
+    """Times at or above laguerre_split take the Gauss-Laguerre route in
+    u = t(1 - x)."""
+
+    @pytest.mark.parametrize("params", LAGUERRE_ORACLE_PARAMS, ids=["legendre", "asym", "skew"])
+    @pytest.mark.parametrize("t", [1024.0, 1e5, 1e7])
+    def test_whole_matrix_matches_mpmath(self, params, t):
+        # Size 64, so t = 1024 is the split. K meets quad_tol relative on
+        # every entry above 1e-8 max|K|; below, entries carry cancellation (at
+        # (3, -0.9) the smallest is 5e-13 of the largest). dK changes sign
+        # across the matrix: it meets quad_tol relative above 1e-2 max|dK|.
+        # Every entry of both is within quad_tol max. At (0, 0), t = 1024, dK
+        # entries near 4e-4 of the largest cancel: up to 1.8e-12 relative off,
+        # also with the exact Laguerre rule, and 1.3e-12 off by Gauss-Jacobi.
+        size = 64
+        exact, dexact = _mp_kernels(params, t, size)
+        for got, ref, floor in ((kernel_tensor(params, [t], size)[0], exact, 1e-8),
+                                (kernel_dt_tensor(params, [t], size)[0], dexact, 1e-2)):
+            scale = np.abs(ref).max()
+            big = np.abs(ref) >= floor * scale
+            assert np.max(np.abs(got - ref)[big] / np.abs(ref)[big]) <= DEFAULT_QUAD_TOL
+            assert np.abs(got - ref).max() <= DEFAULT_QUAD_TOL * scale
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV] + LAGUERRE_ORACLE_PARAMS,
+                             ids=["chebyshev", "legendre", "asym", "skew"])
+    @pytest.mark.parametrize("size", [16, 64])
+    def test_routes_agree_at_the_split(self, params, size):
+        t = laguerre_split(params, size)
+        assert t == size * size / 4
+        times = np.array([t])
+        jacobi, laguerre = np.empty((2, 1, size, size))
+        semigroup._jacobi_kernels(jacobi, [0], params, times, size, DEFAULT_QUAD_TOL, False)
+        semigroup._laguerre_kernels(laguerre, [0], params, times, size, DEFAULT_QUAD_TOL, False)
+        assert np.abs(jacobi - laguerre).max() <= 5e-13 * np.abs(laguerre).max()
+        assert np.array_equal(kernel_tensor(params, times, size), laguerre)
+
+    def test_batch_splits_at_the_crossover(self):
+        # Each slice is the value of its route alone; the Gauss-Jacobi order
+        # covers only the times below the split.
+        clear_caches()
+        times = [1.0, 500.0, 2000.0, 1e5]
+        batch = kernel_tensor(CHEBYSHEV, times, 64)
+        assert np.array_equal(batch[:2], kernel_tensor(CHEBYSHEV, times[:2], 64))
+        assert np.array_equal(batch[2:], kernel_tensor(CHEBYSHEV, times[2:], 64))
+        orders = [key[4] for key in _memo._cache if key[0] == "order"]
+        assert orders == [500.0]
+        assert [key[4:6] for key in _memo._cache if key[0] == "laguerre_order"] == [(2000.0, 1e5)]
+        clear_caches()
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV] + LAGUERRE_ORACLE_PARAMS,
+                             ids=["chebyshev", "legendre", "asym", "skew"])
+    def test_first_doubling_agrees_past_the_split(self, params):
+        for size in (16, 64, 128):
+            assert laguerre_order(params, size - 1, size * size / 4, 1e7,
+                                  DEFAULT_QUAD_TOL) == size + 16
+
+    def test_split_keeps_small_sizes_on_gauss_jacobi(self):
+        # At size 8, size^2 / 4 = 16 would leave the mass dropped past u = 2t
+        # visible: the Gauss-Laguerre value there is about 5e-9 relative off.
+        # The split waits until t = 2 (alpha + 16).
+        params = JacobiParams(3.0, -0.9)
+        assert laguerre_split(params, 8) == 38.0
+        assert laguerre_split(params, 64) == 1024.0
+        (table, weights, _), = quadrature._laguerre_terms(params, 7, [16.0], 24)
+        exact = _corner_exact(params, 16.0)
+        assert abs(weights @ table[0] ** 2 - exact) > 1e-10 * exact
+        assert abs(kernel_tensor(params, [16.0], 8)[0][0, 0] - exact) <= DEFAULT_QUAD_TOL * exact
+        exact = _corner_exact(params, 38.0)
+        assert abs(kernel_tensor(params, [38.0], 8)[0][0, 0] - exact) <= DEFAULT_QUAD_TOL * exact
