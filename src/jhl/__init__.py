@@ -39,15 +39,7 @@ from .paths import (
     s_star,
     variation_batch,
 )
-from .quadrature import (
-    QuadratureRule,
-    auto_order,
-    build_rule,
-    integrate,
-    laguerre_order,
-    moments,
-    total_mass,
-)
+from .quadrature import QuadratureRule, auto_order, build_rule, integrate, moments, total_mass
 from .semigroup import (
     apply_heat,
     apply_heat_tilde,
@@ -59,7 +51,6 @@ from .semigroup import (
     kernel_matrix,
     kernel_order,
     kernel_tensor,
-    laguerre_split,
     markov_defect,
     semigroup_defect,
     weight_at_one,

@@ -23,10 +23,9 @@ decides, relative, so a probe that has underflowed never passes.
 At large t, u = t(1 - x) turns the kernel integral into one against
 u^alpha e^{-u} on (0, 2t), which a generalized Gauss-Laguerre rule resolves
 with about size + 16 nodes where Gauss-Jacobi needs orders near 4 sqrt(t)
-(Gautschi, OUP 2004, sec. 1.4). Its nodes come from Newton's method on the
-Laguerre recurrence, Golub-Welsch by numpy.linalg.eigh being the fallback,
-so scipy stays unloaded; its order from a relative doubling test
-(`laguerre_order`).
+(Gautschi, OUP 2004, sec. 1.4). The rule comes from Golub-Welsch by
+numpy.linalg.eigh, so scipy stays unloaded; its order from a relative
+doubling test (`laguerre_order`).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "integrate",
     "moments",
     "auto_order",
-    "laguerre_order",
 ]
 
 MAX_ORDER = 2 ** 16
@@ -394,122 +392,30 @@ def _laguerre_rule(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     u^alpha e^{-u} / Gamma(alpha + 1) on (0, inf): ascending nodes and weights
     summing to 1, memoised per (alpha, order) and read-only.
 
-    Nodes by Newton's method (`_laguerre_newton`); Golub-Welsch
-    (`_laguerre_golub_welsch`) where Newton does not converge or its rule
-    fails the checks.
+    Golub-Welsch on the dense Jacobi matrix, diagonal 2k + alpha + 1 and
+    off-diagonal sqrt(k (k + alpha)) (Golub & Welsch, Math. Comp. 23, 1969;
+    Gautschi, OUP 2004, sec. 1.4), by numpy.linalg.eigh, so scipy stays
+    unloaded.
     """
     def compute():
+        k = np.arange(order, dtype=float)
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        matrix = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
         try:
-            nodes, weights = _laguerre_newton(alpha, order)
-        except NumericFailure:
-            nodes, weights = _laguerre_golub_welsch(alpha, order)
+            _, vectors = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"Laguerre eigensolver failed at order {order}") from exc
+        # J = B B^T with B lower bidiagonal, diagonal sqrt(k + alpha + 1) and
+        # subdiagonal sqrt(k + 1). The Rayleigh quotient |B^T v|^2 has the
+        # eigenvector's relative accuracy, where eigh leaves an absolute error
+        # of about eps |J| ~ 4 eps order: 2e-12 relative on the smallest node.
+        lifted = np.sqrt(k + alpha + 1.0)[:, None] * vectors
+        lifted[:-1] += np.sqrt(k[1:])[:, None] * vectors[1:]
+        nodes, weights = np.einsum("ij,ij->j", lifted, lifted), vectors[0] ** 2
         nodes.setflags(write=False)
         weights.setflags(write=False)
         return nodes, weights
     return memo(("laguerre", alpha, order), compute)
-
-
-def _laguerre_golub_welsch(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Golub-Welsch on the dense Jacobi matrix, diagonal 2k + alpha + 1 and
-    off-diagonal sqrt(k (k + alpha)) (Golub & Welsch, Math. Comp. 23, 1969;
-    Gautschi, OUP 2004, sec. 1.4), by numpy.linalg.eigh; the fallback of
-    `_laguerre_rule` and the oracle the tests compare against. The first
-    LAPACK call of a process maps about 7 MB, so the Newton route avoids it.
-    """
-    k = np.arange(order, dtype=float)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    matrix = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    try:
-        _, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"Laguerre eigensolver failed at order {order}") from exc
-    # J = B B^T with B lower bidiagonal, diagonal sqrt(k + alpha + 1) and
-    # subdiagonal sqrt(k + 1). The Rayleigh quotient |B^T v|^2 has the
-    # eigenvector's relative accuracy, where eigh leaves an absolute error
-    # of about eps |J| ~ 4 eps order: 2e-12 relative on the smallest node.
-    lifted = np.sqrt(k + alpha + 1.0)[:, None] * vectors
-    lifted[:-1] += np.sqrt(k[1:])[:, None] * vectors[1:]
-    return np.einsum("ij,ij->j", lifted, lifted), vectors[0] ** 2
-
-
-def _laguerre_newton(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeros of p_Q, Q = order, by Newton's method from `_laguerre_guesses`,
-    and Christoffel weights 1 / sum_{k<Q} p_k(u)^2, with p_k orthonormal for
-    the probability weight (p_0 = 1).
-
-    The derivative comes from u L_Q' = Q L_Q - (Q + alpha) L_{Q-1}, which in
-    the orthonormal p_k reads u p_Q' = Q p_Q + sqrt(Q (Q + alpha)) p_{Q-1}.
-    Nodes whose last correction was 1e-14 relative or more take another step.
-    Where the recurrence overflows, about u > 1400, a node keeps its guess:
-    its weight underflows to 0. Raises NumericFailure if Newton has not
-    converged after NEWTON_STEPS steps, or the rule fails the checks (nodes
-    positive and strictly rising, weights summing to 1).
-    """
-    nodes = _laguerre_guesses(alpha, order)
-    lead = math.sqrt(order * (order + alpha))
-    active = np.arange(order)
-    for _ in range(NEWTON_STEPS):
-        ua = nodes[active]
-        _, p_last, p_next = _laguerre_sums(alpha, order, ua, with_total=False)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = ua * p_next / (order * p_next + lead * p_last)
-        finite = np.isfinite(step)
-        nodes[active[finite]] = ua[finite] - step[finite]
-        active = active[finite & ~(np.abs(step) < 1e-14 * ua)]
-        if not active.size:
-            break
-    else:
-        raise NumericFailure(f"Newton iteration for the Laguerre nodes did not converge at order {order}")
-    total = _laguerre_sums(alpha, order, nodes, with_total=True)[0]
-    with np.errstate(divide="ignore"):
-        weights = np.where(np.isfinite(total), 1.0 / total, 0.0)
-    if not (nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0) and np.all(weights >= 0.0)
-            and abs(weights.sum() - 1.0) <= 1e-12):
-        raise NumericFailure("Laguerre nodes or weights failed the checks")
-    return nodes, weights
-
-
-def _laguerre_guesses(alpha: float, order: int) -> np.ndarray:
-    """Ascending guesses for the zeros of L_Q^alpha, Q = order, from the
-    Liouville-Green phase of u^{(a+1)/2} e^{-u/2} L_Q^alpha: with
-    nu = 4Q + 2a + 2 and u = nu sin^2(s/2), the phase is (nu/4)(s + sin s),
-    and the k-th zero sits where it equals the Bessel zero j_{a,k}, which it
-    matches next to u = 0. Within 0.2 of the local spacing up to alpha = 10;
-    at alpha = 30 the largest are more than a spacing off, and the rule falls
-    back to Golub-Welsch."""
-    nu = 4.0 * order + 2.0 * alpha + 2.0
-    phase = 4.0 * _bessel_zeros(alpha, order) / nu
-    s = np.minimum(0.5 * phase, np.pi)
-    for _ in range(40):  # s + sin s is concave and rising: Newton from below
-        s = np.clip(s - (s + np.sin(s) - phase) / (1.0 + np.cos(s)), 0.0, np.pi)
-    return nu * np.sin(0.5 * s) ** 2
-
-
-def _laguerre_sums(alpha: float, order: int, u: np.ndarray, with_total: bool):
-    """sum_{k<Q} p_k(u)^2 (None unless with_total), p_{Q-1}(u) and p_Q(u) for
-    Q = order, streaming the recurrence in O(len(u)) memory.
-
-    As in `basis._ortho_table_near_one`, the recurrence runs on
-    q_k = p_k(u) / p_k(0) and d_k = q_k - q_{k-1}: with c_k = sqrt(k (k + a)),
-    c_{k+1} p_{k+1}(0) d_{k+1} = c_k p_{k-1}(0) d_k + u p_k(0) q_k, so u enters
-    only as a factor and small nodes keep their relative accuracy;
-    p_{k+1}(0) = -p_k(0) sqrt((k + a + 1) / (k + 1)).
-    """
-    q, d = np.ones_like(u), np.zeros_like(u)
-    total = np.ones_like(u) if with_total else None
-    at_zero, c = 1.0, 0.0  # p_k(0) and c_k p_{k-1}(0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(order):
-            c_next = math.sqrt((k + 1.0) * (k + alpha + 1.0))
-            next_at_zero = -at_zero * math.sqrt((k + alpha + 1.0) / (k + 1.0))
-            lead = c_next * next_at_zero
-            d = (c / lead) * d + (at_zero / lead) * (u * q)
-            q = q + d
-            c, at_zero = c_next * at_zero, next_at_zero
-            if with_total and k + 1 < order:
-                total += (at_zero * q) ** 2
-        p_last = at_zero / -math.sqrt((order + alpha) / order) * (q - d)
-        return total, p_last, at_zero * q
 
 
 def _laguerre_scale(alpha: float, t: float) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "kernel_entry",
     "kernel_dt_entry",
     "kernel_order",
-    "laguerre_split",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
