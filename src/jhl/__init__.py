@@ -49,7 +49,6 @@ from .semigroup import (
     kernel_dt_tensor,
     kernel_entry,
     kernel_matrix,
-    kernel_order,
     kernel_tensor,
     markov_defect,
     semigroup_defect,

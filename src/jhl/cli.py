@@ -25,11 +25,11 @@ import numpy as np
 from .basis import JacobiParams
 from .config import OPERATOR_NAMES, RunConfig, load_config
 from .errors import ConfigError, NumericFailure
+from .quadrature import auto_order
 from .semigroup import (
     clear_caches,
     kernel_dt_tensor,
     kernel_matrix,
-    kernel_order,
     laguerre_split,
     markov_defect,
     semigroup_defect,
@@ -140,7 +140,7 @@ def cmd_kernel(config: RunConfig) -> int:
             "beta": params.beta,
             "size": size,
             "method": "quadrature",
-            "order": (kernel_order(params, max(jacobi_times), size, config.quad_tol)
+            "order": (auto_order(size - 1, max(jacobi_times), config.quad_tol)
                       if jacobi_times else None),
             "routes": routes,
             "times": times,

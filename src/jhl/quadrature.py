@@ -1,5 +1,6 @@
 """Gauss-Jacobi quadrature from Newton's method on the three-term recurrence,
-and the Gauss-Laguerre rule of the large-t kernel route.
+its order from a Bessel-tail certificate, and the Gauss-Laguerre rule of the
+large-t kernel route.
 
 Nodes are the zeros of p_Q, found by Newton's method from asymptotic guesses
 (Gatteschi-Pittaluga in the interior, Bessel zeros next to the endpoints; Hale
@@ -7,18 +8,17 @@ Nodes are the zeros of p_Q, found by Newton's method from asymptotic guesses
 Christoffel-Darboux step; the weight at node x is the Christoffel number
 1 / sum_{k<Q} p_k(x)^2 (Gautschi, Orthogonal Polynomials: Computation and
 Approximation, OUP 2004, sec. 3.1). A Q-point rule integrates polynomials up
-to degree 2Q-1 exactly. The one rule per (params, order) serves both the order
-search and every output. Golub-Welsch (total mass times the squared first
+to degree 2Q-1 exactly. Golub-Welsch (total mass times the squared first
 eigenvector components of the Jacobi matrix) is the fallback where Newton does
 not converge or the Christoffel weights fail the checks, and the oracle the
 tests compare against; it is the only code here that imports scipy.
 
-The order search certifies an order a priori where it can, from the Chebyshev
-coefficients of e^{tx}, which are Bessel values: Trefethen's error bound for
-Gauss quadrature ("Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
-Review 50, 2008) then bounds the kernel error by a Bessel tail, so no rule of
-twice the order has to be built to confirm it. Elsewhere a doubling test
-decides, relative, so a probe that has underflowed never passes.
+`auto_order` certifies an order a priori, from the Chebyshev coefficients of
+e^{tx}, which are Bessel values: Trefethen's error bound for Gauss quadrature
+("Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50, 2008)
+bounds the kernel error by a Bessel tail. The bound uses only the rule's
+exactness and the unit norm of p_n, so the order depends on (n_max, t_max,
+tol) alone, and no rule is built to choose it.
 
 At large t, u = t(1 - x) turns the kernel integral into one against
 u^alpha e^{-u} on (0, 2t), which a generalized Gauss-Laguerre rule resolves
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._memo import memo
 from .basis import (JacobiParams, _ortho_table_near_one, coeff_a, generator_coefficients,
-                    normalization, ortho_table)
+                    normalization)
 from .errors import ConvergenceFailure, NumericFailure
 
 __all__ = [
@@ -279,28 +279,15 @@ def moments(params: JacobiParams, k_max: int) -> np.ndarray:
     return out
 
 
-def _diag_entries(params: JacobiParams, order: int, n: int, probes) -> list:
-    """K_t(n, n) at each probe time t, from one rule and one table."""
-    rule = build_rule(params, order)
-    p_row = ortho_table(params, n, rule.nodes)[n]
-    return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
-            for t in probes]
-
-
 def _bessel_tail(d: int, t: float) -> float:
     """T(d, t) = sum_{k >= d} e^{-t} I_k(t) for d >= 0 and t > 0.
 
     e^{tx} = I_0(t) + 2 sum_{k>=1} I_k(t) T_k(x), so e^{-t}(I_0 + 2 sum I_k) = 1
     normalises the values. One table per t is memoised; beyond its last index,
     where T is below about e^{-72}, the last entry is returned, an upper bound
-    since T falls with d. Where the table would run past 2 MAX_ORDER (t above
-    about 1.2e8), 1 is returned, the bound T(0, t) <= 1, so the certificate
-    stays out and the doubling test decides. No table is built there: its
-    length grows like sqrt(t), and a recurrence started lower would give tails
-    that are too small.
+    since T falls with d. The table's length grows like sqrt(t), so
+    `auto_order` asks for none past the reach of its order cap.
     """
-    if 12.0 * math.sqrt(t) + 40.0 > 2 * MAX_ORDER:
-        return 1.0
     tails = memo(("bessel_tail", t), lambda: _bessel_tail_table(t))
     return float(tails[min(d, len(tails) - 1)])
 
@@ -333,30 +320,30 @@ def _agree(coarse, fine, tol: float) -> bool:
     return bool(np.all((fine > 0.0) & (np.abs(coarse - fine) < tol * fine)))
 
 
-def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> int:
-    """Smallest order, doubling from n_max + 16, that a Bessel-tail certificate
-    or a doubling test accepts for the stiffest kernel entry.
+def auto_order(n_max: int, t_max: float, tol: float) -> int:
+    """Smallest order Q, doubling from n_max + 16, with
+    16 T(2Q - 2n_max, max(t_max, 1e-3)) <= tol, T the Bessel tail of
+    `_bessel_tail`: the Gauss-Jacobi order for kernels of size n_max + 1 at
+    times up to t_max, for every (alpha, beta).
 
-    Certificate: accept Q when 16 T(2Q - 2n_max, max(t_max, 1e-3)) <= tol, with
-    T the Bessel tail of `_bessel_tail`. Truncating the Chebyshev series of
-    e^{-t(1-x)} after degree 2Q - 2n - 1 leaves an error of at most 2 T(2Q - 2n, t)
-    on [-1, 1]; the Q-point rule integrates the truncated part times p_n^2
-    exactly, and both the rule and the measure give p_n^2 mass 1, so
-    |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t) (Trefethen, SIAM Review 50, 2008).
-    T grows with t (dT/dt = (e^{-t} I_{d-1} - e^{-t} I_d) / 2 > 0), so at both
-    probe times the doubling test below could only have found a difference of
-    at most tol / 2. Where the certificate does not fire, the doubling test
-    decides: the diagonal entry at index n_max, probed at t in {t_max, 1e-3},
-    must move by less than tol relative between order Q and 2Q (`_agree`, so
-    a probe that has underflowed never passes). Entries are probed on
-    `build_rule` rules, so the rule the test accepts is the rule the kernels
-    then use.
+    Truncating the Chebyshev series of e^{-t(1-x)} after degree 2Q - 2n - 1
+    leaves an error of at most 2 T(2Q - 2n, t) on [-1, 1]; the Q-point rule
+    integrates the truncated part times p_n^2 exactly, and both the rule and
+    the measure give p_n^2 mass 1, so |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t)
+    (Trefethen, SIAM Review 50, 2008). Nothing else about the measure enters.
+    T grows with t (dT/dt = (e^{-t} I_{d-1} - e^{-t} I_d) / 2 > 0) and falls
+    with d, so the order covers every smaller time and index.
 
-    Past the certificate's reach, t_max above about 1.2e8 (`_bessel_tail`),
-    no order below the cap resolves e^{-t(1-x)}: the node nearest 1 sits about
-    2.9 / MAX_ORDER^2 below it, where the factor is below e^{-80}. The search
-    raises ConvergenceFailure there at once instead of doubling to the cap on
-    probes that underflow.
+    The bound is absolute, so where K_t is tiny it is loose relative: at
+    (5/2, 1/2), n_max = 63 and t = 1e5 the certificate accepts order 1264,
+    where K_t(63, 63) is 5.6e-10 relative off. Kernels of size up to 632 take
+    t = 1e5 by Gauss-Laguerre (`semigroup.laguerre_split`) instead.
+
+    Past t_max of about 1.2e8, where the Bessel table would run past
+    2 MAX_ORDER entries, no order below the cap resolves e^{-t(1-x)}: the node
+    nearest 1 sits about 2.9 / MAX_ORDER^2 below it, where the factor is below
+    e^{-80}. The search raises ConvergenceFailure there at once, and wherever
+    the order would pass MAX_ORDER.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -367,24 +354,13 @@ def auto_order(params: JacobiParams, n_max: int, t_max: float, tol: float) -> in
     if 12.0 * math.sqrt(t_max) + 40.0 > 2 * MAX_ORDER:
         raise ConvergenceFailure(
             f"t_max = {t_max:g} is past the reach of quadrature orders up to {MAX_ORDER}")
-    probes = (t_max, 1e-3)
-    t_cert = max(probes)
+    t_cert = max(t_max, 1e-3)
     order = n_max + 16
-    if order > MAX_ORDER:
-        raise ConvergenceFailure(f"starting order {order} exceeds cap {MAX_ORDER}")
-    cur = _diag_entries(params, order, n_max, probes)
-    while True:
-        if 2 * order > MAX_ORDER:
-            raise ConvergenceFailure(
-                f"kernel quadrature did not converge below order cap {MAX_ORDER}"
-            )
+    while order <= MAX_ORDER:
         if 16.0 * _bessel_tail(2 * order - 2 * n_max, t_cert) <= tol:
             return order
-        nxt = _diag_entries(params, 2 * order, n_max, probes)
-        if _agree(cur, nxt, tol):
-            return order
         order *= 2
-        cur = nxt
+    raise ConvergenceFailure(f"kernel quadrature did not converge below order cap {MAX_ORDER}")
 
 
 def _laguerre_rule(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:

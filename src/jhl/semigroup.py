@@ -3,15 +3,15 @@
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route splits a batch of times at `laguerre_split`, about N^2 / 4
 for size N. Below it, the integral is evaluated with the Gauss-Jacobi rule of
-`build_rule`, at the order `auto_order` certifies for the largest of those
-times (a priori, or by probing that same rule). At and above it, with
+`build_rule`, at the order that `auto_order` certifies, from a Bessel tail
+alone, for the largest of those times. At and above it, with
 u = t(1 - x), it is an integral against u^alpha e^{-u} on (0, 2t), evaluated
 with a Gauss-Laguerre rule whose nodes above 2t are dropped, one table of
 p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
 route diagonalizes a 4N truncation of the operator and exponentiates; it is a
 cross-check only well below t = N^2, so not in the Laguerre range. Every
-derived value of the batch routes (order, rule, table, eigenbasis, tensor,
-p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
+derived value of the batch routes (rule, Laguerre order, table, eigenbasis,
+tensor, p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
 one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
 The scalar oracles `kernel_entry` and `kernel_dt_entry` take a Gauss-Jacobi
 rule and build their own tables, so scalar calls do not grow the cache.
@@ -23,14 +23,13 @@ import numpy as np
 
 from ._memo import clear as clear_caches
 from ._memo import memo
-from .basis import JacobiParams, generator_coefficients, ortho_poly_at_one, ortho_table
+from .basis import JacobiParams, _at_one_by_ratios, generator_coefficients, ortho_table
 from .errors import ConvergenceFailure, NumericFailure
 from .quadrature import QuadratureRule, _laguerre_terms, auto_order, build_rule, laguerre_order
 
 __all__ = [
     "kernel_entry",
     "kernel_dt_entry",
-    "kernel_order",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
@@ -117,17 +116,6 @@ def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (raw + raw.T)
 
 
-def kernel_order(params: JacobiParams, t_max: float, size: int,
-                 quad_tol: float = DEFAULT_QUAD_TOL) -> int:
-    """Gauss-Jacobi order of the quadrature route for kernels of the given
-    size at times up to t_max (at least 1e-3), as `auto_order` certifies it.
-    A batch passes the largest of its times below `laguerre_split`; the
-    times at or above it take the Gauss-Laguerre route instead."""
-    t_max = max(float(t_max), 1e-3)
-    return memo(("order", params.alpha, params.beta, size - 1, t_max, quad_tol),
-                lambda: auto_order(params, size - 1, t_max, quad_tol))
-
-
 def laguerre_split(params: JacobiParams, size: int) -> float:
     """Smallest time at which the quadrature route uses Gauss-Laguerre:
     size^2 / 4, and at least 2 (alpha + 16), so that u^alpha e^{-u} keeps
@@ -140,7 +128,7 @@ def _jacobi_kernels(out: np.ndarray, index: np.ndarray, params: JacobiParams, ti
     """K_t (or d/dt K_t) into out[i] for i in index, from the one Gauss-Jacobi
     rule chosen for the largest of those times: weights w e^{-t(1-x)} for K,
     times -(1 - x) for dK."""
-    order = kernel_order(params, np.max(times[index]), size, tol)
+    order = auto_order(size - 1, float(np.max(times[index])), tol)
     rule = build_rule(params, order)
     table = memo(("table", params.alpha, params.beta, size - 1, order),
                  lambda: ortho_table(params, size - 1, rule.nodes))
@@ -253,9 +241,11 @@ def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int,
 
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
-    """The positive sequence p_n(1), n < size; memoised and read-only."""
+    """The positive sequence p_n(1), n < size, as running products of the
+    ratios p_{n+1}(1) / p_n(1) (`basis._at_one_by_ratios`); memoised and
+    read-only."""
     def compute() -> np.ndarray:
-        out = np.array([ortho_poly_at_one(params, n) for n in range(size)])
+        out = np.array(_at_one_by_ratios(params, size - 1))
         out.setflags(write=False)
         return out
     return memo(("at_one", params.alpha, params.beta, size), compute)

@@ -131,25 +131,25 @@ class TestOrthonormality:
 
 class TestAutoOrder:
     def test_returns_sufficient_order(self):
-        order = auto_order(LEGENDRE, 30, 10.0, 1e-12)
+        order = auto_order(30, 10.0, 1e-12)
         assert order >= 46
 
     def test_monotone_in_time_horizon(self):
-        small = auto_order(LEGENDRE, 20, 1.0, 1e-12)
-        large = auto_order(LEGENDRE, 20, 1e4, 1e-12)
+        small = auto_order(20, 1.0, 1e-12)
+        large = auto_order(20, 1e4, 1e-12)
         assert large >= small
 
     def test_cap_failure(self, monkeypatch):
         monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
         with pytest.raises(ConvergenceFailure, match="order"):
-            auto_order(LEGENDRE, 40, 10.0, 1e-33)
+            auto_order(40, 10.0, 1e-33)
 
     def test_no_order_accepted_on_an_underflowed_probe(self):
-        # The absolute doubling test accepted order 31 here: K_t(15, 15) was
-        # 1.2e-129 at orders 31 and 62, against 5e-6. Relative, the search
-        # ends where K_t(0, 0) meets its closed form (1 - e^{-2t}) / (2t).
+        # K_t(15, 15) underflows to 1.2e-129 at orders 31 and 62, against
+        # 5e-6, so two small orders can agree on a wrong value here. The
+        # certified order meets the closed form (1 - e^{-2t}) / (2t) of K_t(0, 0).
         t = 1e5
-        order = auto_order(LEGENDRE, 15, t, DEFAULT_QUAD_TOL)
+        order = auto_order(15, t, DEFAULT_QUAD_TOL)
         rule = build_rule(LEGENDRE, order)
         value = 0.5 * float(rule.weights @ np.exp(-t * (1.0 - rule.nodes)))
         exact = -math.expm1(-2.0 * t) / (2.0 * t)
@@ -161,10 +161,28 @@ class TestAutoOrder:
         assert not quadrature._agree([0.0], [0.0], 1e-12)
         assert not quadrature._agree([1.0, 1e-129], [1.0, 1e-150], 1e-12)
 
+    @pytest.mark.parametrize("n_max, t_max", [(15, 1e-3), (63, 1e3), (63, 1e5), (255, 10.0)])
+    def test_builds_no_rule(self, n_max, t_max):
+        # The order is a function of (n_max, t_max, tol) alone: the search
+        # leaves only its Bessel tail in the memo.
+        clear_caches()
+        auto_order(n_max, t_max, DEFAULT_QUAD_TOL)
+        assert list(_memo._cache) == [("bessel_tail", max(t_max, 1e-3))]
+        clear_caches()
+
+
+def _diag_entries(params, order, n, times):
+    """Oracle: K_t(n, n) at each time t, from the order-`order` rule of
+    build_rule and one table."""
+    rule = build_rule(params, order)
+    p_row = ortho_table(params, n, rule.nodes)[n]
+    return [float(rule.weights @ (np.exp(-t * (1.0 - rule.nodes)) * p_row * p_row))
+            for t in times]
+
 
 def _golub_welsch_agree(params, n_max, t_max, order, tol=1e-12):
-    """Oracle: the relative doubling test of auto_order on Golub-Welsch rules,
-    orders Q and 2Q."""
+    """Oracle: K_t(n_max, n_max) at t = t_max and t = 1e-3 on Golub-Welsch
+    rules of orders Q and 2Q, within tol relative."""
     def probe(order):
         rule = quadrature._golub_welsch(params, order)
         row = ortho_table(params, n_max, rule.nodes)[n_max]
@@ -227,15 +245,12 @@ class TestBesselTail:
 
     @pytest.mark.parametrize("t", [1.2e8, 1e12, 1e20])
     def test_no_table_past_the_order_cap(self, t):
-        # A table for t = 1e20 would take about 2.4e11 recurrence steps. Past
-        # 2 MAX_ORDER the tail reads 1, an upper bound. There no order below
-        # the cap resolves e^{-t(1-x)}, and the probes underflow, so the search
-        # fails at once instead of doubling to the cap.
+        # A table for t = 1e20 would take about 2.4e11 recurrence steps. No
+        # order below the cap resolves e^{-t(1-x)} there, so the search fails
+        # at once, before any table is built.
         clear_caches()
-        assert quadrature._bessel_tail(0, t) == 1.0
-        assert quadrature._bessel_tail(2 * quadrature.MAX_ORDER, t) == 1.0
         with pytest.raises(ConvergenceFailure, match="reach"):
-            auto_order(LEGENDRE, 15, t, 1e-12)
+            auto_order(15, t, 1e-12)
         assert not _memo._cache
 
     # Not Chebyshev: its rules of orders 496 to 2528 are 1e-14 to 4.5e-14 off
@@ -248,10 +263,10 @@ class TestBesselTail:
         # |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t) along the doubling chain,
         # with the order-4Q rule standing in for the exact value.
         for t in (1e-3, 1.0, 1e2, 1e4, 1e5):
-            order, chosen = n + 16, auto_order(params, n, t, 1e-12)
+            order, chosen = n + 16, auto_order(n, t, 1e-12)
             while order <= chosen:
-                coarse, = quadrature._diag_entries(params, order, n, (t,))
-                fine, = quadrature._diag_entries(params, 4 * order, n, (t,))
+                coarse, = _diag_entries(params, order, n, (t,))
+                fine, = _diag_entries(params, 4 * order, n, (t,))
                 bound = 4.0 * quadrature._bessel_tail(2 * order - 2 * n, t)
                 assert abs(coarse - fine) <= bound + 1e-14, (t, order)
                 order *= 2
@@ -349,8 +364,8 @@ class TestNewtonNodes:
 
 
 class TestSearchRule:
-    """The one rule of build_rule, which the order search probes, against
-    Golub-Welsch as the oracle."""
+    """The one rule of build_rule, at the orders that auto_order certifies,
+    against exact values and against Golub-Welsch as the oracle."""
 
     # Norms and lacunary probe times (128 is the largest default lacunary
     # value), and the default kernel times at the largest kernel size.
@@ -374,9 +389,9 @@ class TestSearchRule:
         # (5/2, 1/2), n_max = 63, where K_t is 5.6e-10 relative off; kernels of
         # size up to 632 take t = 1e5 by Gauss-Laguerre instead.
         for t_max in times:
-            order = auto_order(params, n_max, t_max, 1e-12)
+            order = auto_order(n_max, t_max, 1e-12)
             if t_max <= 1e4:
-                value, = quadrature._diag_entries(params, order, n_max, (t_max,))
+                value, = _diag_entries(params, order, n_max, (t_max,))
                 exact = _exact_diagonal(params, n_max, t_max)
                 bound = max(1e-12, 16.0 * np.finfo(float).eps * t_max)
                 assert abs(value - exact) <= bound * exact, t_max
@@ -386,14 +401,14 @@ class TestSearchRule:
 
     def test_norms_grid_builds_no_rule_above_the_chosen_order(self):
         # Times from 64^2 / 4 on take the Gauss-Laguerre route; below it the
-        # certificate accepts order 316 without building the order-632 rule
-        # that the doubling test would compare it with.
+        # certificate accepts order 316, and the order-316 rule is the only
+        # Gauss-Jacobi rule built.
         clear_caches()
         times = RunConfig().norms_t_grid.build().times
         kernel_tensor(LEGENDRE, times, 64)
         built = [key[3] for key in _memo._cache if key[0] == "rule"]
         below = times[times < 1024.0].max()
-        assert max(built) == auto_order(LEGENDRE, 63, below, DEFAULT_QUAD_TOL) == 316
+        assert built == [auto_order(63, below, DEFAULT_QUAD_TOL)] == [316]
         clear_caches()
 
     @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, ASYMMETRIC,
@@ -414,7 +429,7 @@ class TestSearchRule:
     def test_diag_entries_agree_with_golub_welsch(self, params):
         n_max, probes = 63, (1e-3, 1.0, 1e2, 1e5)
         for order in (79, 158, 632):
-            search = quadrature._diag_entries(params, order, n_max, probes)
+            search = _diag_entries(params, order, n_max, probes)
             gw = quadrature._golub_welsch(params, order)
             row = ortho_table(params, n_max, gw.nodes)[n_max]
             for t, value in zip(probes, search):
@@ -443,8 +458,8 @@ class TestSearchRule:
         kernel_tensor(CHEBYSHEV, np.array([1e-3, 1.0, 1e5]), 32)
         assert calls == []
         # the fallback runs only where the Christoffel weights fail the checks
-        assert auto_order(NEAR_SINGULAR, 63, 1e4, 1e-12) == 632
-        assert calls and min(calls) >= 632
+        build_rule(NEAR_SINGULAR, 632)
+        assert calls == [632]
 
     def test_falls_back_to_golub_welsch_where_mass_check_fails(self):
         clear_caches()
@@ -454,8 +469,8 @@ class TestSearchRule:
         rule = build_rule(NEAR_SINGULAR, 632)
         assert np.array_equal(rule.nodes, gw.nodes)
         assert np.array_equal(rule.weights, gw.weights)
-        # the search runs through order 632 and returns it
-        assert auto_order(NEAR_SINGULAR, 63, 1e4, 1e-12) == 632
+        # the order the certificate gives at n_max = 63 and t = 1e4
+        assert auto_order(63, 1e4, 1e-12) == 632
 
     def test_kernel_entry_settled_across_orders_at_large_alpha(self):
         # Golub-Welsch values spread by about 2e-12 here, above quad_tol, from
@@ -479,10 +494,10 @@ class TestSearchRule:
         assert abs(value - exact) <= 1e-12 * exact
 
     def test_certificate_accepts_the_christoffel_rule_at_t_1000(self):
-        # The doubling test alone rejected order 316 here: its order-632
-        # witness is a Golub-Welsch rule about 1.5e-12 off.
+        # Order 316 is certified without a rule of twice the order, which for
+        # this measure is a Golub-Welsch rule about 1.5e-12 off.
         clear_caches()
-        assert auto_order(NEAR_SINGULAR, 63, 1e3, 1e-12) == 316
+        assert auto_order(63, 1e3, 1e-12) == 316
         assert ("rule", 3.0, -0.9, 632) not in _memo._cache
 
     @pytest.mark.parametrize("t_max, tol", [(math.nan, 1e-12), (math.inf, 1e-12),
@@ -493,7 +508,7 @@ class TestSearchRule:
         monkeypatch.setattr(quadrature, "MAX_ORDER", 64)
         clear_caches()
         with pytest.raises(ValueError, match="finite"):
-            auto_order(LEGENDRE, 8, t_max, tol)
+            auto_order(8, t_max, tol)
         assert not _memo._cache
 
 

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 import jhl.quadrature as quadrature
 import jhl.semigroup as semigroup
 from jhl import _memo
-from jhl.basis import JacobiParams, normalization, ortho_poly_at_one
+from jhl.basis import JacobiParams, normalization
 from jhl.config import RunConfig
-from jhl.quadrature import build_rule, laguerre_order
+from jhl.quadrature import auto_order, build_rule, laguerre_order
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
     apply_heat,
@@ -20,7 +20,6 @@ from jhl.semigroup import (
     kernel_dt_tensor,
     kernel_entry,
     kernel_matrix,
-    kernel_order,
     kernel_tensor,
     laguerre_split,
     markov_defect,
@@ -34,9 +33,21 @@ CHEBYSHEV = JacobiParams(-0.5, -0.5)
 
 
 def _rule_for(params, n_max, t_max):
-    from jhl.quadrature import auto_order
+    return build_rule(params, auto_order(n_max, t_max, 1e-12))
 
-    return build_rule(params, auto_order(params, n_max, t_max, 1e-12))
+
+def _at_one_closed_form(params, size):
+    """p_n(1), n < size, in closed form: Legendre sqrt(n + 1/2), Chebyshev
+    sqrt(2 / pi) past p_0(1) = 1 / sqrt(pi), and at (5/2, 1/2)
+    sqrt(2 (n+1) (n+2)^2 (n+3) (2n+3) (2n+5) / (225 pi))."""
+    n = np.arange(size, dtype=float)
+    if params == LEGENDRE:
+        return np.sqrt(n + 0.5)
+    if params == CHEBYSHEV:
+        return np.where(n == 0, 1.0 / np.sqrt(np.pi), np.sqrt(2.0 / np.pi))
+    assert params == JacobiParams(2.5, 0.5)
+    return np.sqrt(2.0 * (n + 1) * (n + 2) ** 2 * (n + 3) * (2 * n + 3) * (2 * n + 5)
+                   / (225.0 * np.pi))
 
 
 class TestKernelEntry:
@@ -143,13 +154,13 @@ class TestDefects:
             markov_defect(LEGENDRE, 1.0, 40, 64)
 
     @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)])
-    def test_markov_defect_matches_fresh_weights_bitwise(self, params):
+    def test_markov_defect_matches_closed_form_weights(self, params):
         size, t = 64, 0.7
-        fresh = np.array([ortho_poly_at_one(params, n) for n in range(size)])
+        exact = _at_one_closed_form(params, size)
         rows = kernel_matrix(params, t, size)
         for n in range(size // 4 + 1):
-            expected = float(abs(rows[n] @ fresh - fresh[n]) / fresh[n])
-            assert markov_defect(params, t, n, size) == expected
+            expected = float(abs(rows[n] @ exact - exact[n]) / exact[n])
+            assert abs(markov_defect(params, t, n, size) - expected) <= 1e-14
 
     def test_semigroup_identity(self):
         assert semigroup_defect(LEGENDRE, 0.5, 0.5, 128) < 1e-8
@@ -225,7 +236,15 @@ class TestCaches:
         v = weight_at_one(params, 16)
         assert weight_at_one(params, 16) is v
         assert not v.flags.writeable
-        assert np.array_equal(v, [ortho_poly_at_one(params, n) for n in range(16)])
+
+    @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)],
+                             ids=["legendre", "chebyshev", "asymmetric"])
+    def test_weight_at_one_meets_closed_forms(self, params):
+        # ortho_poly_at_one, a difference of log-gammas, is 3.5e-12 off below
+        # n = 2000; the running products of ratios stay within 1.3e-14.
+        size = 2000
+        assert_allclose(weight_at_one(params, size), _at_one_closed_form(params, size),
+                        rtol=2e-14, atol=0.0)
 
     def test_scalar_oracles_do_not_grow_memo(self):
         rule = build_rule(LEGENDRE, 40)
@@ -264,7 +283,7 @@ class TestAssemblyOracles:
         size = 24
         kern = kernel_matrix(params, t, size)
         dkern = kernel_dt_tensor(params, [t], size)[0]
-        rule = build_rule(params, kernel_order(params, t, size))
+        rule = build_rule(params, auto_order(size - 1, t, DEFAULT_QUAD_TOL))
         scalar = np.array([[kernel_entry(params, t, n, m, rule) for m in range(size)]
                            for n in range(size)])
         dscalar = np.array([[kernel_dt_entry(params, t, n, m, rule) for m in range(size)]
@@ -404,8 +423,9 @@ class TestLaguerreRoute:
         batch = kernel_tensor(CHEBYSHEV, times, 64)
         assert np.array_equal(batch[:2], kernel_tensor(CHEBYSHEV, times[:2], 64))
         assert np.array_equal(batch[2:], kernel_tensor(CHEBYSHEV, times[2:], 64))
-        orders = [key[4] for key in _memo._cache if key[0] == "order"]
-        assert orders == [500.0]
+        assert [key[1] for key in _memo._cache if key[0] == "bessel_tail"] == [500.0]
+        assert [key[3] for key in _memo._cache if key[0] == "rule"] == \
+            [auto_order(63, 500.0, DEFAULT_QUAD_TOL)]
         assert [key[4:6] for key in _memo._cache if key[0] == "laguerre_order"] == [(2000.0, 1e5)]
         clear_caches()
 
