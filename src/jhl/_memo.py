@@ -11,7 +11,7 @@ _cache: dict = {}
 def memo(key, compute):
     """compute() for key, run once until clear(); callers must not mutate the result.
 
-    Computes may nest (tensor, then Bessel tail and rule). A compute that raises
+    Computes may nest (tensor, then rule and table). A compute that raises
     stores nothing.
     """
     if key not in _cache:

@@ -340,11 +340,12 @@ def cmd_norms(config: RunConfig) -> int:
 
 def _run_task(function, *args):
     """function(*args), after which the memo is emptied. Every task covers one
-    params and every memo key but the Bessel tails carries (alpha, beta), so a
-    later task reads almost none of it. Kept, it made a pool worker's peak
-    memory depend on which tasks the scheduler gave it, and a serial run's peak
-    on the layout of the memory earlier tasks had freed, which varies with
-    address randomisation and the string hash seed."""
+    params, every memo key carries alpha and all but the Gauss-Laguerre rule
+    ("laguerre", alpha, order) carry beta, so a later task reads almost none
+    of it. Kept, it made a pool worker's peak memory depend on which tasks the
+    scheduler gave it, and a serial run's peak on the layout of the memory
+    earlier tasks had freed, which varies with address randomisation and the
+    string hash seed."""
     try:
         return function(*args)
     finally:

@@ -3,8 +3,10 @@
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route splits a batch of times at `laguerre_split`, about N^2 / 4
 for size N. Below it, the integral is evaluated with the Gauss-Jacobi rule of
-`build_rule`, at the order that `auto_order` certifies, from a Bessel tail
-alone, for the largest of those times. At and above it, with
+`build_rule`, at the order that `auto_order` certifies for the largest of
+those times from a closed-form bound on the tail of the Chebyshev series of
+e^{-t(1-x)}, whose coefficients are Bessel values; the order depends on the
+size, that time and the tolerance alone. At and above it, with
 u = t(1 - x), it is an integral against u^alpha e^{-u} on (0, 2t), evaluated
 with a Gauss-Laguerre rule whose nodes above 2t are dropped, one table of
 p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
@@ -231,13 +233,12 @@ def _fit_signal(f: np.ndarray, size: int) -> np.ndarray:
     return fv
 
 
-def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int,
-               method: str = "quadrature") -> np.ndarray:
-    """W_t f on the truncated range, a kernel-matrix product."""
+def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int) -> np.ndarray:
+    """W_t f on the truncated range, a product with the quadrature kernel matrix."""
     fv = _fit_signal(f, size)
     if t == 0.0:
         return fv.copy()
-    return kernel_matrix(params, t, size, method) @ fv
+    return kernel_matrix(params, t, size) @ fv
 
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
@@ -251,12 +252,11 @@ def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
     return memo(("at_one", params.alpha, params.beta, size), compute)
 
 
-def apply_heat_tilde(params: JacobiParams, t: float, f: np.ndarray, size: int,
-                     method: str = "quadrature") -> np.ndarray:
+def apply_heat_tilde(params: JacobiParams, t: float, f: np.ndarray, size: int) -> np.ndarray:
     """Conjugated semigroup W_t(p_.(1) f) / p_.(1); Markovian on the full lattice."""
     fv = _fit_signal(f, size)
     v = weight_at_one(params, size)
-    return apply_heat(params, t, v * fv, size, method) / v
+    return apply_heat(params, t, v * fv, size) / v
 
 
 def markov_defect(params: JacobiParams, t: float, n: int, size: int) -> float:

@@ -8,7 +8,6 @@ probes, so results are deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +36,9 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
 class WeightSpec:
     """Recipe for a weight: constant 1, a power (n+1)^exponent, or explicit values.
 
-    A file weight reads its path on resolve unless it already carries the
-    values, as it does when it comes from a run configuration.
+    An explicit or file weight resolves to its values; a run configuration
+    reads a file weight's path into them when it loads, and keeps the path
+    only as the weight's recorded source.
     """
 
     kind: str
@@ -57,10 +57,7 @@ class WeightSpec:
             return np.ones(size)
         if self.kind == "power":
             return (np.arange(size) + 1.0) ** self.exponent
-        if self.values:
-            vals = np.asarray(self.values, dtype=float)
-        else:
-            vals = np.loadtxt(Path(self.path), dtype=float, ndmin=1)
+        vals = np.asarray(self.values, dtype=float)
         if vals.size < size:
             raise ValueError(f"explicit weight covers {vals.size} < {size} indices")
         return _check_weight(vals[:size])

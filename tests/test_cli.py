@@ -551,6 +551,25 @@ class TestNormsCommand:
         assert weights_seen == {"const", "pow2"}
         assert all(float(row[5]) > 0.0 and float(row[6]) > 0.0 for row in body)
 
+    def test_linear_time_grids(self, tmp_path):
+        # "geometric": false builds evenly spaced grids; norms runs on them
+        # and reports only finite values.
+        out = tmp_path / "run"
+        grids = {"t_grid": {"t_min": 1e-2, "t_max": 10.0, "count": 24, "geometric": False},
+                 "norms_t_grid": {"t_min": 1e-2, "t_max": 1e3, "count": 24,
+                                  "geometric": False}}
+        path = _write_config(tmp_path, _base_config(out_dir=str(out), **grids))
+        config = load_config(path)
+        for key, grid in (("t_grid", config.t_grid), ("norms_t_grid", config.norms_t_grid)):
+            spec = grids[key]
+            assert np.array_equal(grid.build().times,
+                                  np.linspace(spec["t_min"], spec["t_max"], spec["count"]))
+        assert main(["norms", "--config", path]) == 0
+        rows = [line.split(",") for line in
+                (out / "norms" / "norms.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(value)) for row in rows for value in row[5:])
+
     def test_pairing_mismatch_rejected(self, tmp_path):
         cfg = _base_config(out_dir=str(tmp_path / "o"), p_values=[2.0, 1.5])
         path = _write_config(tmp_path, cfg)

@@ -163,12 +163,11 @@ class TestAutoOrder:
 
     @pytest.mark.parametrize("n_max, t_max", [(15, 1e-3), (63, 1e3), (63, 1e5), (255, 10.0)])
     def test_builds_no_rule(self, n_max, t_max):
-        # The order is a function of (n_max, t_max, tol) alone: the search
-        # leaves only its Bessel tail in the memo.
+        # The order is a function of (n_max, t_max, tol) alone, from a closed
+        # form: the search leaves nothing in the memo.
         clear_caches()
         auto_order(n_max, t_max, DEFAULT_QUAD_TOL)
-        assert list(_memo._cache) == [("bessel_tail", max(t_max, 1e-3))]
-        clear_caches()
+        assert not _memo._cache
 
 
 def _diag_entries(params, order, n, times):
@@ -223,33 +222,33 @@ NEAR_SINGULAR = JacobiParams(3.0, -0.9)
 
 
 class TestBesselTail:
-    """The Bessel tail behind the order certificate, against scipy.special
-    (which the package itself does not import)."""
+    """The closed-form bound on the Bessel tail behind the order certificate,
+    against exact tails from scipy.special (which the package itself does not
+    import)."""
 
     @pytest.mark.parametrize("t", [1e-12, 1e-3, 1.0, 1e2, 1e5, 1e7])
-    def test_matches_scipy_ive(self, t):
+    def test_bound_dominates_scipy_tail(self, t):
+        # The bound is at least the tail wherever the tail is representable,
+        # and where the certificate decides, at the first d with
+        # 16 T(d, t) <= 1e-12, it is at most 20 times the tail.
         special = pytest.importorskip("scipy.special")
         last = math.ceil(12.0 * math.sqrt(t) + 40.0)
         values = special.ive(np.arange(2 * last + 200), t)
-        expected = np.cumsum(values[::-1])[::-1]
-        d = np.arange(1, last + 1)
-        tails = np.array([quadrature._bessel_tail(k, t) for k in d])
-        # values below about 1e-300 lose digits or underflow on both sides
-        assert_allclose(tails, expected[d], rtol=2e-12, atol=1e-300)
-        # past the table: an upper bound, far below any tolerance in use
-        beyond = np.arange(last + 1, last + 100)
-        tails = np.array([quadrature._bessel_tail(k, t) for k in beyond])
-        assert np.all(tails >= expected[beyond]) and np.all(tails <= 1e-30)
-        assert ("bessel_tail", t) in _memo._cache
-        clear_caches()
+        tails = np.cumsum(values[::-1])[::-1]
+        d = np.flatnonzero(tails[:last + 1] > 1e-300)[1:]
+        bounds = np.array([quadrature._bessel_tail_bound(k, t) for k in d])
+        assert np.all(bounds >= tails[d])
+        threshold = np.flatnonzero(16.0 * tails <= 1e-12)[0]
+        assert quadrature._bessel_tail_bound(threshold, t) <= 20.0 * tails[threshold]
+        assert quadrature._bessel_tail_bound(0, t) == 1.0
 
-    @pytest.mark.parametrize("t", [1.2e8, 1e12, 1e20])
-    def test_no_table_past_the_order_cap(self, t):
-        # A table for t = 1e20 would take about 2.4e11 recurrence steps. No
-        # order below the cap resolves e^{-t(1-x)} there, so the search fails
-        # at once, before any table is built.
+    @pytest.mark.parametrize("t", [1e9, 1e12, 1e20])
+    def test_order_cap_reached_at_huge_times(self, t):
+        # No order up to MAX_ORDER resolves e^{-t(1-x)} at these times (from
+        # about t = 2.7e8 at n_max = 15), so the search fails, having built
+        # and cached nothing.
         clear_caches()
-        with pytest.raises(ConvergenceFailure, match="reach"):
+        with pytest.raises(ConvergenceFailure, match="order cap"):
             auto_order(15, t, 1e-12)
         assert not _memo._cache
 
@@ -261,14 +260,18 @@ class TestBesselTail:
     @pytest.mark.parametrize("n", [15, 63])
     def test_certificate_bounds_the_kernel_error(self, params, n):
         # |K_Q(n, n) - K_t(n, n)| <= 4 T(2Q - 2n, t) along the doubling chain,
-        # with the order-4Q rule standing in for the exact value.
+        # with the order-4Q rule standing in for the exact value and T the
+        # exact tail, not the bound the search uses.
+        special = pytest.importorskip("scipy.special")
         for t in (1e-3, 1.0, 1e2, 1e4, 1e5):
             order, chosen = n + 16, auto_order(n, t, 1e-12)
             while order <= chosen:
                 coarse, = _diag_entries(params, order, n, (t,))
                 fine, = _diag_entries(params, 4 * order, n, (t,))
-                bound = 4.0 * quadrature._bessel_tail(2 * order - 2 * n, t)
-                assert abs(coarse - fine) <= bound + 1e-14, (t, order)
+                d = 2 * order - 2 * n
+                terms = np.arange(d, d + math.ceil(40.0 * math.sqrt(t)) + 200)
+                tail = special.ive(terms, t).sum()
+                assert abs(coarse - fine) <= 4.0 * tail + 1e-14, (t, order)
                 order *= 2
             clear_caches()
 
@@ -385,8 +388,8 @@ class TestSearchRule:
         # relative. Golub-Welsch rules at Q and 2Q are no witness for the first
         # half: their endpoint weights are up to 3e-11 relative off, so at
         # (5/2, 1/2), n_max = 63, t = 100 they differ by 5e-12. At t = 1e5 the
-        # certificate, which bounds the absolute error, accepts order 1264 at
-        # (5/2, 1/2), n_max = 63, where K_t is 5.6e-10 relative off; kernels of
+        # certificate, which bounds the absolute error, accepts order 2528 at
+        # (5/2, 1/2), n_max = 63, where K_t is 3.0e-12 relative off; kernels of
         # size up to 632 take t = 1e5 by Gauss-Laguerre instead.
         for t_max in times:
             order = auto_order(n_max, t_max, 1e-12)
@@ -559,6 +562,10 @@ class TestLaguerreRule:
             quadrature.laguerre_order(LEGENDRE, 15, 100.0, 10.0, 1e-12)
         with pytest.raises(ValueError, match="tol"):
             quadrature.laguerre_order(LEGENDRE, 15, 100.0, 100.0, math.nan)
-        monkeypatch.setattr(quadrature, "LAGUERRE_MAX_ORDER", 64)
-        with pytest.raises(ConvergenceFailure, match="Laguerre"):
+        # no tolerance below rounding is met, however high the cap
+        with pytest.raises(ConvergenceFailure, match="disagrees"):
             quadrature.laguerre_order(LEGENDRE, 15, 100.0, 100.0, 1e-30)
+        # order 32 needs a witness at 64, one past the cap
+        monkeypatch.setattr(quadrature, "LAGUERRE_MAX_ORDER", 63)
+        with pytest.raises(ConvergenceFailure, match="cap"):
+            quadrature.laguerre_order(LEGENDRE, 15, 100.0, 100.0, 1e-12)

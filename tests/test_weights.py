@@ -219,11 +219,14 @@ class TestWeightSpec:
         with pytest.raises(ValueError, match="covers"):
             spec.resolve(5)
 
-    def test_file(self, tmp_path):
-        path = tmp_path / "w.txt"
-        np.savetxt(path, np.array([1.0, 2.0, 4.0]))
-        spec = WeightSpec("file", path=str(path))
+    def test_file(self):
+        # A run configuration reads the file into the values when it loads
+        # (tests/test_cli.py::test_file_weight_read_at_load); resolve reads
+        # only the values, like an explicit weight's.
+        spec = WeightSpec("file", values=(1.0, 2.0, 4.0), path="w.txt")
         assert_allclose(spec.resolve(3), [1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="covers"):
+            WeightSpec("file", path="w.txt").resolve(1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
