@@ -256,28 +256,49 @@ def oscillation_batch(times: np.ndarray, values: np.ndarray, bands: BandSequence
     return np.sqrt(total)
 
 
-def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
+def jump_count_batch(values: np.ndarray, lam) -> np.ndarray:
     """Greedy count of moves larger than lam along the last axis, scanning in
-    increasing time.
+    increasing time, for one lam or a 1-D array of them; the result has shape
+    np.shape(lam) + values.shape[:-1].
 
     Keeps the running min and max since the last counted jump; a point farther
     than lam from either extreme closes a jump and resets both extremes there.
+    Between jumps the spread max - min never exceeds lam, and rounding is
+    monotone, so the spread taken with the new point exceeds lam exactly when
+    the point lies farther than lam from an extreme. For the same reason a
+    path whose whole spread is at most lam never jumps, so one pass over the
+    times scans only the other (lam, path) pairs.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a number or a 1-D array")
+    if not np.all(np.isfinite(lams) & (lams > 0.0)):
+        raise ValueError("lam must be finite and positive")
     v = np.asarray(values, dtype=float)
     lead = v.shape[:-1]
     flat = v.reshape(-1, v.shape[-1])
-    run_min = flat[:, 0].copy()
-    run_max = flat[:, 0].copy()
-    count = np.zeros(flat.shape[0], dtype=int)
+    spans = flat.max(axis=1) - flat.min(axis=1)
+    # a NaN spread keeps its path: jumps counted before the NaN stand
+    which, rows = np.nonzero(~(spans <= lams.reshape(-1, 1)))
+    cut = lams.reshape(-1)[which]
+    run_min = flat[rows, 0]
+    run_max = run_min.copy()
+    cur = np.empty_like(run_min)
+    spread = np.empty_like(run_min)
+    jumped = np.empty(rows.size, dtype=bool)
+    count = np.zeros(rows.size, dtype=int)
     for i in range(1, flat.shape[1]):
-        cur = flat[:, i]
-        jumped = (cur - run_min > lam) | (run_max - cur > lam)
+        np.take(flat[:, i], rows, out=cur)
+        np.minimum(run_min, cur, out=run_min)
+        np.maximum(run_max, cur, out=run_max)
+        np.subtract(run_max, run_min, out=spread)
+        np.greater(spread, cut, out=jumped)
         count += jumped
-        run_min = np.where(jumped, cur, np.minimum(run_min, cur))
-        run_max = np.where(jumped, cur, np.maximum(run_max, cur))
-    return count.reshape(lead)
+        np.copyto(run_min, cur, where=jumped)
+        np.copyto(run_max, cur, where=jumped)
+    counts = np.zeros((lams.size, flat.shape[0]), dtype=int)
+    counts[which, rows] = count
+    return counts.reshape(lams.shape + lead)
 
 
 def brute_jump_count(values: np.ndarray, lam: float) -> int:

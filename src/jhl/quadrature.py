@@ -310,8 +310,8 @@ def _agree(coarse, fine, tol: float) -> bool:
 
 
 def auto_order(n_max: int, t_max: float, tol: float) -> int:
-    """Smallest order Q, doubling from n_max + 16, with
-    16 B(2Q - 2n_max, t_max) <= tol, B the Bessel-tail bound of
+    """Smallest order Q, doubling from n_max + 16 and then trying MAX_ORDER,
+    with 16 B(2Q - 2n_max, t_max) <= tol, B the Bessel-tail bound of
     `_bessel_tail_bound`: the Gauss-Jacobi order for kernels of size
     n_max + 1 at times up to t_max, for every (alpha, beta). Nothing is built
     or cached.
@@ -330,8 +330,8 @@ def auto_order(n_max: int, t_max: float, tol: float) -> int:
     of size up to 632 take t = 1e5 by Gauss-Laguerre
     (`semigroup.laguerre_split`) instead.
 
-    Raises ConvergenceFailure once the order would pass MAX_ORDER; at
-    tol = 1e-12 that happens for every n_max from t_max of about 2.9e8 on.
+    Raises ConvergenceFailure if MAX_ORDER fails too; at tol = 1e-12 that
+    happens from t_max of about 2.8e8 at n_max = 0, 8.3e7 at n_max = 30,000.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -343,7 +343,9 @@ def auto_order(n_max: int, t_max: float, tol: float) -> int:
     while order <= MAX_ORDER:
         if 16.0 * _bessel_tail_bound(2 * order - 2 * n_max, t_max) <= tol:
             return order
-        order *= 2
+        if order == MAX_ORDER:
+            break
+        order = min(2 * order, MAX_ORDER)
     raise ConvergenceFailure(f"kernel quadrature did not converge below order cap {MAX_ORDER}")
 
 

@@ -121,7 +121,8 @@ def weighted_norm(f: np.ndarray, p: float, w: np.ndarray) -> float:
 
 def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float | np.ndarray:
     """Weak-l^1 quasinorm sup_lam lam * w({|f| > lam}) of one signal (size,),
-    or of each column of a matrix (size, P).
+    or of each signal f[:, j, ...] of an array (size, ...), such as the columns
+    of a matrix (size, P) or a stack (size, F, P) of F image families.
 
     The sup over lam > 0 is attained just below a value of |f|, so it equals
     the max over levels v of v * w({|f| >= v}). With |f| sorted in descending
@@ -162,11 +163,14 @@ def probe_matrix(policy: ProbePolicy) -> np.ndarray:
 
 def norm_ratio_max(images: np.ndarray, probes: np.ndarray, p: float,
                    w: np.ndarray) -> float:
-    """max_j ||images[:, j]||_{p,w} / ||probes[:, j]||_{p,w}, skipping zero probes."""
+    """max_j ||images[..., :, j]||_{p,w} / ||probes[:, j]||_{p,w}, skipping zero
+    probes: images is (k, P), or a stack (F, k, P) of F image families of the
+    same probes, maxed over the families too."""
     wv = _check_weight(w)
-    num = (np.abs(images) ** p * wv[: images.shape[0], None]).sum(axis=0) ** (1.0 / p)
+    k = images.shape[-2]
+    num = (np.abs(images) ** p * wv[:k, None]).sum(axis=-2) ** (1.0 / p)
     den = (np.abs(probes) ** p * wv[: probes.shape[0], None]).sum(axis=0) ** (1.0 / p)
     keep = den > 0.0
     if not keep.any():
         return 0.0
-    return float((num[keep] / den[keep]).max())
+    return float((num[..., keep] / den[keep]).max())

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import jhl._memo
 import jhl.quadrature
+import jhl.verify
 from jhl.basis import JacobiParams
 from jhl.cli import _run_task, _write_csv, _write_matrix_csv, main
 from jhl.config import RunConfig, load_config
@@ -569,6 +570,24 @@ class TestNormsCommand:
                 (out / "norms" / "norms.csv").read_text().splitlines()[1:]]
         assert len(rows) == 4
         assert all(math.isfinite(float(value)) for row in rows for value in row[5:])
+
+    @pytest.mark.parametrize("operator", ["variation", "jump"])
+    def test_non_finite_image_exits_three(self, tmp_path, monkeypatch, capsys, operator):
+        # a NaN in one family's images ends the run instead of dropping that
+        # family from the max
+        images_of = jhl.verify.operator_images
+
+        def poisoned(*args):
+            images = images_of(*args)
+            images[(-1,) * images.ndim] = np.nan
+            return images
+
+        monkeypatch.setattr(jhl.verify, "operator_images", poisoned)
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, _base_config(out_dir=str(out), operators=[operator]))
+        assert main(["norms", "--config", path]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+        assert not (out / "norms" / "norms.csv").exists()
 
     def test_pairing_mismatch_rejected(self, tmp_path):
         cfg = _base_config(out_dir=str(tmp_path / "o"), p_values=[2.0, 1.5])

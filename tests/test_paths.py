@@ -48,6 +48,21 @@ def unpruned_variation(values, rho):
     return (best.max(axis=1) ** (1.0 / rho)).reshape(v.shape[:-1])
 
 
+def two_sided_jump_count(path, lam):
+    """One lam and one path, point by point: a point farther than lam from
+    the running min or max since the last jump closes a jump; oracle for the
+    spread test and the pruning of `jump_count_batch`."""
+    count = 0
+    lo = hi = path[0]
+    for x in path[1:]:
+        if x - lo > lam or hi - x > lam:
+            count += 1
+            lo = hi = x
+        else:
+            lo, hi = min(lo, x), max(hi, x)
+    return count
+
+
 # Few distinct levels, so paths hold plateaus and repeated extremes.
 _LEVELS = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]) | st.floats(-5.0, 5.0)
 
@@ -237,10 +252,39 @@ class TestJumpCounts:
         assert jump_count_batch(path, 1.5) == 4
         assert jump_count_batch(path, 2.5) == 0
         assert jump_count_batch([0.0, 0.5, 1.1], 1.0) == 1
+        # a NaN stops the count without undoing the jumps before it
+        assert jump_count_batch([0.0, 2.0, np.nan, 5.0], 1.0) == 1
 
-    def test_rejects_bad_lam(self):
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), -float("inf"),
+                                     [0.5, float("nan")], [[0.5, 1.0]], [[0.5], [1.0]]])
+    def test_rejects_bad_lam(self, lam):
         with pytest.raises(ValueError, match="lam"):
-            jump_count_batch([0.0, 1.0], 0.0)
+            jump_count_batch([0.0, 1.0], lam)
+
+    def test_lambda_array_shape(self):
+        values = np.random.default_rng(3).standard_normal((2, 3, 9))
+        counts = jump_count_batch(values, [0.25, 0.5, 1.0, 2.0])
+        assert counts.shape == (4, 2, 3)
+        assert jump_count_batch(values, np.array([0.5])).shape == (1, 2, 3)
+        assert jump_count_batch(values[0, 0], [0.5, 1.0]).shape == (2,)
+        assert jump_count_batch(values, 0.5).shape == (2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda length: st.lists(
+               st.lists(st.integers(-4, 4), min_size=length, max_size=length),
+               min_size=1, max_size=4)),
+           st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    def test_lambda_array_matches_scalar_and_exhaustive(self, rows, steps):
+        # values and thresholds on the lattice (1/4)Z, where differences are
+        # exact, so spreads often equal lam and ties are exercised
+        paths = np.array(rows, dtype=float) / 4.0
+        lams = np.array(steps, dtype=float) / 4.0
+        counts = jump_count_batch(paths, lams)
+        assert counts.shape == (lams.size, paths.shape[0])
+        for i, lam in enumerate(lams):
+            assert np.array_equal(counts[i], jump_count_batch(paths, float(lam)))
+            for r, path in enumerate(paths):
+                assert counts[i, r] == brute_jump_count(path, lam)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -261,6 +305,23 @@ class TestJumpCounts:
     def test_greedy_matches_exhaustive_integer_paths(self, values, lam):
         path = [float(v) for v in values]
         assert jump_count_batch(path, lam) == brute_jump_count(path, lam)
+
+    def test_lambda_array_matches_two_sided_oracle_on_heat_paths(self):
+        # rounded values off any lattice; half the thresholds are differences
+        # of two path values, so some spreads equal lam to the last bit
+        grid = TimeGrid.geometric(1e-3, 1e3, 40)
+        rng = np.random.default_rng(5)
+        signals = np.concatenate([np.eye(12)[:, :3], rng.standard_normal((12, 3))], axis=1)
+        paths = np.moveaxis(kernel_tensor(LEGENDRE, grid.times, 12) @ signals, 0, -1)
+        flat = paths.reshape(-1, paths.shape[-1])
+        picks = rng.integers(0, flat.shape[1], size=(6, 3))
+        ties = np.abs(flat[picks[:, 0], picks[:, 1]] - flat[picks[:, 0], picks[:, 2]])
+        lams = np.concatenate([ties[ties > 0.0], [1e-3, 1e-2, 0.1, 0.5, 2.0]])
+        counts = jump_count_batch(paths, lams)
+        assert counts.shape == (lams.size,) + paths.shape[:-1]
+        for i, lam in enumerate(lams):
+            expected = [two_sided_jump_count(path, lam) for path in flat]
+            assert counts[i].ravel().tolist() == expected
 
     def test_jump_functional_below_variation(self):
         # lam * N(lam)^(1/rho) collects disjoint increments above lam, so the

@@ -144,6 +144,13 @@ class TestAutoOrder:
         with pytest.raises(ConvergenceFailure, match="order"):
             auto_order(40, 10.0, 1e-33)
 
+    def test_tries_the_cap_before_raising(self):
+        # Doubling from 17 passes 34,816 (16 B = 4.7e-10) and then the cap,
+        # which itself certifies t = 1e8 (16 B = 7.9e-37 at order 65,536).
+        assert auto_order(1, 1e8, 1e-12) == quadrature.MAX_ORDER
+        # Below the cap the doubling chain decides, as before.
+        assert auto_order(1, 1e7, 1e-12) == 17 * 2 ** 10
+
     def test_no_order_accepted_on_an_underflowed_probe(self):
         # K_t(15, 15) underflows to 1.2e-129 at orders 31 and 62, against
         # 5e-6, so two small orders can agree on a wrong value here. The
@@ -245,7 +252,7 @@ class TestBesselTail:
     @pytest.mark.parametrize("t", [1e9, 1e12, 1e20])
     def test_order_cap_reached_at_huge_times(self, t):
         # No order up to MAX_ORDER resolves e^{-t(1-x)} at these times (from
-        # about t = 2.7e8 at n_max = 15), so the search fails, having built
+        # about t = 2.8e8 at n_max = 15), so the search fails, having built
         # and cached nothing.
         clear_caches()
         with pytest.raises(ConvergenceFailure, match="order cap"):

@@ -202,6 +202,26 @@ class TestProbes:
         got = norm_ratio_max(d[:, None] * probes, probes, 2.0, np.ones(4))
         assert_allclose(got, 3.0)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("exponent", [0.0, -0.5, 2.0])
+    def test_family_stack_matches_per_family_calls(self, p, exponent):
+        # the stack reductions must give the max over per-family calls bit for
+        # bit; rounding to a coarse lattice makes ties among the levels
+        rng = np.random.default_rng(7)
+        size, families = 24, 5
+        probes = probe_matrix(ProbePolicy(size=size, n_random=6, seed=3))
+        images = np.round(rng.standard_normal((families, size, probes.shape[1])), 1)
+        images[2] = 0.0
+        w = WeightSpec("power", exponent=exponent).resolve(size)
+        assert norm_ratio_max(images, probes, p, w) == max(
+            norm_ratio_max(fam, probes, p, w) for fam in images)
+        stacked = weak_quasinorm(np.moveaxis(images, 0, 1), w)
+        assert stacked.shape == (families, probes.shape[1])
+        for fam, row in zip(images, stacked):
+            assert np.array_equal(row, weak_quasinorm(fam, w))
+        assert (stacked[:, :size] / w).max() == max(
+            (weak_quasinorm(fam[:, :size], w) / w).max() for fam in images)
+
     def test_probe_matrix_validation(self):
         with pytest.raises(ValueError, match="positive"):
             probe_matrix(ProbePolicy(size=0))
