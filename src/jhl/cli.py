@@ -30,6 +30,7 @@ from .semigroup import (
     clear_caches,
     kernel_dt_tensor,
     kernel_matrix,
+    kernel_tensor,
     laguerre_split,
     markov_defect,
     semigroup_defect,
@@ -293,16 +294,26 @@ def _norm_pairs(config: RunConfig) -> list:
     return pairs + [(p, WeightSpec("power", exponent=p)) for p in config.p_values]
 
 
-def _norms_params(config: RunConfig, params: JacobiParams) -> list:
-    """One sweep per operator of one params: the strong and weak11 reports of
-    every (p, weight) pair, in that order. Each sweep takes its operator's
-    images once per size and reduces them over all its cells."""
+def _norms_params(config: RunConfig, params: JacobiParams) -> tuple:
+    """The seconds taken to build the kernel tensors that the configured
+    operators read, then one sweep per operator of one params: the strong and
+    weak11 reports of every (p, weight) pair, in that order. The tensors are
+    memoised, so the sweeps read them without building them again; each sweep
+    takes its operator's images once per size and reduces them over all its
+    cells."""
     grid = config.norms_t_grid.build()
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
+    size = max(config.sizes)
+    started = time.perf_counter()
+    if set(config.operators) - {"s_star"}:
+        kernel_tensor(params, grid.times, size, config.quad_tol)
+    if "s_star" in config.operators:
+        kernel_tensor(params, lac.values, size, config.quad_tol)
+    kernels_s = time.perf_counter() - started
     cells = [cell for p, wspec in _norm_pairs(config)
              for cell in ((p, wspec, "strong"), (1.0, wspec, "weak11"))]
-    return [verify_theorem_norms(
+    return kernels_s, [verify_theorem_norms(
         params, operator, cells, config.sizes, grid=grid, rho=config.rho,
         lambdas=config.lambdas, lac=lac, bcoef=b,
         m_range=config.lacunary.window, seed=config.seed, quad_tol=config.quad_tol)
@@ -321,7 +332,8 @@ def cmd_norms(config: RunConfig) -> int:
                         config.workers or 1)
     timings = {}
     rows = []
-    for params, sweeps in zip(config.params, groups):
+    for params, (kernels_s, sweeps) in zip(config.params, groups):
+        timings[f"{params.tag()}/kernels"] = kernels_s
         for operator, reports in zip(config.operators, sweeps):
             timings[f"{params.tag()}/{operator}"] = reports[0].runtime
             for (p, wspec), strong, weak in zip(pairs, reports[::2], reports[1::2]):

@@ -201,6 +201,9 @@ def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
 
     def compute() -> np.ndarray:
         out = _quad_kernels(params, times, size, quad_tol, derivative)
+        if not np.all(np.isfinite(out)):
+            raise NumericFailure(
+                f"{'dK' if derivative else 'K'} tensor at size {size} has non-finite entries")
         if not derivative:
             _check_positivity(params, out)
         out.setflags(write=False)

@@ -156,12 +156,22 @@ def _leading_max(q: np.ndarray, sizes, lag: int = 0) -> list:
     return [float(q[:s - lag, :s].max()) for s in sizes]
 
 
-def _path_routes(kt: np.ndarray, dkt: np.ndarray, times, rho: float, weight: np.ndarray,
+def _variation_on(paths_at, keep: np.ndarray, rho: float) -> np.ndarray:
+    """rho-variation of the path paths_at(n, m), shape (len(times), pairs), at
+    each pair (n, m) that keep marks, and 0 elsewhere."""
+    rows, cols = np.nonzero(keep)
+    out = np.zeros(keep.shape)
+    out[rows, cols] = variation_batch(paths_at(rows, cols).T, rho)
+    return out
+
+
+def _path_routes(dkt: np.ndarray, var: np.ndarray, times, weight: np.ndarray,
                  sizes, lag: int = 0) -> dict:
-    """Routes "majorant" (of the dK paths) and "variation" (of the K paths),
-    each weighted per entry and maxed over leading blocks."""
+    """Routes "majorant" (of the dK paths) and "variation" (var, the
+    rho-variation of the K paths), each weighted per entry and maxed over
+    leading blocks. The majorant's sum along time depends on the memory
+    layout, so it always reads the whole (n, m, time) transpose."""
     maj = majorant_batch(dkt.transpose(1, 2, 0), times)
-    var = variation_batch(kt.transpose(1, 2, 0), rho)
     return {"majorant": _leading_max(weight * maj, sizes, lag),
             "variation": _leading_max(weight * var, sizes, lag)}
 
@@ -173,7 +183,8 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
 
     Indices run over 1 <= n != m < size; the rho-variation of each kernel path
     must sit below its derivative-integral majorant, and both route constants
-    must stabilize for a stable verdict.
+    must stabilize for a stable verdict. The kernels are symmetric bit for
+    bit, so the variation runs on the pairs n < m only and is mirrored.
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
@@ -184,9 +195,10 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
     sep = _sep(size)
     sep[0, :] = 0.0
     sep[:, 0] = 0.0
+    var = _variation_on(lambda n, m: kt[:, n, m], np.triu(sep) > 0.0, rho)
     return _finish("kernel_decay", params, sizes,
-                   _path_routes(kt, dkt, grid.times, rho, sep, sizes), started,
-                   {"rho": rho})
+                   _path_routes(dkt, np.maximum(var, var.T), grid.times, sep, sizes),
+                   started, {"rho": rho})
 
 
 def _smoothness_mask(size: int) -> np.ndarray:
@@ -203,7 +215,8 @@ def _smoothness_mask(size: int) -> np.ndarray:
 def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None = None,
                              rho: float = DEFAULT_RHO,
                              quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Constant sup |n-m|^2 * ||K_.(n+1,m) - K_.(n,m)||_rho on the local region."""
+    """Constant sup |n-m|^2 * ||K_.(n+1,m) - K_.(n,m)||_rho on the local region;
+    the variation runs on the `_smoothness_mask` pairs only."""
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
@@ -213,8 +226,9 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
     sep = _sep(size)[:-1]
     mask = _smoothness_mask(size)
     excluded = (sep > 0.0) & ~mask
-    routes = _path_routes(kt[:, 1:] - kt[:, :-1], dkt[:, 1:] - dkt[:, :-1], grid.times,
-                          rho, np.where(mask, sep ** 2, 0.0), sizes, lag=1)
+    var = _variation_on(lambda n, m: kt[:, n + 1, m] - kt[:, n, m], mask, rho)
+    routes = _path_routes(dkt[:, 1:] - dkt[:, :-1], var, grid.times,
+                          np.where(mask, sep ** 2, 0.0), sizes, lag=1)
     return _finish("kernel_smoothness", params, sizes, routes, started,
                    {"rho": rho,
                     "excluded_pairs": [int(excluded[:s - 1, :s].sum()) for s in sizes]})
@@ -394,6 +408,55 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
     return _finish("poly_bound", params, sizes, {"poly_envelope": constants}, started)
 
 
+def _operator_kernels(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
+                      lac: LacunarySequence | None, b, m_range: int,
+                      quad_tol: float) -> np.ndarray:
+    """The kernels an operator reads at truncation `size`, one matrix per
+    path step: K_t over the grid, or for "s_star" the zero matrix and the
+    running sums of the steps b_j (K_{a_{j+1}} - K_{a_j}), j = -M..M."""
+    if operator == "s_star":
+        if lac is None:
+            raise ValueError("s_star sweeps need a lacunary sequence")
+        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
+        return _window_prefix(steps, lac, m_range)
+    if operator not in ("variation", "oscillation", "jump"):
+        raise ValueError(f"unknown operator choice {operator!r}")
+    return kernel_tensor(params, grid.times, size, quad_tol)
+
+
+def _functional(operator: str, paths: np.ndarray, grid: TimeGrid, rho: float,
+                lambdas) -> np.ndarray:
+    """The operator's value on each path: heat paths lie along the last axis,
+    and "s_star" paths of window prefix sums along the first, whose spread it
+    takes. "jump" stacks one value per lambda along a new leading axis."""
+    if operator == "s_star":
+        return paths.max(axis=0) - paths.min(axis=0)
+    if operator == "variation":
+        return variation_batch(paths, rho)
+    if operator == "oscillation":
+        return oscillation_batch(grid.times, paths, default_bands(grid))
+    lams = np.asarray(lambdas, dtype=float)
+    return (lams.reshape((-1,) + (1,) * (paths.ndim - 1))
+            * jump_count_batch(paths, lams) ** (1.0 / rho))
+
+
+def _delta_images(operator: str, kernels: np.ndarray, grid: TimeGrid, rho: float,
+                  lambdas) -> np.ndarray:
+    """Images of every delta probe through `kernels`, shape (..., size, size):
+    the image of delta_m at n is the functional of the path of kernels[:, n, m].
+    The kernels are symmetric bit for bit, so the functional runs on the pairs
+    n <= m and is mirrored."""
+    size = kernels.shape[-1]
+    rows, cols = np.triu_indices(size)
+    paths = kernels[:, rows, cols]
+    values = _functional(operator, paths if operator == "s_star" else paths.T, grid,
+                         rho, lambdas)
+    out = np.empty(values.shape[:-1] + (size, size))
+    out[..., rows, cols] = values
+    out[..., cols, rows] = values
+    return out
+
+
 def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
                     rho: float, lambdas, lac: LacunarySequence | None, b, m_range: int,
                     probes: np.ndarray, quad_tol: float) -> np.ndarray:
@@ -406,23 +469,13 @@ def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGr
     window prefix sums over [-M, M] with step coefficients b.
     """
     k = probes.shape[0]
+    kernels = _operator_kernels(params, operator, size, grid, lac, b, m_range,
+                                quad_tol)[:, :k, :k]
     if operator == "s_star":
-        if lac is None:
-            raise ValueError("s_star sweeps need a lacunary sequence")
-        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
-        sums = _window_prefix(steps[:, :k, :k], lac, m_range) @ probes
-        return sums.max(axis=0) - sums.min(axis=0)
-    if operator not in ("variation", "oscillation", "jump"):
-        raise ValueError(f"unknown operator choice {operator!r}")
-    kt = kernel_tensor(params, grid.times, size, quad_tol)[:, :k, :k]
-    paths = np.moveaxis(np.tensordot(kt, probes, axes=([2], [0])), 0, -1)
-    if operator == "variation":
-        return variation_batch(paths, rho)
-    if operator == "oscillation":
-        return oscillation_batch(grid.times, paths, default_bands(grid))
-    lams = np.asarray(lambdas, dtype=float)
-    return (lams.reshape((-1,) + (1,) * (paths.ndim - 1))
-            * jump_count_batch(paths, lams) ** (1.0 / rho))
+        paths = kernels @ probes
+    else:
+        paths = np.moveaxis(np.tensordot(kernels, probes, axes=([2], [0])), 0, -1)
+    return _functional(operator, paths, grid, rho, lambdas)
 
 
 def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
@@ -436,7 +489,10 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
 
     Size s takes probes on the first s indices through the leading block of
     kernels built at max(sizes); their images are taken once and reduced for
-    every cell. Every report carries the wall time of the whole sweep.
+    every cell. The delta probes' images come from the upper triangle of those
+    kernels once per sweep, each size reading their leading block, so per size
+    only the random probes pass through `operator_images`. Every report
+    carries the wall time of the whole sweep.
 
     mode "strong" maxes ||Tf||/||f|| over delta and random probes (for jump,
     additionally over the lambda family); mode "weak11" uses delta probes and
@@ -458,11 +514,15 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
             lac = LacunarySequence.geometric(2.0, -m_range - 1, m_range + 2)
             bcoef = np.ones(lac.values.size - 1)
         b = _resolve_bcoef(bcoef, lac)
+    kernels = _operator_kernels(params, operator, sizes[-1], grid, lac, b, m_range, quad_tol)
+    delta_block = _delta_images(operator, kernels, grid, rho, lambdas)
     constants = [[] for _ in cells]
     for size in sizes:
         probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
-        images = operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, b,
-                                 m_range, probes, quad_tol)
+        images = np.concatenate(
+            [delta_block[..., :size, :size],
+             operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, b,
+                             m_range, probes[:, size:], quad_tol)], axis=-1)
         if not np.all(np.isfinite(images)):
             raise NumericFailure(
                 f"{operator} images at size {size} have non-finite entries")

@@ -15,9 +15,10 @@ from numpy.testing import assert_allclose
 
 import jhl._memo
 import jhl.quadrature
+import jhl.semigroup
 import jhl.verify
 from jhl.basis import JacobiParams
-from jhl.cli import _run_task, _write_csv, _write_matrix_csv, main
+from jhl.cli import _norms_params, _run_task, _write_csv, _write_matrix_csv, main
 from jhl.config import RunConfig, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches, kernel_matrix
@@ -588,6 +589,54 @@ class TestNormsCommand:
         assert main(["norms", "--config", path]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
         assert not (out / "norms" / "norms.csv").exists()
+
+    @pytest.mark.parametrize("command", ["operators", "norms"])
+    def test_non_finite_kernel_exits_three(self, tmp_path, monkeypatch, capsys, command):
+        # a NaN kernel entry ends the run where the tensor is built, so no
+        # jump column is written next to NaN variation ones
+        quad_kernels = jhl.semigroup._quad_kernels
+
+        def poisoned(*args, **kwargs):
+            out = quad_kernels(*args, **kwargs)
+            out[-1, 0, 0] = np.nan
+            return out
+
+        clear_caches()
+        monkeypatch.setattr(jhl.semigroup, "_quad_kernels", poisoned)
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, _base_config(out_dir=str(out), operators=["jump"]))
+        code = main([command, "--config", path])
+        clear_caches()
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+        assert not list(out.rglob("*.csv"))
+
+    def test_timings_charge_kernels_to_their_own_entry(self, tmp_path):
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(out), operators=["variation", "s_star"]))
+        assert main(["norms", "--config", path]) == 0
+        cells = json.loads((out / "norms" / "timings.json").read_text())["cells"]
+        assert set(cells) == {"alpha0_beta0/kernels", "alpha0_beta0/variation",
+                              "alpha0_beta0/s_star"}
+        assert all(seconds >= 0.0 for seconds in cells.values())
+
+    @pytest.mark.parametrize("operators, grids", [(["s_star"], ["lacunary"]),
+                                                  (["jump"], ["norms"]),
+                                                  (["oscillation", "s_star"],
+                                                   ["lacunary", "norms"])])
+    def test_kernels_built_up_front_are_only_those_read(self, operators, grids):
+        # the up-front build adds no tensor the sweeps would not have built
+        config = RunConfig.from_dict(_base_config(operators=operators))
+        times = {"norms": tuple(config.norms_t_grid.build().times.tolist()),
+                 "lacunary": tuple(config.lacunary.build().values.tolist())}
+        clear_caches()
+        kernels_s, sweeps = _norms_params(config, JacobiParams(0.0, 0.0))
+        keys = list(jhl._memo._cache)
+        clear_caches()
+        assert kernels_s >= 0.0 and len(sweeps) == len(operators)
+        assert sorted(key[4] for key in keys if key[0] == "K") == \
+            sorted(times[grid] for grid in grids)
 
     def test_pairing_mismatch_rejected(self, tmp_path):
         cfg = _base_config(out_dir=str(tmp_path / "o"), p_values=[2.0, 1.5])

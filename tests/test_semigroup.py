@@ -9,6 +9,7 @@ import jhl.semigroup as semigroup
 from jhl import _memo
 from jhl.basis import JacobiParams, normalization
 from jhl.config import RunConfig
+from jhl.errors import NumericFailure
 from jhl.quadrature import auto_order, build_rule, laguerre_order
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
@@ -119,6 +120,34 @@ class TestKernelMatrix:
         for i, t in enumerate(times):
             assert_allclose(tensor[i], kernel_matrix(LEGENDRE, t, 12),
                             rtol=1e-13)
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, JacobiParams(3.0, -0.9)],
+                             ids=["chebyshev", "legendre", "skew"])
+    def test_tensors_symmetric_bit_for_bit(self, params):
+        # The delta images of the norm sweeps and the kernel-estimate
+        # variations are taken on n <= m only and mirrored, so both routes
+        # must give exactly symmetric K and dK: at size 64, times 1 and 1023
+        # are below laguerre_split and 1024 and 1e5 at or above it.
+        times = [1.0, 1023.0, 1024.0, 1e5]
+        assert laguerre_split(params, 64) == 1024.0
+        for tensor in (kernel_tensor(params, times, 64), kernel_dt_tensor(params, times, 64)):
+            assert np.array_equal(tensor, tensor.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_non_finite_tensor_raises(self, monkeypatch, derivative):
+        quad_kernels = semigroup._quad_kernels
+
+        def poisoned(*args, **kwargs):
+            out = quad_kernels(*args, **kwargs)
+            out[-1, 0, 1] = np.nan
+            return out
+
+        clear_caches()
+        monkeypatch.setattr(semigroup, "_quad_kernels", poisoned)
+        build = kernel_dt_tensor if derivative else kernel_tensor
+        with pytest.raises(NumericFailure, match="non-finite"):
+            build(LEGENDRE, [0.5, 2.0], 8)
+        assert not [key for key in _memo._cache if key[0] in ("K", "dK")]
 
 
 class TestDerivative:

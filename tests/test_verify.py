@@ -5,8 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import jhl.quadrature
+import jhl.semigroup
+import jhl.verify
 from jhl.basis import JacobiParams
 from jhl.config import RunConfig
+from jhl.errors import NumericFailure
 from jhl.paths import (
     DifferenceWindow,
     LacunarySequence,
@@ -384,3 +387,82 @@ class TestOperatorImages:
         monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
         with pytest.raises(ValueError, match="operator"):
             self._images(LEGENDRE, "rotation", np.eye(self.SIZE))
+
+
+class TestTriangleRoutes:
+    """The delta images of a norm sweep and the variation of the kernel
+    estimates come from the n <= m (or weight-kept) kernel paths only; they
+    must be the bits of the full computation."""
+
+    @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
+    def test_sweep_delta_block_matches_full_probe_images(self, monkeypatch, operator):
+        # the default norms grid runs to t = 1e5, past laguerre_split at size 64
+        config = RunConfig()
+        grid = config.norms_t_grid.build()
+        lac = config.lacunary.build()
+        b = config.bcoef.resolve(lac)
+        seen = []
+
+        def recording(images, probes, p, w):
+            seen.append((images, probes))
+            return norm_ratio_max(images, probes, p, w)
+
+        monkeypatch.setattr(jhl.verify, "norm_ratio_max", recording)
+        sizes = (16, 32, 64)
+        verify_theorem_norms(CHEBYSHEV, operator, [(2.0, WeightSpec("constant"), "strong")],
+                             sizes, grid=grid, lambdas=config.lambdas, lac=lac, bcoef=b,
+                             m_range=config.lacunary.window)
+        assert [probes.shape[0] for _, probes in seen] == list(sizes)
+        for images, probes in seen:
+            size = probes.shape[0]
+            full = operator_images(CHEBYSHEV, operator, sizes[-1], grid, DEFAULT_RHO,
+                                   config.lambdas, lac, b, config.lacunary.window, probes,
+                                   DEFAULT_QUAD_TOL)
+            assert images.shape == full.shape
+            assert np.array_equal(images[..., :size], full[..., :size])
+            # the random columns pass through a product with fewer columns,
+            # whose rounding a BLAS need not keep
+            assert_allclose(images[..., size:], full[..., size:], rtol=1e-14, atol=0.0)
+
+    def test_non_finite_kernel_ends_a_jump_sweep(self, monkeypatch):
+        quad_kernels = jhl.semigroup._quad_kernels
+
+        def poisoned(*args, **kwargs):
+            out = quad_kernels(*args, **kwargs)
+            out[-1, 0, 0] = np.nan
+            return out
+
+        clear_caches()
+        monkeypatch.setattr(jhl.semigroup, "_quad_kernels", poisoned)
+        with pytest.raises(NumericFailure, match="non-finite"):
+            verify_theorem_norms(LEGENDRE, "jump", [(2.0, WeightSpec("constant"), "strong")],
+                                 (8, 12), grid=SMALL_GRID, n_random=4)
+        clear_caches()
+
+    @staticmethod
+    def _full_routes(kt, dkt, times, weight, sizes, lag):
+        # every (n, m) path, in the (n, m, time) layout
+        maj = majorant_batch(dkt.transpose(1, 2, 0), times)
+        var = variation_batch(kt.transpose(1, 2, 0), DEFAULT_RHO)
+        return {name: [float((weight * q)[:s - lag, :s].max()) for s in sizes]
+                for name, q in (("majorant", maj), ("variation", var))}
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
+    def test_kernel_estimates_match_full_tensor_routes(self, params):
+        sizes = (16, 32, 64)
+        grid = default_time_grid()
+        kt = kernel_tensor(params, grid.times, sizes[-1])
+        dkt = kernel_dt_tensor(params, grid.times, sizes[-1])
+        idx = np.arange(sizes[-1])
+        sep = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        decay_weight = sep.copy()
+        decay_weight[0, :] = decay_weight[:, 0] = 0.0
+        decay = self._full_routes(kt, dkt, grid.times, decay_weight, sizes, 0)
+        smooth = self._full_routes(kt[:, 1:] - kt[:, :-1], dkt[:, 1:] - dkt[:, :-1],
+                                   grid.times,
+                                   np.where(_smoothness_mask(sizes[-1]), sep[:-1] ** 2, 0.0),
+                                   sizes, 1)
+        for rep, expected in ((verify_kernel_decay(params, sizes, grid), decay),
+                              (verify_kernel_smoothness(params, sizes, grid), smooth)):
+            for name, series in expected.items():
+                assert rep.extras[f"route_{name}"] == series, (rep.name, name)
