@@ -9,7 +9,6 @@ decay and weighted-norm boundedness estimates that make those operators behave.
 
 from .basis import (
     JacobiParams,
-    TridiagonalGenerator,
     build_generator,
     coeff_a,
     coeff_b,
@@ -30,8 +29,6 @@ from .paths import (
     brute_variation,
     default_bands,
     default_time_grid,
-    hardy_lower,
-    hardy_upper,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
@@ -39,12 +36,10 @@ from .paths import (
     s_star,
     variation_batch,
 )
-from .quadrature import QuadratureRule, auto_order, build_rule, integrate, moments, total_mass
+from .quadrature import QuadratureRule, auto_order, build_rule, moments, total_mass
 from .semigroup import (
     apply_heat,
-    apply_heat_tilde,
     clear_caches,
-    fourier_transform,
     kernel_dt_entry,
     kernel_dt_tensor,
     kernel_entry,

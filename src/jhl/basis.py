@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "JacobiParams",
-    "TridiagonalGenerator",
     "jacobi_poly",
     "normalization",
     "ortho_poly",
@@ -217,28 +216,10 @@ def generator_coefficients(params: JacobiParams, size: int) -> tuple[np.ndarray,
     return diag, off
 
 
-@dataclass(frozen=True)
-class TridiagonalGenerator:
-    """Truncation of the difference operator to indices 0..size-1."""
-
-    params: JacobiParams
-    size: int
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        idx = np.arange(self.size - 1)
-        m[idx, idx + 1] = self.offdiagonal
-        m[idx + 1, idx] = self.offdiagonal
-        return m
-
-
-def build_generator(params: JacobiParams, size: int) -> TridiagonalGenerator:
-    """Assemble the size x size truncation of the difference operator; as a
-    matrix it is the oracle for `ortho_table` (the eigenrelation) and for
-    `kernel_tensor` (e^{tJ})."""
+def build_generator(params: JacobiParams, size: int) -> np.ndarray:
+    """The dense size x size truncation of the difference operator, the oracle
+    for `ortho_table` (the eigenrelation) and for `kernel_tensor` (e^{tJ})."""
     if size < 2:
         raise ValueError("size must be at least 2")
     diag, off = generator_coefficients(params, size)
-    return TridiagonalGenerator(params=params, size=size, diagonal=diag, offdiagonal=off)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -186,6 +186,8 @@ def _operator_table(config: RunConfig, params: JacobiParams):
 
 def cmd_operators(config: RunConfig) -> int:
     """Write per-index path-functional tables for the configured signal."""
+    if config.t_grid.t_max < 2.0 * config.t_grid.t_min:
+        raise ConfigError("t_grid must span a factor of 2 for the oscillation bands")
     base = os.path.join(config.out_dir, "operators")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
@@ -252,6 +254,8 @@ def _negative_control(config: RunConfig):
 
 def cmd_verify(config: RunConfig) -> int:
     """Run the estimate verifiers plus the growing-weight negative control."""
+    if len(config.sizes) < 2:
+        raise ConfigError("verify needs at least two sizes")
     base = os.path.join(config.out_dir, "verify")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
@@ -324,6 +328,11 @@ def cmd_norms(config: RunConfig) -> int:
     """Sweep weighted operator norms for every configured (p, weight) pair."""
     if len(config.p_values) != len(config.weights):
         raise ConfigError("p_values and weights must have equal length for norms")
+    if len(config.sizes) < 2:
+        raise ConfigError("norms needs at least two sizes")
+    grid = config.norms_t_grid
+    if "oscillation" in config.operators and grid.t_max < 2.0 * grid.t_min:
+        raise ConfigError("norms_t_grid must span a factor of 2 for the oscillation bands")
     base = os.path.join(config.out_dir, "norms")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())

@@ -31,8 +31,6 @@ __all__ = [
     "brute_jump_count",
     "qn_kernel_matrix",
     "s_star",
-    "hardy_upper",
-    "hardy_lower",
     "hl_maximal_all",
 ]
 
@@ -393,26 +391,6 @@ def s_star(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
     steps = b[np.arange(-m_range, m_range + 1) - lac.j_min] * np.diff(path)
     prefix = np.concatenate(([0.0], np.cumsum(steps)))
     return float(prefix.max() - prefix.min())
-
-
-def hardy_upper(f: np.ndarray, n: int) -> float:
-    """Left Hardy average (1/n) sum_{m<n} |f(m)|; defined for n >= 1."""
-    if n < 1:
-        raise ValueError("the averaged Hardy term needs n >= 1")
-    fv = np.abs(np.asarray(f, dtype=float))
-    return float(fv[:n].sum() / n)
-
-
-def hardy_lower(f: np.ndarray, n: int) -> float:
-    """Right Hardy tail sum_{m>n} |f(m)| / m."""
-    if n < 0:
-        raise ValueError("index n must be nonnegative")
-    fv = np.abs(np.asarray(f, dtype=float))
-    idx = np.arange(fv.size)
-    keep = idx > n
-    if not keep.any():
-        return 0.0
-    return float((fv[keep] / idx[keep]).sum())
 
 
 def hl_maximal_all(f: np.ndarray) -> np.ndarray:

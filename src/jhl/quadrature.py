@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureRule",
     "total_mass",
     "build_rule",
-    "integrate",
     "moments",
     "auto_order",
 ]
@@ -249,16 +248,6 @@ def _checked_rule(params: JacobiParams, order: int, nodes: np.ndarray,
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(params=params, order=order, nodes=nodes, weights=weights)
-
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Apply the rule to a function or to an array of node values."""
-    vals = np.asarray(f(rule.nodes) if callable(f) else f, dtype=float)
-    if vals.shape != rule.nodes.shape:
-        raise ValueError("integrand values must match the node count")
-    if not np.all(np.isfinite(vals)):
-        raise NumericFailure("integrand is not finite at a quadrature node")
-    return float(rule.weights @ vals)
 
 
 def moments(params: JacobiParams, k_max: int) -> np.ndarray:

@@ -17,6 +17,11 @@ tensor, p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties th
 one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
 The scalar oracles `kernel_entry` and `kernel_dt_entry` take a Gauss-Jacobi
 rule and build their own tables, so scalar calls do not grow the cache.
+
+`apply_heat` is W_t f = K_t f on the truncation. The diagnostics measure the
+truncated kernels against two identities of the full lattice: K_t p_.(1) =
+p_.(1) (`markov_defect`, with p_n(1) from `weight_at_one`) and
+K_t K_s = K_{t+s} (`semigroup_defect`).
 """
 
 from __future__ import annotations
@@ -36,10 +41,8 @@ __all__ = [
     "kernel_tensor",
     "kernel_dt_tensor",
     "apply_heat",
-    "apply_heat_tilde",
     "markov_defect",
     "semigroup_defect",
-    "fourier_transform",
     "weight_at_one",
     "clear_caches",
 ]
@@ -79,7 +82,7 @@ def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
     degree = n + m + int(derivative)
     if 2 * rule.order - 1 < degree:
         raise ConvergenceFailure(
-            f"rule of order {rule.order} cannot integrate the degree {degree} polynomial part"
+            f"rule of order {rule.order} is not exact for the degree {degree} polynomial part"
         )
     table = ortho_table(params, max(n, m), rule.nodes)
     g = 1.0 - rule.nodes
@@ -255,13 +258,6 @@ def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
     return memo(("at_one", params.alpha, params.beta, size), compute)
 
 
-def apply_heat_tilde(params: JacobiParams, t: float, f: np.ndarray, size: int) -> np.ndarray:
-    """Conjugated semigroup W_t(p_.(1) f) / p_.(1); Markovian on the full lattice."""
-    fv = _fit_signal(f, size)
-    v = weight_at_one(params, size)
-    return apply_heat(params, t, v * fv, size) / v
-
-
 def markov_defect(params: JacobiParams, t: float, n: int, size: int) -> float:
     """Relative defect |sum_m K_t(n,m) p_m(1) - p_n(1)| / p_n(1) on the truncation.
 
@@ -291,13 +287,3 @@ def semigroup_defect(params: JacobiParams, t: float, s: float, size: int) -> flo
     prod = kt[:block] @ ks
     return float(np.abs(prod[:, :block] - kts[:block, :block]).max())
 
-
-def fourier_transform(params: JacobiParams, f: np.ndarray, x):
-    """Transform F(f)(x) = sum_n f(n) p_n(x), an isometry onto L^2(dmu)."""
-    fv = np.asarray(f, dtype=float)
-    if fv.ndim != 1 or fv.size == 0:
-        raise ValueError("signal must be a nonempty one-dimensional array")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    table = ortho_table(params, fv.size - 1, xv)
-    vals = fv @ table
-    return vals if np.ndim(x) else float(vals[0])

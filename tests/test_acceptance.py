@@ -75,7 +75,7 @@ def test_2_eigenrelation(capfd):
     x_grid = np.linspace(-0.9, 0.9, 5)
     worst = 0.0
     for params in ALL_PAIRS:
-        gen = build_generator(params, size).to_matrix()
+        gen = build_generator(params, size)
         table = ortho_table(params, size - 1, x_grid)
         for col, x in enumerate(x_grid):
             p = table[:, col]

@@ -182,8 +182,7 @@ class TestCoefficients:
 
 class TestGenerator:
     def test_matrix_symmetric_with_spectrum_in_range(self):
-        gen = build_generator(JacobiParams(1.2, 0.4), 80)
-        mat = gen.to_matrix()
+        mat = build_generator(JacobiParams(1.2, 0.4), 80)
         assert_allclose(mat, mat.T)
         eigs = np.linalg.eigvalsh(mat)
         assert eigs.min() >= -2.0 - 1e-12
@@ -192,7 +191,7 @@ class TestGenerator:
     def test_eigenrelation_on_polynomial_columns(self):
         params = JacobiParams(0.5, 1.5)
         size = 60
-        gen = build_generator(params, size).to_matrix()
+        gen = build_generator(params, size)
         for x in (-0.6, 0.1, 0.9):
             col = ortho_table(params, size - 1, np.array([x]))[:, 0]
             image = gen @ col

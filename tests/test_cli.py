@@ -262,6 +262,33 @@ class TestMainErrors:
         assert "lacunary" in record["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "norms"])
+    def test_one_size_exits_two(self, tmp_path, capsys, command):
+        # the sweeps rate growth between sizes, so one size is a config error
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"), sizes=[16]))
+        assert main([command, "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert "sizes" in record["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key", [("operators", "t_grid"),
+                                              ("norms", "norms_t_grid")])
+    @pytest.mark.parametrize("t_max, code", [(1.5, 2), (2.0, 0)], ids=["narrow", "factor-2"])
+    def test_oscillation_grid_spans_a_factor_of_two(self, tmp_path, capsys, command, key,
+                                                    t_max, code):
+        # below a factor of 2 the grid holds one dyadic band edge
+        grid = {"t_min": 1.0, "t_max": t_max, "count": 8}
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(tmp_path / "o"), operators=["oscillation"],
+            t_grid=grid, norms_t_grid=grid))
+        assert main([command, "--config", path]) == code
+        if code == 2:
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "config"
+            assert record["message"].split()[0] == key
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override", [
         {"out_dir": None},
         {"out_dir": ""},

@@ -16,8 +16,6 @@ from jhl.paths import (
     brute_variation,
     default_bands,
     default_time_grid,
-    hardy_lower,
-    hardy_upper,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
@@ -452,23 +450,6 @@ class TestSStar:
                 s_star(LEGENDRE, 3, lac, bcoef, f, n, 16)
 
 class TestHardyAndMaximal:
-    def test_hardy_upper_delta(self):
-        f = np.zeros(10)
-        f[0] = 1.0
-        for n in range(1, 10):
-            assert_allclose(hardy_upper(f, n), 1.0 / n)
-        with pytest.raises(ValueError, match="n >= 1"):
-            hardy_upper(f, 0)
-
-    def test_hardy_lower_delta(self):
-        f = np.zeros(10)
-        f[5] = 1.0
-        assert_allclose(hardy_lower(f, 3), 0.2)
-        assert hardy_lower(f, 5) == 0.0
-        assert hardy_lower(f, 9) == 0.0
-        with pytest.raises(ValueError, match="nonnegative"):
-            hardy_lower(f, -1)
-
     def test_hl_delta_value(self):
         f = np.zeros(12)
         f[0] = 1.0

@@ -14,7 +14,7 @@ from jhl import _memo
 from jhl.basis import JacobiParams, build_generator, coeff_a, generator_coefficients, ortho_table
 from jhl.config import RunConfig
 from jhl.errors import ConvergenceFailure, NumericFailure
-from jhl.quadrature import auto_order, build_rule, integrate, moments, total_mass
+from jhl.quadrature import auto_order, build_rule, moments, total_mass
 from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_entry, kernel_tensor
 
 LEGENDRE = JacobiParams(0.0, 0.0)
@@ -82,7 +82,7 @@ class TestMoments:
         rule = build_rule(params, order)
         m = moments(params, 2 * order - 1)
         for k in range(2 * order):
-            assert_allclose(integrate(rule, rule.nodes ** k), m[k],
+            assert_allclose(rule.weights @ rule.nodes ** k, m[k],
                             rtol=1e-12, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -101,22 +101,8 @@ class TestMoments:
         expected = float(np.dot(coeffs, m))
         poly = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
         scale = max(1.0, sum(abs(c) for c in coeffs) * m[0])
-        assert math.isclose(integrate(rule, poly), expected,
+        assert math.isclose(rule.weights @ poly, expected,
                             rel_tol=1e-11, abs_tol=1e-11 * scale)
-
-
-class TestIntegrate:
-    def test_callable_and_array_agree(self):
-        rule = build_rule(LEGENDRE, 8)
-        as_callable = integrate(rule, lambda x: np.exp(-x))
-        as_array = integrate(rule, np.exp(-rule.nodes))
-        assert_allclose(as_callable, as_array, rtol=1e-15)
-
-    def test_nonfinite_integrand_rejected(self):
-        rule = build_rule(LEGENDRE, 4)
-        bad = np.array([1.0, np.inf, 0.0, 0.0])
-        with pytest.raises(NumericFailure, match="finite"):
-            integrate(rule, bad)
 
 
 class TestOrthonormality:
@@ -210,7 +196,7 @@ def _exact_diagonal(params, n, t):
         return float(special.ive(0, t) + special.ive(2 * n, t))
     if t <= 200.0:
         size = n + math.ceil(t) + 60
-        return float(scipy.linalg.expm(t * build_generator(params, size).to_matrix())[n, n])
+        return float(scipy.linalg.expm(t * build_generator(params, size))[n, n])
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         a, b, t = mpmath.mpf(params.alpha), mpmath.mpf(params.beta), mpmath.mpf(t)
@@ -499,7 +485,7 @@ class TestSearchRule:
         # its own Gauss-Jacobi order rather than the order-632 Golub-Welsch
         # rule that t = 1e4 would need, which is 1.55e-12 off here.
         exact = scipy.linalg.expm(
-            1e-3 * build_generator(NEAR_SINGULAR, 88).to_matrix())[63, 63]
+            1e-3 * build_generator(NEAR_SINGULAR, 88))[63, 63]
         value = kernel_tensor(NEAR_SINGULAR, np.array([1e-3, t_max]), 64)[0][63, 63]
         assert abs(value - exact) <= 1e-12 * exact
 

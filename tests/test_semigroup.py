@@ -14,9 +14,7 @@ from jhl.quadrature import auto_order, build_rule, laguerre_order
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
     apply_heat,
-    apply_heat_tilde,
     clear_caches,
-    fourier_transform,
     kernel_dt_entry,
     kernel_dt_tensor,
     kernel_entry,
@@ -195,21 +193,11 @@ class TestDefects:
         assert semigroup_defect(LEGENDRE, 0.5, 0.5, 128) < 1e-8
         assert semigroup_defect(LEGENDRE, 0.0, 0.7, 64) == 0.0
 
-    def test_parseval(self):
-        rng = np.random.default_rng(11)
-        f = rng.standard_normal(20)
-        rule = build_rule(LEGENDRE, 25)
-        vals = fourier_transform(LEGENDRE, f, rule.nodes)
-        assert abs(f @ f - rule.weights @ (vals * vals)) < 1e-10
 
-    def test_fourier_of_delta_is_polynomial(self):
-        from jhl.basis import ortho_poly
-
-        x = np.linspace(-0.8, 0.8, 5)
-        delta = np.zeros(7)
-        delta[6] = 1.0
-        assert_allclose(fourier_transform(LEGENDRE, delta, x),
-                        ortho_poly(LEGENDRE, 6, x), rtol=1e-12)
+def _tilde(params, t, f, size):
+    """The conjugated semigroup W_t(v f) / v with v = p_.(1), Markovian on the lattice."""
+    v = weight_at_one(params, size)
+    return kernel_matrix(params, t, size) @ (v * f) / v
 
 
 class TestTildeScale:
@@ -237,7 +225,7 @@ class TestTildeScale:
         size = 32
         w = weight_at_one(params, size) ** 2
         probes = probe_matrix(ProbePolicy(size, 8, 0))
-        images = np.stack([apply_heat_tilde(params, 0.6, probes[:, j], size)
+        images = np.stack([_tilde(params, 0.6, probes[:, j], size)
                            for j in range(probes.shape[1])], axis=1)
         estimate = norm_ratio_max(images, probes, 2.0, w)
         assert estimate <= 1.0 + 1e-8
@@ -248,14 +236,14 @@ class TestTildeScale:
         rng = np.random.default_rng(7)
         for p in (1.5, 2.0, 3.0):
             f = rng.standard_normal(size)
-            lhs = np.abs(apply_heat_tilde(params, 0.4, f, size)) ** p
-            rhs = apply_heat_tilde(params, 0.4, np.abs(f) ** p, size)
+            lhs = np.abs(_tilde(params, 0.4, f, size)) ** p
+            rhs = _tilde(params, 0.4, np.abs(f) ** p, size)
             assert (lhs <= rhs + 1e-10).all()
 
     def test_markovian_row_sums(self):
         params = JacobiParams(2.5, 0.5)
         ones = np.ones(128)
-        tilde = apply_heat_tilde(params, 1.0, ones, 128)
+        tilde = _tilde(params, 1.0, ones, 128)
         assert_allclose(tilde[:16], 1.0, atol=1e-9)
 
 
