@@ -240,8 +240,25 @@ def _verify_cell(config: RunConfig, params: JacobiParams, estimate: str):
     raise ConfigError(f"unknown estimate {estimate!r}")
 
 
-def _verify_params(config: RunConfig, params: JacobiParams) -> list:
-    return [_verify_cell(config, params, estimate) for estimate in config.estimates]
+# The estimates that read K, and those that read dK, over the verify grid.
+_READS_K = {"kernel_decay", "kernel_smoothness"}
+_READS_DK = _READS_K | {"dt_sup"}
+
+
+def _verify_params(config: RunConfig, params: JacobiParams) -> tuple:
+    """The seconds taken to build the verify-grid tensors that the configured
+    estimates read, then one report per estimate of one params. The tensors
+    are memoised, so no estimate's runtime includes building them."""
+    times = config.t_grid.build().times
+    size = max(config.sizes)
+    started = time.perf_counter()
+    if _READS_K.intersection(config.estimates):
+        kernel_tensor(params, times, size, config.quad_tol)
+    if _READS_DK.intersection(config.estimates):
+        kernel_dt_tensor(params, times, size, config.quad_tol)
+    kernels_s = time.perf_counter() - started
+    return kernels_s, [_verify_cell(config, params, estimate)
+                       for estimate in config.estimates]
 
 
 def _negative_control(config: RunConfig):
@@ -267,9 +284,10 @@ def cmd_verify(config: RunConfig) -> int:
     timings = {}
     summary_rows = []
     exit_code = EXIT_OK
-    for params, reports in zip(config.params, groups):
+    for params, (kernels_s, reports) in zip(config.params, groups):
         tag_dir = os.path.join(base, params.tag())
         _ensure_dir(tag_dir)
+        timings[f"{params.tag()}/kernels"] = kernels_s
         for estimate, report in zip(config.estimates, reports):
             _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
             timings[f"{params.tag()}/{estimate}"] = report.runtime
@@ -333,10 +351,19 @@ def cmd_norms(config: RunConfig) -> int:
     grid = config.norms_t_grid
     if "oscillation" in config.operators and grid.t_max < 2.0 * grid.t_min:
         raise ConfigError("norms_t_grid must span a factor of 2 for the oscillation bands")
+    pairs = _norm_pairs(config)
+    # a power weight is increasing or decreasing in n, so if it is finite and
+    # positive at the largest size it is at every size
+    size = max(config.sizes)
+    for p, wspec in pairs:
+        try:
+            wspec.resolve(size)
+        except ValueError as exc:
+            raise ConfigError(
+                f"weight {wspec.label()} (p = {p:g}) at size {size}: {exc}") from exc
     base = os.path.join(config.out_dir, "norms")
     _ensure_dir(base)
     _write_json(os.path.join(base, "config.json"), config.to_dict())
-    pairs = _norm_pairs(config)
     groups = _run_tasks([(_norms_params, config, params) for params in config.params],
                         config.workers or 1)
     timings = {}

@@ -31,7 +31,7 @@ from .paths import (
     _resolve_bcoef,
 )
 from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_tensor
-from .weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
+from .weights import ProbePolicy, norm_ratio_max, probe_matrix, weak_quasinorm
 
 __all__ = [
     "EstimateReport",
@@ -54,6 +54,13 @@ STABILITY_THRESHOLD = 1.10
 DEFAULT_RHO = 2.5
 DEFAULT_LAMBDAS = tuple(2.0 ** k for k in range(-5, 3))
 _TINY = 1e-300
+# `_row_blocked_majorant` reads the dK paths in row blocks of about this many
+# entries (rows x columns x times), so no whole-tensor temporary is formed.
+_BLOCK_ENTRIES = 1 << 16
+# `_delta_images` and `_variation_on` gather the kernel paths of this many
+# (n, m) pairs at a time; a path's functional does not depend on the others
+# in its batch.
+_PAIR_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,11 @@ def majorant_batch(d_paths: np.ndarray, times: np.ndarray) -> np.ndarray:
     Per interval the larger endpoint magnitude is charged (never below the grid
     increment for resolved paths), plus endpoint tails: the left rectangle
     t_0 |d(t_0)| and the right tail 2 t_last |d(t_last)| from the t^(-3/2) decay.
+
+    The sum along time follows the memory layout of d_paths, so the kernel
+    estimates pass it row blocks of a time-major (n, m, time) view, one block
+    at a time (`_row_blocked_majorant`); each block has the bits of the whole
+    view.
     """
     mag = np.abs(np.asarray(d_paths, dtype=float))
     dt = np.diff(np.asarray(times, dtype=float))
@@ -158,20 +170,37 @@ def _leading_max(q: np.ndarray, sizes, lag: int = 0) -> list:
 
 def _variation_on(paths_at, keep: np.ndarray, rho: float) -> np.ndarray:
     """rho-variation of the path paths_at(n, m), shape (len(times), pairs), at
-    each pair (n, m) that keep marks, and 0 elsewhere."""
+    each pair (n, m) that keep marks, and 0 elsewhere; _PAIR_BLOCK pairs at a
+    time."""
     rows, cols = np.nonzero(keep)
     out = np.zeros(keep.shape)
-    out[rows, cols] = variation_batch(paths_at(rows, cols).T, rho)
+    for lo in range(0, rows.size, _PAIR_BLOCK):
+        n, m = rows[lo:lo + _PAIR_BLOCK], cols[lo:lo + _PAIR_BLOCK]
+        out[n, m] = variation_batch(paths_at(n, m).T, rho)
     return out
 
 
-def _path_routes(dkt: np.ndarray, var: np.ndarray, times, weight: np.ndarray,
+def _row_blocked_majorant(dk_rows, shape: tuple, times) -> np.ndarray:
+    """`majorant_batch` of the dK path of every pair (n, m) of an array of
+    `shape`, one block of rows at a time. dk_rows(lo, hi) gives the paths of
+    rows lo..hi-1 as a time-major (time, rows, columns) array; its
+    (n, m, time) transpose keeps the layout that decides the bits of the sum
+    along time, so every block has the bits of the whole transpose."""
+    rows, cols = shape
+    block = max(1, _BLOCK_ENTRIES // (cols * len(times)))
+    out = np.empty(shape)
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        out[lo:hi] = majorant_batch(dk_rows(lo, hi).transpose(1, 2, 0), times)
+    return out
+
+
+def _path_routes(dk_rows, var: np.ndarray, times, weight: np.ndarray,
                  sizes, lag: int = 0) -> dict:
-    """Routes "majorant" (of the dK paths) and "variation" (var, the
-    rho-variation of the K paths), each weighted per entry and maxed over
-    leading blocks. The majorant's sum along time depends on the memory
-    layout, so it always reads the whole (n, m, time) transpose."""
-    maj = majorant_batch(dkt.transpose(1, 2, 0), times)
+    """Routes "majorant" (of the dK paths that dk_rows gives, see
+    `_row_blocked_majorant`) and "variation" (var, the rho-variation of the K
+    paths), each weighted per entry and maxed over leading blocks."""
+    maj = _row_blocked_majorant(dk_rows, weight.shape, times)
     return {"majorant": _leading_max(weight * maj, sizes, lag),
             "variation": _leading_max(weight * var, sizes, lag)}
 
@@ -197,7 +226,8 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
     sep[:, 0] = 0.0
     var = _variation_on(lambda n, m: kt[:, n, m], np.triu(sep) > 0.0, rho)
     return _finish("kernel_decay", params, sizes,
-                   _path_routes(dkt, np.maximum(var, var.T), grid.times, sep, sizes),
+                   _path_routes(lambda lo, hi: dkt[:, lo:hi], np.maximum(var, var.T),
+                                grid.times, sep, sizes),
                    started, {"rho": rho})
 
 
@@ -227,8 +257,8 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
     mask = _smoothness_mask(size)
     excluded = (sep > 0.0) & ~mask
     var = _variation_on(lambda n, m: kt[:, n + 1, m] - kt[:, n, m], mask, rho)
-    routes = _path_routes(dkt[:, 1:] - dkt[:, :-1], var, grid.times,
-                          np.where(mask, sep ** 2, 0.0), sizes, lag=1)
+    routes = _path_routes(lambda lo, hi: dkt[:, lo + 1:hi + 1] - dkt[:, lo:hi], var,
+                          grid.times, np.where(mask, sep ** 2, 0.0), sizes, lag=1)
     return _finish("kernel_smoothness", params, sizes, routes, started,
                    {"rho": rho,
                     "excluded_pairs": [int(excluded[:s - 1, :s].sum()) for s in sizes]})
@@ -445,15 +475,19 @@ def _delta_images(operator: str, kernels: np.ndarray, grid: TimeGrid, rho: float
     """Images of every delta probe through `kernels`, shape (..., size, size):
     the image of delta_m at n is the functional of the path of kernels[:, n, m].
     The kernels are symmetric bit for bit, so the functional runs on the pairs
-    n <= m and is mirrored."""
+    n <= m, _PAIR_BLOCK pairs at a time, and is mirrored."""
     size = kernels.shape[-1]
     rows, cols = np.triu_indices(size)
-    paths = kernels[:, rows, cols]
-    values = _functional(operator, paths if operator == "s_star" else paths.T, grid,
-                         rho, lambdas)
-    out = np.empty(values.shape[:-1] + (size, size))
-    out[..., rows, cols] = values
-    out[..., cols, rows] = values
+    out = None
+    for lo in range(0, rows.size, _PAIR_BLOCK):
+        n, m = rows[lo:lo + _PAIR_BLOCK], cols[lo:lo + _PAIR_BLOCK]
+        paths = kernels[:, n, m]
+        values = _functional(operator, paths if operator == "s_star" else paths.T, grid,
+                             rho, lambdas)
+        if out is None:
+            out = np.empty(values.shape[:-1] + (size, size))
+        out[..., n, m] = values
+        out[..., m, n] = values
     return out
 
 
@@ -496,8 +530,11 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
 
     mode "strong" maxes ||Tf||/||f|| over delta and random probes (for jump,
     additionally over the lambda family); mode "weak11" uses delta probes and
-    the weak-l^1 quasinorm against the weighted l^1 norm. Each cell reduces
-    every family in one call. Raises NumericFailure if an image has a
+    the weak-l^1 quasinorm against the weighted l^1 norm. Per size, the strong
+    cells of each distinct p share one `norm_ratio_max` call, which takes
+    |images|^p and |probes|^p once for all their weights, and the weak11 cells
+    share one `weak_quasinorm` call, which sorts the delta images once; each
+    call reduces every family. Raises NumericFailure if an image has a
     non-finite entry.
     """
     started = time.perf_counter()
@@ -516,6 +553,13 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
         b = _resolve_bcoef(bcoef, lac)
     kernels = _operator_kernels(params, operator, sizes[-1], grid, lac, b, m_range, quad_tol)
     delta_block = _delta_images(operator, kernels, grid, rho, lambdas)
+    # a weight's entries do not depend on the size it is resolved at, so each
+    # is resolved once and every size reads its leading entries
+    full_weights = [weight_spec.resolve(sizes[-1]) for _, weight_spec, _ in cells]
+    # cell indices sharing one reduction: strong cells by p, then the weak11 cells
+    groups: dict = {}
+    for i, (p, _, mode) in enumerate(cells):
+        groups.setdefault(p if mode == "strong" else "weak11", []).append(i)
     constants = [[] for _ in cells]
     for size in sizes:
         probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
@@ -526,15 +570,18 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
         if not np.all(np.isfinite(images)):
             raise NumericFailure(
                 f"{operator} images at size {size} have non-finite entries")
-        for (p, weight_spec, mode), series in zip(cells, constants):
-            w = weight_spec.resolve(size)
-            if mode == "strong":
-                series.append(norm_ratio_max(images, probes, p, w))
-            else:
+        for key, members in groups.items():
+            weights = np.stack([full_weights[i][:size] for i in members])
+            if key == "weak11":
                 # (k, families, size): the images of the delta probes, each
                 # family's sorted along the index axis
                 deltas = np.moveaxis(images[..., :size], -2, 0)
-                series.append(float((weak_quasinorm(deltas, w) / w).max()))
+                values = [(best / w).max()
+                          for best, w in zip(weak_quasinorm(deltas, weights), weights)]
+            else:
+                values = norm_ratio_max(images, probes, key, weights)
+            for i, value in zip(members, values):
+                constants[i].append(float(value))
     reports = [
         _finish(f"theorem_norms_{operator}" + ("_weak11" if mode == "weak11" else ""),
                 params, sizes, {"norm": series}, started,

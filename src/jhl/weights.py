@@ -32,6 +32,16 @@ def _check_weight(w: np.ndarray) -> np.ndarray:
     return wv
 
 
+def _check_weights(w) -> tuple:
+    """One weight (size,) or a stack (C, size) of weights, checked in one
+    `_check_weight` call, as a stack, and whether w was a single weight."""
+    wv = np.asarray(w, dtype=float)
+    if wv.ndim == 2:
+        _check_weight(wv.reshape(-1))
+        return wv, False
+    return _check_weight(wv)[None], True
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Recipe for a weight: constant 1, a power (n+1)^exponent, or explicit values.
@@ -56,7 +66,10 @@ class WeightSpec:
         if self.kind == "constant":
             return np.ones(size)
         if self.kind == "power":
-            return (np.arange(size) + 1.0) ** self.exponent
+            # an exponent too large for the size overflows or underflows;
+            # _check_weight rejects the result instead of warning
+            with np.errstate(over="ignore"):
+                return _check_weight((np.arange(size) + 1.0) ** self.exponent)
         vals = np.asarray(self.values, dtype=float)
         if vals.size < size:
             raise ValueError(f"explicit weight covers {vals.size} < {size} indices")
@@ -128,17 +141,26 @@ def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float | np.ndarray:
     the max over levels v of v * w({|f| >= v}). With |f| sorted in descending
     order that is the max of v times the running sum of w; inside a run of
     equal levels the last member has the largest sum, which is w({|f| >= v}).
+
+    w is one weight (size,), or a stack (C, size) of weights, which adds a
+    leading axis of C to the result: |f| and its sort are taken once and
+    reduced under each weight in turn.
     """
     fv = np.abs(np.asarray(f, dtype=float))
-    wv = _check_weight(w)
-    if fv.shape[0] > wv.size:
+    weights, single = _check_weights(w)
+    if fv.shape[0] > weights.shape[1]:
         raise ValueError("weight must cover the signal support")
     cols = fv[:, None] if fv.ndim == 1 else fv
     order = np.argsort(-cols, axis=0, kind="stable")
     levels = np.take_along_axis(cols, order, axis=0)
-    mass = np.cumsum(wv[order], axis=0)
-    best = (levels * mass).max(axis=0, initial=0.0)
-    return float(best[0]) if fv.ndim == 1 else best
+    best = np.empty((len(weights),) + cols.shape[1:])
+    for c, wv in enumerate(weights):
+        mass = np.cumsum(wv[order], axis=0)
+        best[c] = (levels * mass).max(axis=0, initial=0.0)
+    best = best.reshape((len(weights),) + fv.shape[1:])
+    if not single:
+        return best
+    return float(best[0]) if fv.ndim == 1 else best[0]
 
 
 @dataclass(frozen=True)
@@ -162,15 +184,23 @@ def probe_matrix(policy: ProbePolicy) -> np.ndarray:
 
 
 def norm_ratio_max(images: np.ndarray, probes: np.ndarray, p: float,
-                   w: np.ndarray) -> float:
+                   w: np.ndarray) -> float | np.ndarray:
     """max_j ||images[..., :, j]||_{p,w} / ||probes[:, j]||_{p,w}, skipping zero
     probes: images is (k, P), or a stack (F, k, P) of F image families of the
-    same probes, maxed over the families too."""
-    wv = _check_weight(w)
+    same probes, maxed over the families too.
+
+    w is one weight (size,), giving a float, or a stack (C, size) of weights,
+    giving one max per weight: |images|^p and |probes|^p are taken once and
+    summed under each weight in turn."""
+    weights, single = _check_weights(w)
     k = images.shape[-2]
-    num = (np.abs(images) ** p * wv[:k, None]).sum(axis=-2) ** (1.0 / p)
-    den = (np.abs(probes) ** p * wv[: probes.shape[0], None]).sum(axis=0) ** (1.0 / p)
-    keep = den > 0.0
-    if not keep.any():
-        return 0.0
-    return float((num[..., keep] / den[keep]).max())
+    powered = np.abs(images) ** p
+    probe_powered = np.abs(probes) ** p
+    best = np.zeros(len(weights))
+    for c, wv in enumerate(weights):
+        num = (powered * wv[:k, None]).sum(axis=-2) ** (1.0 / p)
+        den = (probe_powered * wv[: probes.shape[0], None]).sum(axis=0) ** (1.0 / p)
+        keep = den > 0.0
+        if keep.any():
+            best[c] = (num[..., keep] / den[keep]).max()
+    return float(best[0]) if single else best

@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import jhl._memo
+import jhl.cli
 import jhl.quadrature
 import jhl.semigroup
 import jhl.verify
 from jhl.basis import JacobiParams
-from jhl.cli import _norms_params, _run_task, _write_csv, _write_matrix_csv, main
+from jhl.cli import (
+    _norms_params,
+    _run_task,
+    _verify_params,
+    _write_csv,
+    _write_matrix_csv,
+    main,
+)
 from jhl.config import RunConfig, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches, kernel_matrix
@@ -515,6 +523,49 @@ class TestVerifyCommand:
         assert control["name"] == "theorem_norms_variation"
         assert json.loads((base / "timings.json").read_text())["cells"]
 
+    def test_timings_charge_kernels_to_their_own_entry(self, tmp_path):
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(out), estimates=["kernel_decay", "dt_sup"]))
+        assert main(["verify", "--config", path]) in (0, 4)
+        cells = json.loads((out / "verify" / "timings.json").read_text())["cells"]
+        assert set(cells) == {"alpha0_beta0/kernels", "alpha0_beta0/kernel_decay",
+                              "alpha0_beta0/dt_sup", "negative_control"}
+        assert all(seconds >= 0.0 for seconds in cells.values())
+
+    @pytest.mark.parametrize("estimates, tensors", [
+        (["poly_bound", "qn_bounds"], []),
+        (["dt_sup"], ["dK"]),
+        (["kernel_smoothness", "poly_bound"], ["K", "dK"]),
+    ])
+    def test_kernels_built_up_front_are_only_those_read(self, monkeypatch, estimates,
+                                                        tensors):
+        # before the first estimate runs, the verify-grid tensors it and the
+        # later ones read are built, and no other
+        config = RunConfig.from_dict(_base_config(estimates=estimates))
+        times = tuple(config.t_grid.build().times.tolist())
+
+        def grid_tensors():
+            return sorted(key[0] for key in jhl._memo._cache
+                          if key[0] in ("K", "dK") and key[4] == times)
+
+        before_first = []
+        verify_cell = jhl.cli._verify_cell
+
+        def recording(config, params, estimate):
+            if not before_first:
+                before_first.append(grid_tensors())
+            return verify_cell(config, params, estimate)
+
+        monkeypatch.setattr(jhl.cli, "_verify_cell", recording)
+        clear_caches()
+        kernels_s, reports = _verify_params(config, JacobiParams(0.0, 0.0))
+        after = grid_tensors()
+        clear_caches()
+        assert kernels_s >= 0.0 and len(reports) == len(estimates)
+        assert before_first == [sorted(tensors)]
+        assert after == sorted(tensors)
+
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         spy = _PoolSpy(monkeypatch)
         _assert_workers_agree(tmp_path, "verify", _base_config(
@@ -664,6 +715,21 @@ class TestNormsCommand:
         assert kernels_s >= 0.0 and len(sweeps) == len(operators)
         assert sorted(key[4] for key in keys if key[0] == "K") == \
             sorted(times[grid] for grid in grids)
+
+    @pytest.mark.parametrize("override", [
+        {"weights": [{"kind": "power", "exponent": 400}]},
+        {"weights": [{"kind": "power", "exponent": -400}]},
+        {"p_values": [400]},
+    ], ids=["power-overflow", "power-underflow", "critical-power-overflow"])
+    def test_power_weight_out_of_range_exits_two(self, tmp_path, capsys, override):
+        # 12^400 overflows and 12^-400 underflows; the (n+1)^p pair added for
+        # each p overflows the same way
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"), **override))
+        assert main(["norms", "--config", path]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert record["message"].startswith("weight pow")
+        assert not (tmp_path / "o").exists()
 
     def test_pairing_mismatch_rejected(self, tmp_path):
         cfg = _base_config(out_dir=str(tmp_path / "o"), p_values=[2.0, 1.5])

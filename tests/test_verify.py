@@ -36,7 +36,15 @@ from jhl.verify import (
     verify_qn_bounds,
     verify_theorem_norms,
 )
-from jhl.verify import _lacunary_step_matrices, _smoothness_mask, _window_prefix
+from jhl.verify import (
+    _delta_images,
+    _lacunary_step_matrices,
+    _operator_kernels,
+    _row_blocked_majorant,
+    _smoothness_mask,
+    _variation_on,
+    _window_prefix,
+)
 from jhl.weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
 
 LEGENDRE = JacobiParams(0.0, 0.0)
@@ -313,6 +321,40 @@ class TestTheoremNorms:
             assert rep.extras == alone.extras
             assert rep.constants == alone.constants
 
+    @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
+    def test_weight_stacks_match_single_weight_calls(self, monkeypatch, operator):
+        # two weights per p, one of them explicit: each size makes one
+        # norm_ratio_max call per p and reduces every weak11 cell from one
+        # sort, with the bits of single-weight calls on the same images
+        explicit = WeightSpec("explicit", values=tuple(np.linspace(2.0, 0.5, 12)))
+        pairs = [(1.5, WeightSpec("constant")), (1.5, WeightSpec("power", exponent=0.5)),
+                 (2.0, WeightSpec("power", exponent=-0.5)), (2.0, explicit)]
+        cells = [cell for p, spec in pairs
+                 for cell in ((p, spec, "strong"), (1.0, spec, "weak11"))]
+        seen = []
+
+        def recording(images, probes, p, w):
+            assert w.shape == (2, probes.shape[0])
+            seen.append((images, probes, p))
+            return norm_ratio_max(images, probes, p, w)
+
+        monkeypatch.setattr(jhl.verify, "norm_ratio_max", recording)
+        sizes = (8, 12)
+        reps = verify_theorem_norms(LEGENDRE, operator, cells, sizes, grid=SMALL_GRID,
+                                    n_random=4, lambdas=(0.25, 0.5), m_range=2)
+        assert [(probes.shape[0], p) for _, probes, p in seen] == \
+            [(size, p) for size in sizes for p in (1.5, 2.0)]
+        for i, (images, probes, _) in enumerate(seen[::2]):
+            size = probes.shape[0]
+            deltas = np.moveaxis(images[..., :size], -2, 0)
+            for (p, spec, mode), rep in zip(cells, reps):
+                w = spec.resolve(size)
+                if mode == "strong":
+                    expected = norm_ratio_max(images, probes, p, w)
+                else:
+                    expected = (weak_quasinorm(deltas, w) / w).max()
+                assert rep.constants[i] == expected, (p, spec.label(), mode, size)
+
     def test_validation(self):
         spec = WeightSpec("constant")
         with pytest.raises(ValueError, match="operator"):
@@ -424,6 +466,33 @@ class TestTriangleRoutes:
             # whose rounding a BLAS need not keep
             assert_allclose(images[..., size:], full[..., size:], rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
+    def test_pair_blocks_match_one_block(self, monkeypatch, operator):
+        # 528 pairs n <= m at size 32, in blocks of 97 with a partial last one
+        config = RunConfig()
+        grid = config.norms_t_grid.build()
+        lac = config.lacunary.build()
+        b = config.bcoef.resolve(lac)
+        kernels = _operator_kernels(CHEBYSHEV, operator, 32, grid, lac, b,
+                                    config.lacunary.window, DEFAULT_QUAD_TOL)
+        args = (operator, kernels, grid, DEFAULT_RHO, config.lambdas)
+        one_block = _delta_images(*args)
+        monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
+        assert np.array_equal(_delta_images(*args), one_block)
+
+    def test_kernel_variation_pair_blocks_match_one_block(self, monkeypatch):
+        # the decay estimate's n < m pairs and the smoothness mask's pairs at
+        # size 64, in blocks of 97 with a partial last one
+        kt = kernel_tensor(JacobiParams(2.5, 0.5), default_time_grid().times, 64)
+        for paths_at, keep in ((lambda n, m: kt[:, n, m], np.triu(np.ones((64, 64)), 1) > 0),
+                               (lambda n, m: kt[:, n + 1, m] - kt[:, n, m],
+                                _smoothness_mask(64))):
+            one_block = _variation_on(paths_at, keep, DEFAULT_RHO)
+            with monkeypatch.context() as patch:
+                patch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
+                assert keep.sum() % 97 != 0
+                assert np.array_equal(_variation_on(paths_at, keep, DEFAULT_RHO), one_block)
+
     def test_non_finite_kernel_ends_a_jump_sweep(self, monkeypatch):
         quad_kernels = jhl.semigroup._quad_kernels
 
@@ -438,6 +507,22 @@ class TestTriangleRoutes:
             verify_theorem_norms(LEGENDRE, "jump", [(2.0, WeightSpec("constant"), "strong")],
                                  (8, 12), grid=SMALL_GRID, n_random=4)
         clear_caches()
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
+    def test_row_blocks_match_whole_transpose(self, monkeypatch, params):
+        # blocks of 5 rows end on a partial block for the 64 rows of decay and
+        # for the 63 differenced rows of smoothness
+        size = 64
+        times = default_time_grid().times
+        monkeypatch.setattr(jhl.verify, "_BLOCK_ENTRIES", 5 * size * times.size)
+        dkt = kernel_dt_tensor(params, times, size)
+        whole_diff = dkt[:, 1:] - dkt[:, :-1]
+        for rows, dk_rows, whole in (
+                (size, lambda lo, hi: dkt[:, lo:hi], dkt),
+                (size - 1, lambda lo, hi: dkt[:, lo + 1:hi + 1] - dkt[:, lo:hi], whole_diff)):
+            assert rows % 5 != 0
+            got = _row_blocked_majorant(dk_rows, (rows, size), times)
+            assert np.array_equal(got, majorant_batch(whole.transpose(1, 2, 0), times))
 
     @staticmethod
     def _full_routes(kt, dkt, times, weight, sizes, lag):

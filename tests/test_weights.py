@@ -222,6 +222,41 @@ class TestProbes:
         assert (stacked[:, :size] / w).max() == max(
             (weak_quasinorm(fam[:, :size], w) / w).max() for fam in images)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_weight_stack_matches_single_weight_calls(self, p):
+        # a stack of weights gives, per weight, the bits of a single-weight call
+        rng = np.random.default_rng(11)
+        size, families = 24, 3
+        probes = probe_matrix(ProbePolicy(size=size, n_random=6, seed=4))
+        images = np.round(rng.standard_normal((families, size, probes.shape[1])), 1)
+        stack = np.stack([WeightSpec("power", exponent=e).resolve(size)
+                          for e in (0.0, -0.5, 2.0)] + [rng.uniform(0.1, 3.0, size)])
+        ratios = norm_ratio_max(images, probes, p, stack)
+        assert ratios.shape == (len(stack),)
+        assert [float(r) for r in ratios] == [norm_ratio_max(images, probes, p, w)
+                                              for w in stack]
+        block = np.moveaxis(images, 0, 1)
+        weak = weak_quasinorm(block, stack)
+        assert weak.shape == (len(stack), families, probes.shape[1])
+        for row, w in zip(weak, stack):
+            assert np.array_equal(row, weak_quasinorm(block, w))
+        signal = images[0, :, -1]
+        assert np.array_equal(weak_quasinorm(signal, stack),
+                              [weak_quasinorm(signal, w) for w in stack])
+
+    def test_weight_stack_validation(self):
+        probes = probe_matrix(ProbePolicy(size=6, n_random=2, seed=0))
+        stack = np.ones((3, 6))
+        assert np.array_equal(norm_ratio_max(np.zeros((6, 2)), np.zeros((6, 2)), 2.0, stack),
+                              np.zeros(3))
+        stack[2, 4] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            norm_ratio_max(probes, probes, 2.0, stack)
+        with pytest.raises(ValueError, match="positive"):
+            weak_quasinorm(probes, stack)
+        with pytest.raises(ValueError, match="cover"):
+            weak_quasinorm(probes, np.ones((2, 5)))
+
     def test_probe_matrix_validation(self):
         with pytest.raises(ValueError, match="positive"):
             probe_matrix(ProbePolicy(size=0))
@@ -257,6 +292,14 @@ class TestWeightSpec:
         assert WeightSpec("power", exponent=0.3).label() == "pow0.3"
         assert WeightSpec("power", exponent=-0.5).label() == "pow-0.5"
         assert WeightSpec("explicit", values=(1.0,)).label() == "explicit"
+
+    @pytest.mark.parametrize("exponent", [400.0, -400.0], ids=["overflow", "underflow"])
+    def test_power_out_of_range_rejected(self, exponent):
+        # 16^400 overflows and 16^-400 underflows to 0; resolve raises
+        # instead of returning an unusable weight or warning
+        assert np.all(np.isfinite(WeightSpec("power", exponent=exponent).resolve(5)))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            WeightSpec("power", exponent=exponent).resolve(16)
 
     def test_rejects_nonpositive_values(self):
         spec = WeightSpec("explicit", values=(1.0, -2.0))
