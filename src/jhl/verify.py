@@ -54,12 +54,8 @@ STABILITY_THRESHOLD = 1.10
 DEFAULT_RHO = 2.5
 DEFAULT_LAMBDAS = tuple(2.0 ** k for k in range(-5, 3))
 _TINY = 1e-300
-# `_row_blocked_majorant` reads the dK paths in row blocks of about this many
-# entries (rows x columns x times), so no whole-tensor temporary is formed.
-_BLOCK_ENTRIES = 1 << 16
-# `_delta_images` and `_variation_on` gather the kernel paths of this many
-# (n, m) pairs at a time; a path's functional does not depend on the others
-# in its batch.
+# `_pair_values` gathers the kernel paths of this many (n, m) pairs at a time;
+# a path's functional does not depend on the others in its batch.
 _PAIR_BLOCK = 8192
 
 
@@ -137,23 +133,20 @@ def _check_sizes(sizes) -> tuple:
 
 
 def majorant_batch(d_paths: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Integral majorant of |path derivative| along the last axis.
+    """Integral majorant of |path derivative| along the first (time) axis.
 
     Per interval the larger endpoint magnitude is charged (never below the grid
     increment for resolved paths), plus endpoint tails: the left rectangle
     t_0 |d(t_0)| and the right tail 2 t_last |d(t_last)| from the t^(-3/2) decay.
-
-    The sum along time follows the memory layout of d_paths, so the kernel
-    estimates pass it row blocks of a time-major (n, m, time) view, one block
-    at a time (`_row_blocked_majorant`); each block has the bits of the whole
-    view.
+    The intervals are summed left to right, so a path's value does not depend
+    on the memory layout of d_paths or on the other paths in it.
     """
     mag = np.abs(np.asarray(d_paths, dtype=float))
-    dt = np.diff(np.asarray(times, dtype=float))
-    core = (np.maximum(mag[..., :-1], mag[..., 1:]) * dt).sum(axis=-1)
-    left = mag[..., 0] * times[0]
-    right = 2.0 * times[-1] * mag[..., -1]
-    return core + left + right
+    times = np.asarray(times, dtype=float)
+    core = np.zeros(mag.shape[1:])
+    for k, dt in enumerate(np.diff(times)):
+        core += np.maximum(mag[k], mag[k + 1]) * dt
+    return core + mag[0] * times[0] + 2.0 * times[-1] * mag[-1]
 
 
 def _sep(size: int) -> np.ndarray:
@@ -168,41 +161,29 @@ def _leading_max(q: np.ndarray, sizes, lag: int = 0) -> list:
     return [float(q[:s - lag, :s].max()) for s in sizes]
 
 
-def _variation_on(paths_at, keep: np.ndarray, rho: float) -> np.ndarray:
-    """rho-variation of the path paths_at(n, m), shape (len(times), pairs), at
-    each pair (n, m) that keep marks, and 0 elsewhere; _PAIR_BLOCK pairs at a
-    time."""
+def _paths(tensor: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The paths t -> tensor[t, n, m] at the flat indices idx of (n, m), shape
+    (len(tensor), len(idx))."""
+    return np.take(tensor.reshape(len(tensor), -1), idx, axis=1)
+
+
+def _pair_values(functional, keep: np.ndarray, mirror: bool = False) -> np.ndarray:
+    """functional(idx) at each pair (n, m) that keep marks and 0 elsewhere,
+    shape (..., *keep.shape). idx holds the flat indices n * keep.shape[1] + m
+    of _PAIR_BLOCK pairs at a time, and functional gives one value per pair
+    along its last axis (families, if any, before it); mirror also writes each
+    value at (m, n). With no pair marked the result is zeros of keep's shape."""
     rows, cols = np.nonzero(keep)
-    out = np.zeros(keep.shape)
+    out = None
     for lo in range(0, rows.size, _PAIR_BLOCK):
         n, m = rows[lo:lo + _PAIR_BLOCK], cols[lo:lo + _PAIR_BLOCK]
-        out[n, m] = variation_batch(paths_at(n, m).T, rho)
-    return out
-
-
-def _row_blocked_majorant(dk_rows, shape: tuple, times) -> np.ndarray:
-    """`majorant_batch` of the dK path of every pair (n, m) of an array of
-    `shape`, one block of rows at a time. dk_rows(lo, hi) gives the paths of
-    rows lo..hi-1 as a time-major (time, rows, columns) array; its
-    (n, m, time) transpose keeps the layout that decides the bits of the sum
-    along time, so every block has the bits of the whole transpose."""
-    rows, cols = shape
-    block = max(1, _BLOCK_ENTRIES // (cols * len(times)))
-    out = np.empty(shape)
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        out[lo:hi] = majorant_batch(dk_rows(lo, hi).transpose(1, 2, 0), times)
-    return out
-
-
-def _path_routes(dk_rows, var: np.ndarray, times, weight: np.ndarray,
-                 sizes, lag: int = 0) -> dict:
-    """Routes "majorant" (of the dK paths that dk_rows gives, see
-    `_row_blocked_majorant`) and "variation" (var, the rho-variation of the K
-    paths), each weighted per entry and maxed over leading blocks."""
-    maj = _row_blocked_majorant(dk_rows, weight.shape, times)
-    return {"majorant": _leading_max(weight * maj, sizes, lag),
-            "variation": _leading_max(weight * var, sizes, lag)}
+        values = functional(n * keep.shape[1] + m)
+        if out is None:
+            out = np.zeros(values.shape[:-1] + keep.shape)
+        out[..., n, m] = values
+        if mirror:
+            out[..., m, n] = values
+    return np.zeros(keep.shape) if out is None else out
 
 
 def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = None,
@@ -212,8 +193,9 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
 
     Indices run over 1 <= n != m < size; the rho-variation of each kernel path
     must sit below its derivative-integral majorant, and both route constants
-    must stabilize for a stable verdict. The kernels are symmetric bit for
-    bit, so the variation runs on the pairs n < m only and is mirrored.
+    must stabilize for a stable verdict. The kernels and the weight are
+    symmetric bit for bit and every leading block is square, so both routes
+    run on the pairs 1 <= n < m only.
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
@@ -224,10 +206,12 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
     sep = _sep(size)
     sep[0, :] = 0.0
     sep[:, 0] = 0.0
-    var = _variation_on(lambda n, m: kt[:, n, m], np.triu(sep) > 0.0, rho)
+    keep = np.triu(sep) > 0.0
+    maj = _pair_values(lambda idx: majorant_batch(_paths(dkt, idx), grid.times), keep)
+    var = _pair_values(lambda idx: variation_batch(_paths(kt, idx).T, rho), keep)
     return _finish("kernel_decay", params, sizes,
-                   _path_routes(lambda lo, hi: dkt[:, lo:hi], np.maximum(var, var.T),
-                                grid.times, sep, sizes),
+                   {"majorant": _leading_max(sep * maj, sizes),
+                    "variation": _leading_max(sep * var, sizes)},
                    started, {"rho": rho})
 
 
@@ -246,7 +230,8 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
                              rho: float = DEFAULT_RHO,
                              quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
     """Constant sup |n-m|^2 * ||K_.(n+1,m) - K_.(n,m)||_rho on the local region;
-    the variation runs on the `_smoothness_mask` pairs only."""
+    both routes run on the `_smoothness_mask` pairs only, each forming its
+    differenced paths per batch of pairs."""
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
@@ -256,10 +241,17 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
     sep = _sep(size)[:-1]
     mask = _smoothness_mask(size)
     excluded = (sep > 0.0) & ~mask
-    var = _variation_on(lambda n, m: kt[:, n + 1, m] - kt[:, n, m], mask, rho)
-    routes = _path_routes(lambda lo, hi: dkt[:, lo + 1:hi + 1] - dkt[:, lo:hi], var,
-                          grid.times, np.where(mask, sep ** 2, 0.0), sizes, lag=1)
-    return _finish("kernel_smoothness", params, sizes, routes, started,
+
+    def diff(tensor, idx):
+        # the flat index of (n + 1, m) is that of (n, m) plus size
+        return _paths(tensor, idx + size) - _paths(tensor, idx)
+
+    maj = _pair_values(lambda idx: majorant_batch(diff(dkt, idx), grid.times), mask)
+    var = _pair_values(lambda idx: variation_batch(diff(kt, idx).T, rho), mask)
+    return _finish("kernel_smoothness", params, sizes,
+                   {"majorant": _leading_max(sep ** 2 * maj, sizes, lag=1),
+                    "variation": _leading_max(sep ** 2 * var, sizes, lag=1)},
+                   started,
                    {"rho": rho,
                     "excluded_pairs": [int(excluded[:s - 1, :s].sum()) for s in sizes]})
 
@@ -271,7 +263,9 @@ def verify_dt_sup(params: JacobiParams, sizes, grid: TimeGrid | None = None,
     sizes = _check_sizes(sizes)
     grid = grid or default_time_grid()
     size = sizes[-1]
-    sup_t = np.abs(kernel_dt_tensor(params, grid.times, size, quad_tol)).max(axis=0)
+    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
+    # negation is exact, so this is max |dK| over t without an |dK| tensor
+    sup_t = np.maximum(dkt.max(axis=0), -dkt.min(axis=0))
     return _finish("dt_sup", params, sizes,
                    {"dt_sup": _leading_max(_sep(size) ** 3 * sup_t, sizes)}, started)
 
@@ -447,7 +441,7 @@ def _operator_kernels(params: JacobiParams, operator: str, size: int, grid: Time
     if operator == "s_star":
         if lac is None:
             raise ValueError("s_star sweeps need a lacunary sequence")
-        steps = _lacunary_step_matrices(params, lac, b, size, quad_tol)
+        steps = _lacunary_step_matrices(params, lac, _resolve_bcoef(b, lac), size, quad_tol)
         return _window_prefix(steps, lac, m_range)
     if operator not in ("variation", "oscillation", "jump"):
         raise ValueError(f"unknown operator choice {operator!r}")
@@ -475,20 +469,14 @@ def _delta_images(operator: str, kernels: np.ndarray, grid: TimeGrid, rho: float
     """Images of every delta probe through `kernels`, shape (..., size, size):
     the image of delta_m at n is the functional of the path of kernels[:, n, m].
     The kernels are symmetric bit for bit, so the functional runs on the pairs
-    n <= m, _PAIR_BLOCK pairs at a time, and is mirrored."""
+    n <= m and is mirrored."""
+    def images(idx):
+        paths = _paths(kernels, idx)
+        return _functional(operator, paths if operator == "s_star" else paths.T, grid,
+                           rho, lambdas)
+
     size = kernels.shape[-1]
-    rows, cols = np.triu_indices(size)
-    out = None
-    for lo in range(0, rows.size, _PAIR_BLOCK):
-        n, m = rows[lo:lo + _PAIR_BLOCK], cols[lo:lo + _PAIR_BLOCK]
-        paths = kernels[:, n, m]
-        values = _functional(operator, paths if operator == "s_star" else paths.T, grid,
-                             rho, lambdas)
-        if out is None:
-            out = np.empty(values.shape[:-1] + (size, size))
-        out[..., n, m] = values
-        out[..., m, n] = values
-    return out
+    return _pair_values(images, np.triu(np.ones((size, size), dtype=bool)), mirror=True)
 
 
 def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
@@ -534,8 +522,9 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
     cells of each distinct p share one `norm_ratio_max` call, which takes
     |images|^p and |probes|^p once for all their weights, and the weak11 cells
     share one `weak_quasinorm` call, which sorts the delta images once; each
-    call reduces every family. Raises NumericFailure if an image has a
-    non-finite entry.
+    call reduces every family, and each distinct weight once for all the cells
+    that share it. "s_star" needs `lac`. Raises NumericFailure if an image has
+    a non-finite entry.
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
@@ -545,33 +534,30 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
         if p < 1.0:
             raise ValueError("p must be at least 1")
     grid = grid or default_time_grid()
-    b = None
-    if operator == "s_star":
-        if lac is None:
-            lac = LacunarySequence.geometric(2.0, -m_range - 1, m_range + 2)
-            bcoef = np.ones(lac.values.size - 1)
-        b = _resolve_bcoef(bcoef, lac)
-    kernels = _operator_kernels(params, operator, sizes[-1], grid, lac, b, m_range, quad_tol)
+    kernels = _operator_kernels(params, operator, sizes[-1], grid, lac, bcoef, m_range,
+                                quad_tol)
     delta_block = _delta_images(operator, kernels, grid, rho, lambdas)
     # a weight's entries do not depend on the size it is resolved at, so each
     # is resolved once and every size reads its leading entries
-    full_weights = [weight_spec.resolve(sizes[-1]) for _, weight_spec, _ in cells]
-    # cell indices sharing one reduction: strong cells by p, then the weak11 cells
+    full_weights = {spec: spec.resolve(sizes[-1]) for _, spec, _ in cells}
+    # one reduction per group, strong cells by p, then the weak11 cells, which
+    # do not depend on p; each group reduces a weight once for every cell with it
     groups: dict = {}
-    for i, (p, _, mode) in enumerate(cells):
-        groups.setdefault(p if mode == "strong" else "weak11", []).append(i)
+    for i, (p, spec, mode) in enumerate(cells):
+        groups.setdefault(p if mode == "strong" else "weak11", {}).setdefault(
+            spec, []).append(i)
     constants = [[] for _ in cells]
     for size in sizes:
         probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
         images = np.concatenate(
             [delta_block[..., :size, :size],
-             operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, b,
+             operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, bcoef,
                              m_range, probes[:, size:], quad_tol)], axis=-1)
         if not np.all(np.isfinite(images)):
             raise NumericFailure(
                 f"{operator} images at size {size} have non-finite entries")
         for key, members in groups.items():
-            weights = np.stack([full_weights[i][:size] for i in members])
+            weights = np.stack([full_weights[spec][:size] for spec in members])
             if key == "weak11":
                 # (k, families, size): the images of the delta probes, each
                 # family's sorted along the index axis
@@ -580,8 +566,9 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
                           for best, w in zip(weak_quasinorm(deltas, weights), weights)]
             else:
                 values = norm_ratio_max(images, probes, key, weights)
-            for i, value in zip(members, values):
-                constants[i].append(float(value))
+            for shared, value in zip(members.values(), values):
+                for i in shared:
+                    constants[i].append(float(value))
     reports = [
         _finish(f"theorem_norms_{operator}" + ("_weak11" if mode == "weak11" else ""),
                 params, sizes, {"norm": series}, started,

@@ -22,6 +22,7 @@ from jhl.basis import (
 from jhl.cli import _verify_cell, main
 from jhl.config import RunConfig
 from jhl.paths import (
+    LacunarySequence,
     TimeGrid,
     brute_jump_count,
     brute_variation,
@@ -184,10 +185,12 @@ def test_8_theorem_sweeps(capfd):
              (3.0, WeightSpec("power", exponent=1.5))]
     ok = True
     weak = (1.0, WeightSpec("power", exponent=-0.5), "weak11")
+    # s_star: unit coefficients on the 15 steps of the dyadic times 2^j, j = -7..8
+    lac = LacunarySequence.geometric(2.0, -7, 8)
     for operator in operators:
         reps = verify_theorem_norms(params, operator,
                                     [(p, wspec, "strong") for p, wspec in cells] + [weak],
-                                    sizes, grid=grid)
+                                    sizes, grid=grid, lac=lac, bcoef=np.ones(15), m_range=6)
         ok &= all(rep.verdict == "stable" for rep in reps)
     control, = verify_theorem_norms(params, "variation",
                                     [(2.0, WeightSpec("power", exponent=2.0), "strong")],

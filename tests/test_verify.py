@@ -40,15 +40,15 @@ from jhl.verify import (
     _delta_images,
     _lacunary_step_matrices,
     _operator_kernels,
-    _row_blocked_majorant,
+    _pair_values,
     _smoothness_mask,
-    _variation_on,
     _window_prefix,
 )
 from jhl.weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
+ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
 
 SMALL_GRID = TimeGrid.geometric(1e-3, 1e2, 32)
 
@@ -62,11 +62,11 @@ def _lac(m_range):
 class TestMajorant:
     def test_hand_value(self):
         # core max(1,3)*1 + max(3,2)*2 = 9, left tail 1*1, right tail 2*4*2
-        got = majorant_batch(np.array([[1.0, 3.0, 2.0]]), np.array([1.0, 2.0, 4.0]))
+        got = majorant_batch(np.array([[1.0], [3.0], [2.0]]), np.array([1.0, 2.0, 4.0]))
         assert_allclose(got, [26.0])
 
     def test_batch_shape(self):
-        d = np.zeros((3, 5, 7))
+        d = np.zeros((7, 3, 5))
         times = np.linspace(1.0, 2.0, 7)
         assert majorant_batch(d, times).shape == (3, 5)
 
@@ -76,10 +76,24 @@ class TestMajorant:
         kt = kernel_tensor(LEGENDRE, grid.times, 12)
         dkt = kernel_dt_tensor(LEGENDRE, grid.times, 12)
         var = variation_batch(kt.transpose(1, 2, 0), 2.5)
-        maj = majorant_batch(dkt.transpose(1, 2, 0), grid.times)
+        maj = majorant_batch(dkt, grid.times)
         idx = np.arange(12)
         mask = (idx[:, None] != idx[None, :]) & (idx[:, None] > 0) & (idx[None, :] > 0)
         assert np.all(var[mask] <= maj[mask] + 1e-10)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
+    def test_path_bits_do_not_depend_on_layout_or_batch(self, params):
+        # the intervals are summed in one order, so a shuffled gather of the
+        # paths (by flat take or by 2-D index), its contiguous copy and its
+        # Fortran-order copy all give the bits of the whole tensor
+        times = default_time_grid().times
+        dkt = kernel_dt_tensor(params, times, 64)
+        whole = majorant_batch(dkt, times).reshape(-1)
+        idx = np.random.default_rng(0).permutation(64 * 64)[:2000]
+        gathered = dkt.reshape(times.size, -1)[:, idx]
+        for paths in (gathered, np.ascontiguousarray(gathered), np.asfortranarray(gathered),
+                      dkt[:, idx // 64, idx % 64]):
+            assert np.array_equal(majorant_batch(paths, times), whole[idx])
 
 
 class TestReportShape:
@@ -289,11 +303,11 @@ class TestTheoremNorms:
                                     grid=SMALL_GRID, n_random=4, lambdas=(0.25, 0.5))
         assert all(c > 0.0 for c in rep.constants)
 
-    def test_s_star_default_sequence(self):
+    def test_s_star_needs_lacunary_sequence(self):
         spec = WeightSpec("constant")
-        rep, = verify_theorem_norms(LEGENDRE, "s_star", [(2.0, spec, "strong")], (8, 12),
-                                    grid=SMALL_GRID, n_random=4, m_range=2)
-        assert all(c > 0.0 for c in rep.constants)
+        with pytest.raises(ValueError, match="lacunary sequence"):
+            verify_theorem_norms(LEGENDRE, "s_star", [(2.0, spec, "strong")], (8, 12),
+                                 grid=SMALL_GRID, n_random=4, m_range=2)
 
     def test_s_star_images_follow_coefficients(self):
         spec = WeightSpec("constant")
@@ -340,8 +354,10 @@ class TestTheoremNorms:
 
         monkeypatch.setattr(jhl.verify, "norm_ratio_max", recording)
         sizes = (8, 12)
+        lac, bcoef = _lac(2)
         reps = verify_theorem_norms(LEGENDRE, operator, cells, sizes, grid=SMALL_GRID,
-                                    n_random=4, lambdas=(0.25, 0.5), m_range=2)
+                                    n_random=4, lambdas=(0.25, 0.5), lac=lac, bcoef=bcoef,
+                                    m_range=2)
         assert [(probes.shape[0], p) for _, probes, p in seen] == \
             [(size, p) for size in sizes for p in (1.5, 2.0)]
         for i, (images, probes, _) in enumerate(seen[::2]):
@@ -355,6 +371,28 @@ class TestTheoremNorms:
                     expected = (weak_quasinorm(deltas, w) / w).max()
                 assert rep.constants[i] == expected, (p, spec.label(), mode, size)
 
+    def test_weak11_cells_share_one_reduction_per_weight(self, monkeypatch):
+        # a weak11 cell does not depend on p, so the two pow1.5 cells (as in
+        # the default norms config) share one row of each weak_quasinorm stack
+        pow15 = WeightSpec("power", exponent=1.5)
+        pairs = [(3.0, pow15), (2.0, WeightSpec("constant")), (1.5, pow15)]
+        cells = [cell for p, spec in pairs
+                 for cell in ((p, spec, "strong"), (1.0, spec, "weak11"))]
+        stacks = []
+
+        def recording(deltas, w):
+            stacks.append(w)
+            return weak_quasinorm(deltas, w)
+
+        monkeypatch.setattr(jhl.verify, "weak_quasinorm", recording)
+        sizes = (8, 12)
+        reps = verify_theorem_norms(LEGENDRE, "jump", cells, sizes, grid=SMALL_GRID,
+                                    n_random=4, lambdas=(0.25, 0.5))
+        assert [w.shape for w in stacks] == [(2, size) for size in sizes]
+        for w, size in zip(stacks, sizes):
+            assert np.array_equal(w, np.stack([pow15.resolve(size), np.ones(size)]))
+        assert reps[1].constants == reps[5].constants
+
     def test_validation(self):
         spec = WeightSpec("constant")
         with pytest.raises(ValueError, match="operator"):
@@ -366,9 +404,6 @@ class TestTheoremNorms:
         with pytest.raises(ValueError, match="mode"):
             verify_theorem_norms(LEGENDRE, "variation", [(2.0, spec, "medium")], (8, 12),
                                  grid=SMALL_GRID)
-
-
-ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
 
 
 class TestOperatorImages:
@@ -432,9 +467,9 @@ class TestOperatorImages:
 
 
 class TestTriangleRoutes:
-    """The delta images of a norm sweep and the variation of the kernel
-    estimates come from the n <= m (or weight-kept) kernel paths only; they
-    must be the bits of the full computation."""
+    """The delta images of a norm sweep and the majorant and variation of the
+    kernel estimates come from the n <= m (or weight-kept) kernel paths only;
+    they must be the bits of the full computation."""
 
     @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
     def test_sweep_delta_block_matches_full_probe_images(self, monkeypatch, operator):
@@ -480,18 +515,27 @@ class TestTriangleRoutes:
         monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
         assert np.array_equal(_delta_images(*args), one_block)
 
-    def test_kernel_variation_pair_blocks_match_one_block(self, monkeypatch):
-        # the decay estimate's n < m pairs and the smoothness mask's pairs at
-        # size 64, in blocks of 97 with a partial last one
-        kt = kernel_tensor(JacobiParams(2.5, 0.5), default_time_grid().times, 64)
-        for paths_at, keep in ((lambda n, m: kt[:, n, m], np.triu(np.ones((64, 64)), 1) > 0),
-                               (lambda n, m: kt[:, n + 1, m] - kt[:, n, m],
-                                _smoothness_mask(64))):
-            one_block = _variation_on(paths_at, keep, DEFAULT_RHO)
-            with monkeypatch.context() as patch:
-                patch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
-                assert keep.sum() % 97 != 0
-                assert np.array_equal(_variation_on(paths_at, keep, DEFAULT_RHO), one_block)
+    @pytest.mark.parametrize("verifier", [verify_kernel_decay, verify_kernel_smoothness])
+    def test_kernel_pair_blocks_match_one_block(self, monkeypatch, verifier):
+        # the majorant and variation of the decay estimate's n < m pairs and of
+        # the smoothness mask's differenced pairs at size 64, in blocks of 97
+        # with a partial last one
+        seen = []
+
+        def recording(functional, keep, mirror=False):
+            out = _pair_values(functional, keep, mirror)
+            seen.append((int(keep.sum()), out))
+            return out
+
+        monkeypatch.setattr(jhl.verify, "_pair_values", recording)
+        params, grid = JacobiParams(2.5, 0.5), default_time_grid()
+        verifier(params, (32, 64), grid)
+        monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
+        verifier(params, (32, 64), grid)
+        assert len(seen) == 4
+        for (pairs, one_block), (_, blocked) in zip(seen[:2], seen[2:]):
+            assert pairs > 97 and pairs % 97 != 0
+            assert np.array_equal(blocked, one_block)
 
     def test_non_finite_kernel_ends_a_jump_sweep(self, monkeypatch):
         quad_kernels = jhl.semigroup._quad_kernels
@@ -508,26 +552,10 @@ class TestTriangleRoutes:
                                  (8, 12), grid=SMALL_GRID, n_random=4)
         clear_caches()
 
-    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
-    def test_row_blocks_match_whole_transpose(self, monkeypatch, params):
-        # blocks of 5 rows end on a partial block for the 64 rows of decay and
-        # for the 63 differenced rows of smoothness
-        size = 64
-        times = default_time_grid().times
-        monkeypatch.setattr(jhl.verify, "_BLOCK_ENTRIES", 5 * size * times.size)
-        dkt = kernel_dt_tensor(params, times, size)
-        whole_diff = dkt[:, 1:] - dkt[:, :-1]
-        for rows, dk_rows, whole in (
-                (size, lambda lo, hi: dkt[:, lo:hi], dkt),
-                (size - 1, lambda lo, hi: dkt[:, lo + 1:hi + 1] - dkt[:, lo:hi], whole_diff)):
-            assert rows % 5 != 0
-            got = _row_blocked_majorant(dk_rows, (rows, size), times)
-            assert np.array_equal(got, majorant_batch(whole.transpose(1, 2, 0), times))
-
     @staticmethod
     def _full_routes(kt, dkt, times, weight, sizes, lag):
-        # every (n, m) path, in the (n, m, time) layout
-        maj = majorant_batch(dkt.transpose(1, 2, 0), times)
+        # every (n, m) path of the whole tensors
+        maj = majorant_batch(dkt, times)
         var = variation_batch(kt.transpose(1, 2, 0), DEFAULT_RHO)
         return {name: [float((weight * q)[:s - lag, :s].max()) for s in sizes]
                 for name, q in (("majorant", maj), ("variation", var))}
