@@ -80,18 +80,19 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     Each distinct float64 bit pattern is formatted once, so a symmetric kernel
     formats about half its entries. Keying on bits, not values, keeps -0.0 and
     0.0 apart."""
+    # Imported here, so that only runs that write a matrix compile it.
+    from ._format17 import format_17g
+
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
-    cells = np.array(("%.17g\n" * bits.size % tuple(bits.view(np.float64).tolist()))
-                     .split("\n"), dtype=object)
-    text = cells[inverse.reshape(matrix.shape)]
+    text = format_17g(bits.view(np.float64))[inverse.reshape(matrix.shape)]
     # One "%s" slot per column. Joined with the row label as separator, the
-    # leading "" puts that label in front of every line of the row.
-    slots = ["", *(f",{col},%s\n" for col in range(matrix.shape[1]))]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("row,col,value\n")
+    # leading b"" puts that label in front of every line of the row.
+    slots = [b"", *(b",%d,%%s\n" % col for col in range(matrix.shape[1]))]
+    with open(path, "wb") as handle:
+        handle.write(b"row,col,value\n")
         for row in range(matrix.shape[0]):
-            handle.write(str(row).join(slots) % tuple(text[row].tolist()))
+            handle.write((b"%d" % row).join(slots) % tuple(text[row].tolist()))
 
 
 def _write_json(path: str, payload) -> None:
@@ -101,7 +102,12 @@ def _write_json(path: str, payload) -> None:
 
 
 def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+    """Create path; an output directory that cannot be created is a
+    configuration error, raised before the command computes anything."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
 def cmd_kernel(config: RunConfig) -> int:
@@ -117,14 +123,17 @@ def cmd_kernel(config: RunConfig) -> int:
         tag_dir = os.path.join(base, params.tag())
         _ensure_dir(tag_dir)
         defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
+        write_s = 0.0
         for idx, t in enumerate(times):
             quad = kernel_matrix(params, t, size, method="quadrature",
                                  quad_tol=config.quad_tol)
             spectral = kernel_matrix(params, t, size, method="spectral",
                                      quad_tol=config.quad_tol)
             dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
+            written = time.perf_counter()
             _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
             _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
+            write_s += time.perf_counter() - written
             defects["markov"].append(max(
                 markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
             defects["semigroup"].append(
@@ -150,6 +159,7 @@ def cmd_kernel(config: RunConfig) -> int:
         # Every memo key carries (alpha, beta), so no later params reads these.
         clear_caches()
         timings[params.tag()] = time.perf_counter() - started
+        timings[f"{params.tag()}/write"] = write_s
     _write_json(os.path.join(base, "timings.json"),
                 {"command": "kernel", "cells": timings})
     return EXIT_OK

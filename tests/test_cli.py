@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import jhl._format17
 import jhl._memo
 import jhl.cli
 import jhl.quadrature
 import jhl.semigroup
 import jhl.verify
 from jhl.basis import JacobiParams
+from jhl._format17 import format_17g
 from jhl.cli import (
     _norms_params,
     _run_task,
@@ -331,6 +333,22 @@ class TestMainErrors:
         path = _write_config(tmp_path, _base_config())
         assert main(["verify", "--config", path, "--workers", "0"]) == 2
 
+    @pytest.mark.parametrize("command", ["kernel", "operators", "verify", "norms"])
+    def test_uncreatable_out_dir_exits_two_before_computing(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output directory was made")
+
+        for name in ("kernel_matrix", "_operator_table", "_run_tasks"):
+            monkeypatch.setattr(jhl.cli, name, computed)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = _write_config(tmp_path, _base_config())
+        assert main([command, "--config", path, "--out", str(blocker / "sub")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert "output directory" in record["message"]
+
     def test_numeric_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         clear_caches()
         monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
@@ -372,6 +390,17 @@ class TestKernelCommand:
         assert max(report["defects"]["markov"]) < 1e-8
         assert max(report["defects"]["semigroup"]) < 1e-8
         assert (out / "kernel" / "timings.json").exists()
+
+    def test_timings_charge_csv_writing_to_its_own_entry(self, tmp_path):
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(out), params=[[0.0, 0.0], [0.5, -0.5]]))
+        assert main(["kernel", "--config", path]) == 0
+        cells = json.loads((out / "kernel" / "timings.json").read_text())["cells"]
+        assert set(cells) == {"alpha0_beta0", "alpha0_beta0/write",
+                              "alpha0.5_beta-0.5", "alpha0.5_beta-0.5/write"}
+        for tag in ("alpha0_beta0", "alpha0.5_beta-0.5"):
+            assert 0.0 < cells[f"{tag}/write"] <= cells[tag]
 
     def test_report_routes_each_time(self, tmp_path):
         # At size 64, t = 1e4 is past 64^2 / 4 and takes the Gauss-Laguerre
@@ -469,6 +498,60 @@ class TestMatrixWriter:
                        ((r, c, matrix[r, c]) for r in range(rows) for c in range(cols)))
             _write_matrix_csv(str(new), matrix)
             assert new.read_bytes() == ref.read_bytes(), matrix.shape
+
+    @staticmethod
+    def _assert_formats_like_percent(values):
+        values = np.asarray(values, dtype=np.float64)
+        values = np.concatenate([values, -values])
+        expected = [b"%.17g" % v for v in values.tolist()]
+        got = format_17g(values).tolist()
+        wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert not wrong, wrong[:5]
+
+    def test_formats_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+        self._assert_formats_like_percent(np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+    def test_formats_exact_ties(self):
+        # N / 8 and N / 16 for odd N near 2^50 end in a 5 at the 18th digit.
+        odd = 2.0 ** 50 + np.arange(-999, 1000, 2)
+        self._assert_formats_like_percent(np.concatenate([odd / 8, odd / 16]))
+
+    def test_formats_edges(self):
+        switch = np.array([1e-5, 1e-4])
+        self._assert_formats_like_percent([
+            9.99999999999999999e-5, 99999999999999999.0,  # round up across 10^k
+            *switch, *np.nextafter(switch, 0.0), *np.nextafter(switch, 1.0),
+            0.0, 5e-324, np.finfo(np.float64).tiny, 1e308, np.inf, np.nan,
+            1e16, np.nextafter(1e16, 0.0), 1e-290, np.nextafter(1e-290, 0.0),
+            0.1, 1.0 / 3.0, 123456.789, 2.0 ** 53, 2.0 ** 53 + 2.0])
+        assert format_17g(np.array([9.99999999999999999e-5]))[0] == b"0.0001"
+
+    def test_formats_random_bit_patterns(self):
+        rng = np.random.default_rng(24)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        self._assert_formats_like_percent(bits.view(np.float64))
+        # and values in the range the digit arithmetic covers
+        self._assert_formats_like_percent(
+            rng.random(100_000) * 10.0 ** rng.integers(-290, 16, 100_000))
+
+    @pytest.mark.parametrize("params", RunConfig().params, ids=str)
+    def test_fallback_formats_under_one_percent_of_a_kernel(self, tmp_path, monkeypatch,
+                                                           params):
+        # A digit path that quietly stopped certifying would still write the
+        # right bytes, only slower; this makes it fail.
+        fallback = []
+        percent = jhl._format17.percent_17g
+
+        def spy(values):
+            fallback.extend(values)
+            return percent(values)
+
+        monkeypatch.setattr(jhl._format17, "percent_17g", spy)
+        matrix = kernel_matrix(params, 1.0, 64)
+        _write_matrix_csv(str(tmp_path / "kernel.csv"), matrix)
+        assert len(fallback) < 0.01 * np.unique(matrix).size
 
 
 class TestOperatorsCommand:
