@@ -123,12 +123,14 @@ def cmd_kernel(config: RunConfig) -> int:
         tag_dir = os.path.join(base, params.tag())
         _ensure_dir(tag_dir)
         defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
-        write_s = 0.0
+        write_s = spectral_s = 0.0
         for idx, t in enumerate(times):
             quad = kernel_matrix(params, t, size, method="quadrature",
                                  quad_tol=config.quad_tol)
+            solved = time.perf_counter()
             spectral = kernel_matrix(params, t, size, method="spectral",
                                      quad_tol=config.quad_tol)
+            spectral_s += time.perf_counter() - solved
             dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
             written = time.perf_counter()
             _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
@@ -160,6 +162,7 @@ def cmd_kernel(config: RunConfig) -> int:
         clear_caches()
         timings[params.tag()] = time.perf_counter() - started
         timings[f"{params.tag()}/write"] = write_s
+        timings[f"{params.tag()}/spectral"] = spectral_s
     _write_json(os.path.join(base, "timings.json"),
                 {"command": "kernel", "cells": timings})
     return EXIT_OK

@@ -10,7 +10,9 @@ size, that time and the tolerance alone. At and above it, with
 u = t(1 - x), it is an integral against u^alpha e^{-u} on (0, 2t), evaluated
 with a Gauss-Laguerre rule whose nodes above 2t are dropped, one table of
 p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
-route diagonalizes a 4N truncation of the operator and exponentiates; it is a
+route diagonalizes, with numpy.linalg.eigh, the M x M truncation of the
+operator, M = min(4N, N + d) with d the least margin that a Poisson tail bound
+certifies to the tolerance at t (`_truncation`), and exponentiates; it is a
 cross-check only well below t = N^2, so not in the Laguerre range. Every
 derived value of the batch routes (rule, Laguerre order, table, eigenbasis,
 tensor, p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
@@ -53,17 +55,40 @@ POSITIVITY_FLOOR = -1e-12
 
 def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the size x size truncated operator, for
-    the spectral route; the one place outside the Golub-Welsch fallback that
-    imports scipy."""
+    the spectral route, by numpy.linalg.eigh on the dense matrix (it reads
+    the lower triangle only)."""
     def compute():
-        import scipy.linalg
-
         diag, off = generator_coefficients(params, size)
         try:
-            return scipy.linalg.eigh_tridiagonal(diag, off)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            return np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        except np.linalg.LinAlgError as exc:
             raise NumericFailure(f"generator eigensolver failed at size {size}") from exc
     return memo(("eig", params.alpha, params.beta, size), compute)
+
+
+def _poisson_tail(t: float, k) -> np.ndarray:
+    """Chernoff bound e^{-t} (e t / k)^k on P(Poisson(t) >= k) where k > t,
+    and 1 elsewhere."""
+    return np.where(k > t, np.exp(k * (1.0 + np.log(t) - np.log(k)) - t), 1.0)
+
+
+def _truncation(t: float, size: int, tol: float) -> int:
+    """Size M = min(4 size, size + d) of the truncation the spectral route
+    diagonalizes at time t > 0, with d the least margin such that
+    t P(Poisson(t) >= 2d + 1) <= tol.
+
+    Write J = X - I with ||X|| <= 1. As e^{uJ} = e^{-u} e^{uX} and X^k(i, j)
+    = 0 for k < |i - j|, |e^{uJ}(i, j)| <= P(Poisson(u) >= |i - j|), for J
+    and for its M x M truncation J_M alike. Duhamel's formula
+    across the one cut link, a_{M-1} <= 1, gives K_t - K_t^(M) as the
+    integral over s in (0, t) of a_{M-1} e^{(t-s)J}(n, M) e^{sJ_M}(M-1, m).
+    For n, m < size the two factors are at most P(Poisson(t - s) >= M - n)
+    and P(Poisson(s) >= M - 1 - m); those variables are independent and add
+    to Poisson(t), so |K_t(n, m) - K_t^(M)(n, m)| <= t P(Poisson(t) >=
+    2(M - size) + 1)."""
+    margins = np.arange(3 * size)
+    fits = t * _poisson_tail(t, 2 * margins + 1) <= tol
+    return size + int(np.argmax(np.append(fits, True)))
 
 
 def _require_time(t: float) -> None:
@@ -176,8 +201,9 @@ def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quad
 
     t = 0 returns the exact identity. The quadrature method returns
     `kernel_tensor(params, [t], size, quad_tol)[0]`. The spectral method
-    diagonalizes the 4*size truncation of the operator and keeps the leading
-    block.
+    diagonalizes the truncation of size `_truncation(t, size, quad_tol)`,
+    within quad_tol of the full lattice's kernel on the leading block
+    wherever that size is below 4*size, and keeps the leading block.
     """
     _require_time(t)
     if size < 1:
@@ -189,7 +215,7 @@ def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quad
     elif method == "quadrature":
         return kernel_tensor(params, [t], size, quad_tol)[0]
     else:
-        lam, vec = _eigenbasis(params, 4 * size)
+        lam, vec = _eigenbasis(params, _truncation(t, size, quad_tol))
         entries = _gram(vec[:size, :], np.exp(t * lam))
         _check_positivity(params, entries)
     entries.setflags(write=False)

@@ -397,10 +397,11 @@ class TestKernelCommand:
             out_dir=str(out), params=[[0.0, 0.0], [0.5, -0.5]]))
         assert main(["kernel", "--config", path]) == 0
         cells = json.loads((out / "kernel" / "timings.json").read_text())["cells"]
-        assert set(cells) == {"alpha0_beta0", "alpha0_beta0/write",
-                              "alpha0.5_beta-0.5", "alpha0.5_beta-0.5/write"}
+        assert set(cells) == {f"{tag}{part}" for tag in ("alpha0_beta0", "alpha0.5_beta-0.5")
+                              for part in ("", "/write", "/spectral")}
         for tag in ("alpha0_beta0", "alpha0.5_beta-0.5"):
-            assert 0.0 < cells[f"{tag}/write"] <= cells[tag]
+            assert 0.0 < cells[f"{tag}/write"] + cells[f"{tag}/spectral"] <= cells[tag]
+            assert cells[f"{tag}/spectral"] > 0.0
 
     def test_report_routes_each_time(self, tmp_path):
         # At size 64, t = 1e4 is past 64^2 / 4 and takes the Gauss-Laguerre
@@ -447,26 +448,33 @@ class TestKernelCommand:
         assert _data_files(out1) == _data_files(out2)
 
 
-    def test_run_leaves_scipy_special_unimported(self, tmp_path):
-        # Importing scipy.special adds about 4 MB to peak RSS; the quadrature
-        # order certificate computes its Bessel tails without it. The spectral
-        # cross-check imports scipy.linalg, and still agrees with quadrature.
-        out = tmp_path / "run"
-        modules = _scipy_modules_after(tmp_path, "kernel", _base_config(out_dir=str(out)))
-        assert "scipy.linalg" in modules and "scipy.special" not in modules
-        report = json.loads((out / "kernel" / "alpha0_beta0" / "report.json").read_text())
-        assert max(report["defects"]["cross_method"]) < 1e-8
+    def test_eigensolver_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        clear_caches()
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o")))
+        assert main(["kernel", "--config", path]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
 class TestScipyFreeCommands:
-    @pytest.mark.parametrize("command", ["verify", "norms", "operators"])
+    @pytest.mark.parametrize("command", ["kernel", "verify", "norms", "operators"])
     def test_run_leaves_scipy_unimported(self, tmp_path, command):
         # Importing scipy.linalg costs each process about 0.3 s and 28 MB; the
-        # Newton-node rules need only numpy, and none of these parameters
-        # falls back to Golub-Welsch.
-        cfg = _base_config(out_dir=str(tmp_path / "run"),
+        # Newton-node rules and kernel's spectral cross-check need only numpy,
+        # and none of these parameters falls back to Golub-Welsch.
+        out = tmp_path / "run"
+        cfg = _base_config(out_dir=str(out),
                            params=[[-0.5, -0.5], [0.0, 0.0], [2.5, 0.5], [3.0, -0.9]])
         assert _scipy_modules_after(tmp_path, command, cfg) == []
+        if command == "kernel":
+            # The cross-check still agrees with quadrature.
+            reports = sorted((out / "kernel").glob("*/report.json"))
+            assert len(reports) == 4
+            for report in reports:
+                assert max(json.loads(report.read_text())["defects"]["cross_method"]) < 1e-8
 
 
 class TestMatrixWriter:

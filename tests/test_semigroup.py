@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import jhl.quadrature as quadrature
 import jhl.semigroup as semigroup
 from jhl import _memo
-from jhl.basis import JacobiParams, normalization
+from jhl.basis import JacobiParams, generator_coefficients, normalization
 from jhl.config import RunConfig
 from jhl.errors import NumericFailure
 from jhl.quadrature import auto_order, build_rule, laguerre_order
@@ -146,6 +146,45 @@ class TestKernelMatrix:
         with pytest.raises(NumericFailure, match="non-finite"):
             build(LEGENDRE, [0.5, 2.0], 8)
         assert not [key for key in _memo._cache if key[0] in ("K", "dK")]
+
+
+class TestSpectralTruncation:
+    # 5e-324, the smallest positive double, would underflow t / k.
+    @pytest.mark.parametrize("t", [5e-324, 1e-12, 0.1, 1.0, 10.0, 100.0])
+    def test_chernoff_bound_covers_poisson_tail(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        ks = np.arange(1, int(4 * t) + 60)
+        bound = semigroup._poisson_tail(t, ks)
+        with mpmath.workdps(40):
+            exact = [float(mpmath.gammainc(int(k), 0, t, regularized=True)) for k in ks]
+        assert np.all(bound >= exact)
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV, JacobiParams(2.5, 0.5),
+                                        JacobiParams(3.0, -0.9)],
+                             ids=["chebyshev", "jacobi", "skew"])
+    @pytest.mark.parametrize("size", [30, 64])
+    def test_certified_truncation_meets_a_larger_one(self, params, size):
+        # The oracle diagonalizes an 8N truncation with scipy's tridiagonal
+        # solver, independently of the route's dense numpy.linalg.eigh.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        lam, vec = scipy_linalg.eigh_tridiagonal(*generator_coefficients(params, 8 * size))
+        for t in (1.0, 10.0, 50.0, 100.0):
+            oracle = (vec[:size] * np.exp(t * lam)) @ vec[:size].T
+            spectral = kernel_matrix(params, t, size, method="spectral")
+            assert np.abs(spectral - oracle).max() <= DEFAULT_QUAD_TOL
+
+    @pytest.mark.parametrize("size", [30, 64])
+    def test_large_time_keeps_four_times_the_size(self, size):
+        assert semigroup._truncation(float(size * size), size, DEFAULT_QUAD_TOL) == 4 * size
+
+    def test_eigensolver_failure_is_numeric(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        clear_caches()
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericFailure, match="eigensolver"):
+            kernel_matrix(LEGENDRE, 1.0, 8, method="spectral")
 
 
 class TestDerivative:
