@@ -14,9 +14,10 @@ route diagonalizes, with numpy.linalg.eigh, the M x M truncation of the
 operator, M = min(4N, N + d) with d the least margin that a Poisson tail bound
 certifies to the tolerance at t (`_truncation`), and exponentiates; it is a
 cross-check only well below t = N^2, so not in the Laguerre range. Every
-derived value of the batch routes (rule, Laguerre order, table, eigenbasis,
-tensor, p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
+derived value of the quadrature routes (rule, Laguerre order, table, tensor,
+p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
 one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
+The spectral route keeps no eigenbasis, as its truncation size changes with t.
 The scalar oracles `kernel_entry` and `kernel_dt_entry` take a Gauss-Jacobi
 rule and build their own tables, so scalar calls do not grow the cache.
 
@@ -51,19 +52,6 @@ __all__ = [
 
 DEFAULT_QUAD_TOL = 1e-12
 POSITIVITY_FLOOR = -1e-12
-
-
-def _eigenbasis(params: JacobiParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the size x size truncated operator, for
-    the spectral route, by numpy.linalg.eigh on the dense matrix (it reads
-    the lower triangle only)."""
-    def compute():
-        diag, off = generator_coefficients(params, size)
-        try:
-            return np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"generator eigensolver failed at size {size}") from exc
-    return memo(("eig", params.alpha, params.beta, size), compute)
 
 
 def _poisson_tail(t: float, k) -> np.ndarray:
@@ -215,7 +203,12 @@ def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quad
     elif method == "quadrature":
         return kernel_tensor(params, [t], size, quad_tol)[0]
     else:
-        lam, vec = _eigenbasis(params, _truncation(t, size, quad_tol))
+        diag, off = generator_coefficients(params, _truncation(t, size, quad_tol))
+        try:
+            # eigh reads the lower triangle only.
+            lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"generator eigensolver failed at size {diag.size}") from exc
         entries = _gram(vec[:size, :], np.exp(t * lam))
         _check_positivity(params, entries)
     entries.setflags(write=False)

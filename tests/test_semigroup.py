@@ -181,7 +181,6 @@ class TestSpectralTruncation:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
-        clear_caches()
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericFailure, match="eigensolver"):
             kernel_matrix(LEGENDRE, 1.0, 8, method="spectral")
