@@ -9,40 +9,29 @@ decay and weighted-norm boundedness estimates that make those operators behave.
 
 from .basis import (
     JacobiParams,
-    build_generator,
     coeff_a,
     coeff_b,
     generator_coefficients,
-    jacobi_poly,
     normalization,
-    ortho_poly,
     ortho_poly_at_one,
     ortho_table,
 )
 from .errors import ConfigError, ConvergenceFailure, NumericFailure
 from .paths import (
     BandSequence,
-    DifferenceWindow,
     LacunarySequence,
     TimeGrid,
-    brute_jump_count,
-    brute_variation,
     default_bands,
     default_time_grid,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
-    qn_kernel_matrix,
-    s_star,
     variation_batch,
 )
-from .quadrature import QuadratureRule, auto_order, build_rule, moments, total_mass
+from .quadrature import QuadratureRule, auto_order, build_rule, total_mass
 from .semigroup import (
-    apply_heat,
     clear_caches,
-    kernel_dt_entry,
     kernel_dt_tensor,
-    kernel_entry,
     kernel_matrix,
     kernel_tensor,
     markov_defect,
@@ -66,14 +55,11 @@ from .verify import (
     verify_theorem_norms,
 )
 from .weights import (
-    ProbePolicy,
     WeightSpec,
-    a1_constant,
     ap_constant,
     norm_ratio_max,
     probe_matrix,
     weak_quasinorm,
-    weighted_norm,
 )
 
 __version__ = "0.1.0"

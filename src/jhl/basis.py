@@ -16,15 +16,12 @@ import numpy as np
 
 __all__ = [
     "JacobiParams",
-    "jacobi_poly",
     "normalization",
-    "ortho_poly",
     "ortho_poly_at_one",
     "ortho_table",
     "coeff_a",
     "coeff_b",
     "generator_coefficients",
-    "build_generator",
 ]
 
 
@@ -52,31 +49,6 @@ class JacobiParams:
         return f"alpha{self.alpha:g}_beta{self.beta:g}"
 
 
-def jacobi_poly(params: JacobiParams, n: int, x):
-    """Evaluate the Jacobi polynomial P_n^(alpha,beta) at x by the three-term recurrence.
-
-    Accepts scalar or array x; the recurrence is run in degree, which is
-    backward-stable on [-1, 1] for the degrees used here (n up to ~1e4).
-    Scaled by `normalization` it is the oracle for `ortho_table`.
-    """
-    if n < 0:
-        raise ValueError("degree n must be nonnegative")
-    a, b = params.alpha, params.beta
-    xv = np.asanyarray(x, dtype=float)
-    p_prev = np.ones_like(xv)
-    if n == 0:
-        return p_prev if xv.ndim else float(p_prev)
-    p_cur = 0.5 * (a + b + 2.0) * xv + 0.5 * (a - b)
-    for k in range(2, n + 1):
-        s = 2.0 * k + a + b
-        c0 = 2.0 * k * (k + a + b) * (s - 2.0)
-        c1 = (s - 1.0) * (a * a - b * b)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p_prev, p_cur = p_cur, ((c2 * xv + c1) * p_cur - c3 * p_prev) / c0
-    return p_cur if xv.ndim else float(p_cur)
-
-
 def normalization(params: JacobiParams, n: int) -> float:
     """Constant w_n with w_n P_n of unit norm in L^2(dmu), computed in log space.
 
@@ -95,12 +67,6 @@ def normalization(params: JacobiParams, n: int) -> float:
             + math.lgamma(n + ab + 1.0) - (ab + 1.0) * math.log(2.0) \
             - math.lgamma(n + a + 1.0) - math.lgamma(n + b + 1.0)
     return math.exp(0.5 * log_sq)
-
-
-def ortho_poly(params: JacobiParams, n: int, x):
-    """Orthonormal polynomial p_n(x) = normalization(n) * P_n(x), one degree at
-    a time; tests check `ortho_table` against it."""
-    return normalization(params, n) * jacobi_poly(params, n, x)
 
 
 def ortho_poly_at_one(params: JacobiParams, n: int) -> float:
@@ -215,11 +181,3 @@ def generator_coefficients(params: JacobiParams, size: int) -> tuple[np.ndarray,
     off = np.array([coeff_a(params, n) for n in range(size - 1)])
     return diag, off
 
-
-def build_generator(params: JacobiParams, size: int) -> np.ndarray:
-    """The dense size x size truncation of the difference operator, the oracle
-    for `ortho_table` (the eigenrelation) and for `kernel_tensor` (e^{tJ})."""
-    if size < 2:
-        raise ValueError("size must be at least 2")
-    diag, off = generator_coefficients(params, size)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

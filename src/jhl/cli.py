@@ -169,12 +169,20 @@ def cmd_kernel(config: RunConfig) -> int:
 
 
 def _operator_table(config: RunConfig, params: JacobiParams):
+    """Header, rows and report of one params' operators table: a column per
+    listed operator (one per lambda for jump), in `OPERATOR_NAMES` order, then
+    the margin 2^(1 + 1/rho) variation - max_lambda jump where both are listed."""
     grid = config.t_grid.build()
     size = max(config.sizes)
     f = config.signal.resolve(size)
-    header = ["n", "variation", "oscillation"]
-    header += [f"jump_lam{lam:g}" for lam in config.lambdas]
-    header += ["s_star", "margin"]
+    listed = [operator for operator in OPERATOR_NAMES if operator in config.operators]
+    with_margin = "variation" in listed and "jump" in listed
+    header = ["n"]
+    for operator in listed:
+        header += ([f"jump_lam{lam:g}" for lam in config.lambdas] if operator == "jump"
+                   else [operator])
+    if with_margin:
+        header.append("margin")
     if f.size == 0:
         return header, [], {}
     if f.size > size:
@@ -183,23 +191,28 @@ def _operator_table(config: RunConfig, params: JacobiParams):
     f = np.pad(f, (0, size - f.size))
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
-    var, osc, jumps, sstar = (
-        operator_images(params, operator, size, grid, config.rho, config.lambdas, lac, b,
-                        config.lacunary.window, f, config.quad_tol)
-        for operator in OPERATOR_NAMES)
-    margin = 2.0 ** (1.0 + 1.0 / config.rho) * var - jumps.max(axis=0)
-    rows = [[n, var[n], osc[n], *jumps[:, n], sstar[n], margin[n]] for n in range(size)]
-    report = {
-        "size": size,
-        "argmax_variation": int(np.argmax(var)),
-        "min_margin": float(margin.min()),
-    }
+    images = {operator: operator_images(params, operator, size, grid, config.rho,
+                                        config.lambdas, lac, b, config.lacunary.window, f,
+                                        config.quad_tol)
+              for operator in listed}
+    columns = [images[operator].reshape(-1, size) for operator in listed]
+    report = {"size": size}
+    if "variation" in images:
+        report["argmax_variation"] = int(np.argmax(images["variation"]))
+    if with_margin:
+        margin = 2.0 ** (1.0 + 1.0 / config.rho) * images["variation"] \
+            - images["jump"].max(axis=0)
+        columns.append(margin[None])
+        report["min_margin"] = float(margin.min())
+    table = np.concatenate(columns)
+    rows = [[n, *table[:, n]] for n in range(size)]
     return header, rows, report
 
 
 def cmd_operators(config: RunConfig) -> int:
     """Write per-index path-functional tables for the configured signal."""
-    if config.t_grid.t_max < 2.0 * config.t_grid.t_min:
+    grid = config.t_grid
+    if "oscillation" in config.operators and grid.t_max < 2.0 * grid.t_min:
         raise ConfigError("t_grid must span a factor of 2 for the oscillation bands")
     base = os.path.join(config.out_dir, "operators")
     _ensure_dir(base)

@@ -9,32 +9,21 @@ improve under refinement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .basis import JacobiParams
-from .semigroup import DEFAULT_QUAD_TOL, _fit_signal, apply_heat, kernel_tensor
 
 __all__ = [
     "TimeGrid",
     "BandSequence",
     "LacunarySequence",
-    "DifferenceWindow",
     "default_time_grid",
     "default_bands",
     "variation_batch",
-    "brute_variation",
     "oscillation_batch",
     "jump_count_batch",
-    "brute_jump_count",
-    "qn_kernel_matrix",
-    "s_star",
     "hl_maximal_all",
 ]
-
-BRUTE_VARIATION_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -128,24 +117,12 @@ class LacunarySequence:
         return float(self.values[j - self.j_min])
 
     @classmethod
-    def geometric(cls, ratio: float, j_min: int, j_max: int, scale: float = 1.0,
+    def geometric(cls, ratio: float, j_min: int, j_max: int,
                   pinned: bool = True) -> "LacunarySequence":
         if j_max <= j_min:
             raise ValueError("need j_max > j_min")
         j = np.arange(j_min, j_max + 1, dtype=float)
-        return cls(j_min=j_min, values=scale * ratio ** j, ratio=ratio, pinned=pinned)
-
-
-@dataclass(frozen=True)
-class DifferenceWindow:
-    """Index window (n1, n2) of a difference sum, n1 < n2."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self) -> None:
-        if self.n1 >= self.n2:
-            raise ValueError("window needs n1 < n2")
+        return cls(j_min=j_min, values=ratio ** j, ratio=ratio, pinned=pinned)
 
 
 def _turning_mask(flat: np.ndarray) -> np.ndarray:
@@ -207,25 +184,6 @@ def variation_batch(values: np.ndarray, rho: float) -> np.ndarray:
         total[rows] = best.max(axis=1)
         start = stop
     return (total ** (1.0 / rho)).reshape(lead)
-
-
-def brute_variation(values: np.ndarray, rho: float) -> float:
-    """Exhaustive maximum over all subsequences of one path; tests check
-    `variation_batch` against it."""
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
-    vals = np.asarray(values, dtype=float)
-    length = vals.size
-    if length > BRUTE_VARIATION_CAP:
-        raise ValueError(f"brute-force variation capped at length {BRUTE_VARIATION_CAP}")
-    best = 0.0
-    for size in range(2, length + 1):
-        for combo in itertools.combinations(range(length), size):
-            picked = vals[list(combo)]
-            total = float(np.sum(np.abs(np.diff(picked)) ** rho))
-            if total > best:
-                best = total
-    return best ** (1.0 / rho)
 
 
 def _band_slices(times: np.ndarray, bands: BandSequence) -> list[np.ndarray]:
@@ -299,60 +257,12 @@ def jump_count_batch(values: np.ndarray, lam) -> np.ndarray:
     return counts.reshape(lams.shape + lead)
 
 
-def brute_jump_count(values: np.ndarray, lam: float) -> int:
-    """Exhaustive maximal pairing s_1 < t_1 <= s_2 < t_2 <= ... with
-    |a_{t_i} - a_{s_i}| > lam on one path; tests check `jump_count_batch`
-    against it."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    vals = np.asarray(values, dtype=float)
-    length = vals.size
-    memo: dict[int, int] = {}
-
-    def best_from(start: int) -> int:
-        if start >= length - 1:
-            return 0
-        hit = memo.get(start)
-        if hit is not None:
-            return hit
-        best = 0
-        for s in range(start, length - 1):
-            for t in range(s + 1, length):
-                if abs(vals[t] - vals[s]) > lam:
-                    cand = 1 + best_from(t)
-                    if cand > best:
-                        best = cand
-        memo[start] = best
-        return best
-
-    return best_from(0)
-
-
 def _resolve_bcoef(bcoef, lac: LacunarySequence) -> np.ndarray:
     """Coefficients b_j aligned with lac indices j_min..j_max-1."""
-    if callable(bcoef):
-        return np.array([float(bcoef(j)) for j in range(lac.j_min, lac.j_max)])
     arr = np.asarray(bcoef, dtype=float)
     if arr.ndim != 1 or arr.size < lac.values.size - 1:
         raise ValueError("bcoef must cover every step of the lacunary window")
     return arr[: lac.values.size - 1]
-
-
-def qn_kernel_matrix(params: JacobiParams, window: DifferenceWindow, lac: LacunarySequence,
-                     bcoef, size: int, quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Dense kernel sum_{j=n1}^{n2} b_j (K_{a_{j+1}} - K_{a_j}) of the difference
-    sum; its row n applied to f is the sum at index n. The kernels come from the
-    one tensor over lac.values that the batch routes use; the window is summed
-    directly, so tests check the window prefix sums of `jhl.verify` (the
-    "s_star" route of `operator_images`) against it."""
-    if window.n1 < lac.j_min or window.n2 + 1 > lac.j_max:
-        raise ValueError("difference window leaves the lacunary index range")
-    b = _resolve_bcoef(bcoef, lac)
-    mats = kernel_tensor(params, lac.values, size, quad_tol)
-    total = np.zeros((size, size))
-    for i in range(window.n1 - lac.j_min, window.n2 + 1 - lac.j_min):
-        total += b[i] * (mats[i + 1] - mats[i])
-    return total
 
 
 def _local_mask(size: int) -> np.ndarray:
@@ -360,37 +270,6 @@ def _local_mask(size: int) -> np.ndarray:
     n = np.arange(size)[:, None]
     m = np.arange(size)[None, :]
     return (2 * m >= n) & (2 * m <= 3 * n)
-
-
-def s_star(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
-           f: np.ndarray, n: int, size: int, variant: str = "full") -> float:
-    """sup over windows -M <= n1 < n2 <= M of |difference sum| at index n, one
-    `apply_heat` per lacunary time; tests check the "s_star" route of
-    `jhl.verify.operator_images` against it.
-
-    variant selects the input restriction: "local" keeps entries with
-    n/2 <= m <= 3n/2, "global" keeps the complement, "full" keeps everything.
-    All window sums are differences of one prefix array, so the sup is the
-    prefix spread.
-    """
-    if m_range <= 0:
-        raise ValueError("window range M must be positive")
-    if variant not in ("full", "local", "global"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if not 0 <= n < size:
-        raise ValueError("index n must lie in the truncated range")
-    if lac.j_min > -m_range or lac.j_max < m_range + 1:
-        raise ValueError("lacunary window must cover [-M, M+1]")
-    fv = _fit_signal(f, size).copy()
-    if variant != "full":
-        local = _local_mask(size)[n]
-        fv *= local if variant == "local" else ~local
-    b = _resolve_bcoef(bcoef, lac)
-    path = np.array([apply_heat(params, lac.value(j), fv, size)[n]
-                     for j in range(-m_range, m_range + 2)])
-    steps = b[np.arange(-m_range, m_range + 1) - lac.j_min] * np.diff(path)
-    prefix = np.concatenate(([0.0], np.cumsum(steps)))
-    return float(prefix.max() - prefix.min())
 
 
 def hl_maximal_all(f: np.ndarray) -> np.ndarray:

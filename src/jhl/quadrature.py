@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureRule",
     "total_mass",
     "build_rule",
-    "moments",
     "auto_order",
 ]
 
@@ -248,26 +247,6 @@ def _checked_rule(params: JacobiParams, order: int, nodes: np.ndarray,
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(params=params, order=order, nodes=nodes, weights=weights)
-
-
-def moments(params: JacobiParams, k_max: int) -> np.ndarray:
-    """Monomial moments m_k = int x^k dmu for k = 0..k_max.
-
-    Integration by parts of d/dx [x^k (1-x)^(a+1) (1+x)^(b+1)] gives the
-    two-term recursion m_{k+1} = (k m_{k-1} + (b - a) m_k) / (k + a + b + 2),
-    seeded by the Beta-function value of m_0. Independent of the quadrature path.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    a, b = params.alpha, params.beta
-    out = np.empty(k_max + 1)
-    out[0] = total_mass(params)
-    if k_max == 0:
-        return out
-    out[1] = (b - a) * out[0] / (a + b + 2.0)
-    for k in range(1, k_max):
-        out[k + 1] = (k * out[k - 1] + (b - a) * out[k]) / (k + a + b + 2.0)
-    return out
 
 
 def _bessel_tail_bound(d: int, t: float) -> float:

@@ -18,13 +18,13 @@ derived value of the quadrature routes (rule, Laguerre order, table, tensor,
 p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
 one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
 The spectral route keeps no eigenbasis, as its truncation size changes with t.
-The scalar oracles `kernel_entry` and `kernel_dt_entry` take a Gauss-Jacobi
-rule and build their own tables, so scalar calls do not grow the cache.
+The tests check both routes entry by entry against scalar oracles that take
+a Gauss-Jacobi rule (`tests/oracles.py`), and the whole kernel at
+(-1/2, -1/2) and (1/2, 1/2) against its closed form in Bessel functions.
 
-`apply_heat` is W_t f = K_t f on the truncation. The diagnostics measure the
-truncated kernels against two identities of the full lattice: K_t p_.(1) =
-p_.(1) (`markov_defect`, with p_n(1) from `weight_at_one`) and
-K_t K_s = K_{t+s} (`semigroup_defect`).
+The diagnostics measure the truncated kernels against two identities of the
+full lattice: K_t p_.(1) = p_.(1) (`markov_defect`, with p_n(1) from
+`weight_at_one`) and K_t K_s = K_{t+s} (`semigroup_defect`).
 """
 
 from __future__ import annotations
@@ -34,16 +34,13 @@ import numpy as np
 from ._memo import clear as clear_caches
 from ._memo import memo
 from .basis import JacobiParams, _at_one_by_ratios, generator_coefficients, ortho_table
-from .errors import ConvergenceFailure, NumericFailure
-from .quadrature import QuadratureRule, _laguerre_terms, auto_order, build_rule, laguerre_order
+from .errors import NumericFailure
+from .quadrature import _laguerre_terms, auto_order, build_rule, laguerre_order
 
 __all__ = [
-    "kernel_entry",
-    "kernel_dt_entry",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
-    "apply_heat",
     "markov_defect",
     "semigroup_defect",
     "weight_at_one",
@@ -82,41 +79,6 @@ def _truncation(t: float, size: int, tol: float) -> int:
 def _require_time(t: float) -> None:
     if not np.isfinite(t) or t < 0.0:
         raise ValueError("time t must be finite and nonnegative")
-
-
-def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
-           derivative: bool) -> float:
-    """Quadrature value of int (-(1-x))^d e^{-t(1-x)} p_n p_m dmu, d = derivative."""
-    _require_time(t)
-    if t == 0.0:
-        raise ValueError("t = 0 is the identity and is not computed by quadrature")
-    if n < 0 or m < 0:
-        raise ValueError("kernel indices must be nonnegative")
-    degree = n + m + int(derivative)
-    if 2 * rule.order - 1 < degree:
-        raise ConvergenceFailure(
-            f"rule of order {rule.order} is not exact for the degree {degree} polynomial part"
-        )
-    table = ortho_table(params, max(n, m), rule.nodes)
-    g = 1.0 - rule.nodes
-    factor = -g * np.exp(-t * g) if derivative else np.exp(-t * g)
-    # table[n] * table[m] first: IEEE multiplication commutes, so the value
-    # is bitwise symmetric in (n, m), which grouping exp * p_n * p_m is not.
-    return float(rule.weights @ ((table[n] * table[m]) * factor))
-
-
-def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
-                 rule: QuadratureRule) -> float:
-    """Quadrature value of K_t(n, m); symmetric in (n, m) exactly. Tests check
-    `kernel_matrix` and `kernel_tensor` against it."""
-    return _entry(params, t, n, m, rule, derivative=False)
-
-
-def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
-                    rule: QuadratureRule) -> float:
-    """Time derivative d/dt K_t(n, m) = -int (1-x) e^{-t(1-x)} p_n p_m dmu;
-    tests check `kernel_dt_tensor` against it."""
-    return _entry(params, t, n, m, rule, derivative=True)
 
 
 def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
@@ -245,25 +207,6 @@ def kernel_dt_tensor(params: JacobiParams, times: np.ndarray, size: int,
                      quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     """Stack of d/dt kernel matrices over a time grid."""
     return _tensor(params, times, size, quad_tol, derivative=True)
-
-
-def _fit_signal(f: np.ndarray, size: int) -> np.ndarray:
-    fv = np.asarray(f, dtype=float)
-    if fv.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if fv.size > size:
-        raise ValueError(f"signal support {fv.size} exceeds truncation {size}")
-    if fv.size < size:
-        fv = np.pad(fv, (0, size - fv.size))
-    return fv
-
-
-def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int) -> np.ndarray:
-    """W_t f on the truncated range, a product with the quadrature kernel matrix."""
-    fv = _fit_signal(f, size)
-    if t == 0.0:
-        return fv.copy()
-    return kernel_matrix(params, t, size) @ fv
 
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:

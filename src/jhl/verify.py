@@ -31,7 +31,7 @@ from .paths import (
     _resolve_bcoef,
 )
 from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_tensor
-from .weights import ProbePolicy, norm_ratio_max, probe_matrix, weak_quasinorm
+from .weights import norm_ratio_max, probe_matrix, weak_quasinorm
 
 __all__ = [
     "EstimateReport",
@@ -548,7 +548,7 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
             spec, []).append(i)
     constants = [[] for _ in cells]
     for size in sizes:
-        probes = probe_matrix(ProbePolicy(size=size, n_random=n_random, seed=seed))
+        probes = probe_matrix(size, n_random, seed)
         images = np.concatenate(
             [delta_block[..., :size, :size],
              operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, bcoef,

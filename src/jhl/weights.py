@@ -13,10 +13,7 @@ import numpy as np
 
 __all__ = [
     "WeightSpec",
-    "ProbePolicy",
     "ap_constant",
-    "a1_constant",
-    "weighted_norm",
     "weak_quasinorm",
     "probe_matrix",
     "norm_ratio_max",
@@ -90,7 +87,7 @@ def ap_constant(w: np.ndarray, p: float) -> float:
     always at least 1 by Jensen.
     """
     if p <= 1.0:
-        raise ValueError("ap_constant needs p > 1; use a1_constant at p = 1")
+        raise ValueError("ap_constant needs p > 1")
     wv = _check_weight(w)
     dual = wv ** (-1.0 / (p - 1.0))
     cw = np.concatenate(([0.0], np.cumsum(wv)))
@@ -103,33 +100,6 @@ def ap_constant(w: np.ndarray, p: float) -> float:
         cand = (cw[m + 1] - cw[n]) * (cd[m + 1] - cd[n]) ** (p - 1.0) / length ** p
         best = max(best, float(cand.max()))
     return best
-
-
-def a1_constant(w: np.ndarray) -> float:
-    """A_1 constant: sup over intervals of (average of w) * max(1/w) on the interval."""
-    wv = _check_weight(w)
-    cw = np.concatenate(([0.0], np.cumsum(wv)))
-    inv = 1.0 / wv
-    best = 0.0
-    size = wv.size
-    for n in range(size):
-        running = np.maximum.accumulate(inv[n:])
-        m = np.arange(n, size)
-        cand = (cw[m + 1] - cw[n]) / (m - n + 1.0) * running
-        best = max(best, float(cand.max()))
-    return best
-
-
-def weighted_norm(f: np.ndarray, p: float, w: np.ndarray) -> float:
-    """(sum |f|^p w)^(1/p) with f and w aligned from index 0; at p = 1 tests
-    check `weak_quasinorm` against it."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    fv = np.asarray(f, dtype=float)
-    wv = _check_weight(w)
-    if fv.size > wv.size:
-        raise ValueError("weight must cover the signal support")
-    return float((np.abs(fv) ** p @ wv[: fv.size]) ** (1.0 / p))
 
 
 def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float | np.ndarray:
@@ -163,23 +133,15 @@ def weak_quasinorm(f: np.ndarray, w: np.ndarray) -> float | np.ndarray:
     return float(best[0]) if fv.ndim == 1 else best[0]
 
 
-@dataclass(frozen=True)
-class ProbePolicy:
-    """Probe family: every delta on the range plus seeded random signals."""
-
-    size: int
-    n_random: int = 8
-    seed: int = 0
-
-
-def probe_matrix(policy: ProbePolicy) -> np.ndarray:
-    """Columns are probes: identity block, then sign probes, then Gaussian probes."""
-    if policy.size < 1:
+def probe_matrix(size: int, n_random: int, seed: int) -> np.ndarray:
+    """Columns are probes on the first `size` indices: every delta, then
+    `n_random` sign probes, then `n_random` Gaussian probes, seeded by `seed`."""
+    if size < 1:
         raise ValueError("probe range must be positive")
-    rng = np.random.default_rng(policy.seed)
-    deltas = np.eye(policy.size)
-    signs = rng.choice([-1.0, 1.0], size=(policy.size, policy.n_random))
-    gauss = rng.standard_normal((policy.size, policy.n_random))
+    rng = np.random.default_rng(seed)
+    deltas = np.eye(size)
+    signs = rng.choice([-1.0, 1.0], size=(size, n_random))
+    gauss = rng.standard_normal((size, n_random))
     return np.concatenate([deltas, signs, gauss], axis=1)
 
 

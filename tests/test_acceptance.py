@@ -12,20 +12,12 @@ import time
 
 import numpy as np
 
-from jhl.basis import (
-    JacobiParams,
-    build_generator,
-    coeff_a,
-    coeff_b,
-    ortho_table,
-)
+from jhl.basis import JacobiParams, coeff_a, coeff_b, ortho_table
 from jhl.cli import _verify_cell, main
 from jhl.config import RunConfig
 from jhl.paths import (
     LacunarySequence,
     TimeGrid,
-    brute_jump_count,
-    brute_variation,
     default_bands,
     default_time_grid,
     jump_count_batch,
@@ -36,6 +28,7 @@ from jhl.quadrature import build_rule
 from jhl.semigroup import kernel_matrix, kernel_tensor, markov_defect, semigroup_defect
 from jhl.verify import DEFAULT_LAMBDAS, verify_theorem_norms
 from jhl.weights import WeightSpec
+from oracles import brute_jump_count, brute_variation, build_generator
 
 ALL_PAIRS = (
     JacobiParams(-0.5, -0.5),

@@ -29,7 +29,7 @@ from jhl.cli import (
     _write_matrix_csv,
     main,
 )
-from jhl.config import RunConfig, load_config
+from jhl.config import OPERATOR_NAMES, RunConfig, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches, kernel_matrix
 
@@ -565,7 +565,8 @@ class TestMatrixWriter:
 class TestOperatorsCommand:
     def test_table_and_margin(self, tmp_path):
         out = tmp_path / "run"
-        path = _write_config(tmp_path, _base_config(out_dir=str(out)))
+        path = _write_config(tmp_path, _base_config(out_dir=str(out),
+                                                    operators=list(OPERATOR_NAMES)))
         assert main(["operators", "--config", path]) == 0
         table = out / "operators" / "alpha0_beta0" / "operators.csv"
         header = table.read_text().splitlines()[0].split(",")
@@ -579,6 +580,43 @@ class TestOperatorsCommand:
             (out / "operators" / "alpha0_beta0" / "report.json").read_text())
         assert report["min_margin"] >= 0.0
         assert 0 <= report["argmax_variation"] < 12
+
+    def test_narrow_grid_without_oscillation(self, tmp_path):
+        # the factor-2 span is the oscillation bands' need only
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, {"operators": ["variation"], "params": [[0.0, 0.0]],
+                                        "sizes": [8, 16], "out_dir": str(out),
+                                        "t_grid": {"t_min": 1, "t_max": 1.5}})
+        assert main(["operators", "--config", path]) == 0
+        tag_dir = out / "operators" / "alpha0_beta0"
+        assert (tag_dir / "operators.csv").read_text().splitlines()[0] == "n,variation"
+        report = json.loads((tag_dir / "report.json").read_text())
+        assert set(report) == {"alpha", "beta", "size", "argmax_variation"}
+
+    @pytest.mark.parametrize("operators", [["jump", "variation"], ["s_star"],
+                                           ["oscillation", "jump"]])
+    def test_listed_operators_are_columns_of_the_full_table(self, tmp_path, operators):
+        tables = {}
+        for name, listed in (("full", list(OPERATOR_NAMES)), ("part", operators)):
+            out = tmp_path / name
+            path = _write_config(tmp_path, _base_config(out_dir=str(out), operators=listed))
+            assert main(["operators", "--config", path]) == 0
+            tag_dir = out / "operators" / "alpha0_beta0"
+            lines = (tag_dir / "operators.csv").read_text().splitlines()
+            columns = list(zip(*(line.split(",") for line in lines)))
+            tables[name] = ({column[0]: column for column in columns},
+                            json.loads((tag_dir / "report.json").read_text()))
+        (full, full_report), (part, part_report) = tables["full"], tables["part"]
+        expected = [name for name in full if name == "n" or any(
+            name == op or name.startswith(f"{op}_lam") for op in operators)]
+        if {"variation", "jump"} <= set(operators):
+            expected.append("margin")
+        assert list(part) == expected
+        assert all(part[name] == full[name] for name in part)
+        assert part_report == {key: value for key, value in full_report.items()
+                               if key in ("alpha", "beta", "size")
+                               or (key == "argmax_variation" and "variation" in operators)
+                               or (key == "min_margin" and "margin" in part)}
 
     def test_empty_signal_writes_header_only(self, tmp_path):
         out = tmp_path / "run"

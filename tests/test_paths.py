@@ -9,22 +9,26 @@ from numpy.testing import assert_allclose
 from jhl.basis import JacobiParams
 from jhl.paths import (
     BandSequence,
-    DifferenceWindow,
     LacunarySequence,
     TimeGrid,
-    brute_jump_count,
-    brute_variation,
+    _resolve_bcoef,
     default_bands,
     default_time_grid,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
-    qn_kernel_matrix,
-    s_star,
     variation_batch,
 )
 from jhl.quadrature import build_rule
-from jhl.semigroup import apply_heat, kernel_entry, kernel_matrix, kernel_tensor
+from jhl.semigroup import kernel_matrix, kernel_tensor
+from oracles import (
+    apply_heat,
+    brute_jump_count,
+    brute_variation,
+    kernel_entry,
+    qn_kernel_matrix,
+    s_star,
+)
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 
@@ -128,10 +132,6 @@ class TestGridsAndSequences:
         with pytest.raises(ValueError, match="outside"):
             lac.value(5)
 
-    def test_difference_window_order(self):
-        with pytest.raises(ValueError, match="n1 < n2"):
-            DifferenceWindow(3, 3)
-
 
 class TestVariation:
     def test_hand_values(self):
@@ -153,10 +153,6 @@ class TestVariation:
         assert batch.shape == (5,)
         for i in range(5):
             assert_allclose(batch[i], variation_batch(values[i], 2.5))
-
-    def test_brute_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            brute_variation(np.zeros(17), 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -347,58 +343,40 @@ class TestHeatPaths:
 class TestDifferenceSums:
     def test_matches_kernel_route(self):
         lac = LacunarySequence.geometric(2.0, -4, 5)
-        window = DifferenceWindow(-2, 2)
         bcoef = np.ones(lac.values.size - 1)
         size = 16
         rng = np.random.default_rng(9)
         f = rng.standard_normal(size)
-        dense = qn_kernel_matrix(LEGENDRE, window, lac, bcoef, size)
+        dense = qn_kernel_matrix(LEGENDRE, -2, 2, lac, bcoef, size)
         for n in (0, 3, 11):
             direct = sum(bcoef[j - lac.j_min]
                          * (apply_heat(LEGENDRE, lac.value(j + 1), f, size)[n]
                             - apply_heat(LEGENDRE, lac.value(j), f, size)[n])
-                         for j in range(window.n1, window.n2 + 1))
+                         for j in range(-2, 3))
             assert_allclose(direct, dense[n] @ f, rtol=1e-10, atol=1e-14)
 
     def test_unit_coefficients_telescope(self):
         lac = LacunarySequence.geometric(2.0, -4, 5)
-        window = DifferenceWindow(-2, 2)
         size = 12
-        dense = qn_kernel_matrix(LEGENDRE, window, lac, np.ones(9), size)
+        dense = qn_kernel_matrix(LEGENDRE, -2, 2, lac, np.ones(9), size)
         hi = kernel_matrix(LEGENDRE, lac.value(3), size)
         lo = kernel_matrix(LEGENDRE, lac.value(-2), size)
         assert_allclose(dense, hi - lo, atol=1e-13)
 
     def test_scalar_kernel_matches_dense(self):
         lac = LacunarySequence.geometric(2.0, -3, 4)
-        window = DifferenceWindow(-1, 1)
         bcoef = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
-        dense = qn_kernel_matrix(LEGENDRE, window, lac, bcoef, 8)
+        dense = qn_kernel_matrix(LEGENDRE, -1, 1, lac, bcoef, 8)
         rule = build_rule(LEGENDRE, 64)
         got = sum(bcoef[j - lac.j_min] * (kernel_entry(LEGENDRE, lac.value(j + 1), 5, 2, rule)
                                           - kernel_entry(LEGENDRE, lac.value(j), 5, 2, rule))
-                  for j in range(window.n1, window.n2 + 1))
+                  for j in range(-1, 2))
         assert_allclose(got, dense[5, 2], rtol=1e-12, atol=1e-15)
-
-    def test_callable_coefficients(self):
-        lac = LacunarySequence.geometric(2.0, -3, 4)
-        window = DifferenceWindow(-1, 1)
-        arr = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
-        a = qn_kernel_matrix(LEGENDRE, window, lac, lambda j: (-1.0) ** j, 6)
-        b = qn_kernel_matrix(LEGENDRE, window, lac, arr, 6)
-        assert np.array_equal(a, b)
-
-    def test_window_must_fit_sequence(self):
-        lac = LacunarySequence.geometric(2.0, -2, 3)
-        with pytest.raises(ValueError, match="index range"):
-            qn_kernel_matrix(LEGENDRE, DifferenceWindow(-3, 1), lac, np.ones(5), 2)
-        with pytest.raises(ValueError, match="index range"):
-            qn_kernel_matrix(LEGENDRE, DifferenceWindow(0, 3), lac, np.ones(5), 2)
 
     def test_short_bcoef_rejected(self):
         lac = LacunarySequence.geometric(2.0, -2, 3)
         with pytest.raises(ValueError, match="cover"):
-            qn_kernel_matrix(LEGENDRE, DifferenceWindow(-1, 1), lac, np.ones(3), 2)
+            _resolve_bcoef(np.ones(3), lac)
 
 
 class TestSStar:
@@ -433,21 +411,6 @@ class TestSStar:
             glob = s_star(LEGENDRE, m_range, lac, bcoef, f, n, size, "global")
             assert full <= local + glob + 1e-12
 
-    def test_validation(self):
-        lac, bcoef, f = self._setup()
-        with pytest.raises(ValueError, match="positive"):
-            s_star(LEGENDRE, 0, lac, bcoef, f, 1, 16)
-        with pytest.raises(ValueError, match="variant"):
-            s_star(LEGENDRE, 3, lac, bcoef, f, 1, 16, "sideways")
-        short = LacunarySequence.geometric(2.0, -1, 2)
-        with pytest.raises(ValueError, match="cover"):
-            s_star(LEGENDRE, 3, short, np.ones(3), f, 1, 16)
-
-    def test_index_range_checked(self):
-        lac, bcoef, f = self._setup()
-        for n in (-1, 16):
-            with pytest.raises(ValueError, match="range"):
-                s_star(LEGENDRE, 3, lac, bcoef, f, n, 16)
 
 class TestHardyAndMaximal:
     def test_hl_delta_value(self):

@@ -11,11 +11,12 @@ from numpy.testing import assert_allclose
 
 import jhl.quadrature as quadrature
 from jhl import _memo
-from jhl.basis import JacobiParams, build_generator, coeff_a, generator_coefficients, ortho_table
+from jhl.basis import JacobiParams, coeff_a, generator_coefficients, ortho_table
 from jhl.config import RunConfig
 from jhl.errors import ConvergenceFailure, NumericFailure
-from jhl.quadrature import auto_order, build_rule, moments, total_mass
-from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_entry, kernel_tensor
+from jhl.quadrature import auto_order, build_rule, total_mass
+from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_tensor
+from oracles import build_generator, kernel_entry, moments
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)

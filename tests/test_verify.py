@@ -11,13 +11,10 @@ from jhl.basis import JacobiParams
 from jhl.config import RunConfig
 from jhl.errors import NumericFailure
 from jhl.paths import (
-    DifferenceWindow,
     LacunarySequence,
     TimeGrid,
     default_time_grid,
     jump_count_batch,
-    qn_kernel_matrix,
-    s_star,
     variation_batch,
 )
 from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_dt_tensor, kernel_tensor
@@ -44,7 +41,8 @@ from jhl.verify import (
     _smoothness_mask,
     _window_prefix,
 )
-from jhl.weights import ProbePolicy, WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
+from jhl.weights import WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
+from oracles import qn_kernel_matrix, s_star
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
@@ -243,7 +241,7 @@ class TestLeadingBlocks:
         rep, = verify_theorem_norms(LEGENDRE, "jump", [(1.5, spec, "strong")], (16, 64),
                                     grid=grid)
         block = kernel_tensor(LEGENDRE, grid.times, 64)[:, :16, :16]
-        probes = probe_matrix(ProbePolicy(size=16, n_random=8, seed=0))
+        probes = probe_matrix(size=16, n_random=8, seed=0)
         paths = np.moveaxis(np.tensordot(block, probes, axes=([2], [0])), 0, -1)
         expected = max(
             norm_ratio_max(lam * jump_count_batch(paths, lam) ** (1.0 / DEFAULT_RHO),
@@ -289,7 +287,7 @@ class TestTheoremNorms:
         rep, = verify_theorem_norms(LEGENDRE, "jump", [(1.0, spec, "weak11")], (8, 12),
                                     grid=SMALL_GRID, n_random=4, lambdas=lambdas)
         for size, constant in zip((8, 12), rep.constants):
-            probes = probe_matrix(ProbePolicy(size=size, n_random=4, seed=0))
+            probes = probe_matrix(size=size, n_random=4, seed=0)
             images = operator_images(LEGENDRE, "jump", 12, SMALL_GRID, DEFAULT_RHO,
                                      lambdas, None, None, 6, probes, DEFAULT_QUAD_TOL)
             w = spec.resolve(size)
@@ -423,14 +421,14 @@ class TestOperatorImages:
         prefix = _window_prefix(steps, lac, m)
         for n1 in range(-m, m):
             for n2 in range(n1 + 1, m + 1):
-                dense = qn_kernel_matrix(params, DifferenceWindow(n1, n2), lac, b, self.SIZE)
+                dense = qn_kernel_matrix(params, n1, n2, lac, b, self.SIZE)
                 got = prefix[n2 + m + 1] - prefix[n1 + m]
                 assert np.abs(got - dense).max() <= 1e-13, (n1, n2)
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
     def test_s_star_images_match_scalar_oracle(self, params):
         lac, b = _lac(self.M_RANGE)
-        probes = probe_matrix(ProbePolicy(size=self.SIZE, n_random=3, seed=5))
+        probes = probe_matrix(size=self.SIZE, n_random=3, seed=5)
         images = self._images(params, "s_star", probes)
         expected = [[s_star(params, self.M_RANGE, lac, b, probes[:, k], n, self.SIZE)
                      for k in range(probes.shape[1])] for n in range(self.SIZE)]
@@ -439,7 +437,7 @@ class TestOperatorImages:
 
     @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
     def test_single_signal_matches_probe_column(self, operator):
-        probes = probe_matrix(ProbePolicy(size=self.SIZE, n_random=2, seed=3))
+        probes = probe_matrix(size=self.SIZE, n_random=2, seed=3)
         batch = self._images(CHEBYSHEV, operator, probes)
         single = self._images(CHEBYSHEV, operator, probes[:, -1])
         assert single.shape == batch[..., -1].shape

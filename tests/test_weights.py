@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jhl.weights import (
-    ProbePolicy,
     WeightSpec,
-    a1_constant,
     ap_constant,
     norm_ratio_max,
     probe_matrix,
     weak_quasinorm,
-    weighted_norm,
 )
+from oracles import a1_constant, weighted_norm
 
 weights_strategy = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=12).map(np.array)
 
@@ -45,8 +43,6 @@ class TestMuckenhoupt:
             ap_constant(np.ones(3), 1.0)
         with pytest.raises(ValueError, match="positive"):
             ap_constant(np.array([1.0, -1.0]), 2.0)
-        with pytest.raises(ValueError, match="positive"):
-            a1_constant(np.array([1.0, 0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(weights_strategy)
@@ -93,12 +89,6 @@ class TestNorms:
         f = np.array([3.0, -4.0])
         assert_allclose(weighted_norm(f, 2.0, np.ones(2)), 5.0)
         assert_allclose(weighted_norm(f, 1.0, np.array([2.0, 1.0])), 10.0)
-
-    def test_weighted_norm_validation(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            weighted_norm(np.ones(2), 0.5, np.ones(2))
-        with pytest.raises(ValueError, match="cover"):
-            weighted_norm(np.ones(3), 2.0, np.ones(2))
 
     def test_weak_hand_value(self):
         # both levels give 1: 1 * w({|f| >= 1}) = 1 and 0.5 * w({|f| >= 0.5}) = 1
@@ -158,20 +148,19 @@ class TestWeakBatch:
 
 class TestProbes:
     def test_matrix_shape_and_blocks(self):
-        policy = ProbePolicy(size=6, n_random=3, seed=5)
-        probes = probe_matrix(policy)
+        probes = probe_matrix(size=6, n_random=3, seed=5)
         assert probes.shape == (6, 6 + 2 * 3)
         assert_allclose(probes[:, :6], np.eye(6))
         assert set(np.unique(probes[:, 6:9])) <= {-1.0, 1.0}
 
     def test_deterministic_per_seed(self):
-        policy = ProbePolicy(size=5, n_random=4, seed=7)
-        assert_allclose(probe_matrix(policy), probe_matrix(policy))
-        other = probe_matrix(ProbePolicy(size=5, n_random=4, seed=8))
-        assert not np.allclose(probe_matrix(policy), other)
+        probes = probe_matrix(size=5, n_random=4, seed=7)
+        assert_allclose(probes, probe_matrix(size=5, n_random=4, seed=7))
+        other = probe_matrix(size=5, n_random=4, seed=8)
+        assert not np.allclose(probes, other)
 
     def test_norm_ratio_scaling(self):
-        probes = probe_matrix(ProbePolicy(size=8, n_random=2, seed=0))
+        probes = probe_matrix(size=8, n_random=2, seed=0)
         w = np.ones(8)
         assert_allclose(norm_ratio_max(probes, probes, 2.0, w), 1.0)
         assert_allclose(norm_ratio_max(2.0 * probes, probes, 2.0, w), 2.0)
@@ -187,7 +176,7 @@ class TestProbes:
     def test_more_probes_never_lower_the_estimate(self):
         rng = np.random.default_rng(2)
         mat = rng.standard_normal((7, 7))
-        probes = probe_matrix(ProbePolicy(size=7, n_random=6, seed=1))
+        probes = probe_matrix(size=7, n_random=6, seed=1)
         images = mat @ probes
         w = np.ones(7)
         prev = 0.0
@@ -198,7 +187,7 @@ class TestProbes:
 
     def test_norm_ratio_max_diagonal(self):
         d = np.array([1.0, -3.0, 2.0, 0.5])
-        probes = probe_matrix(ProbePolicy(4, 4, 0))
+        probes = probe_matrix(4, 4, 0)
         got = norm_ratio_max(d[:, None] * probes, probes, 2.0, np.ones(4))
         assert_allclose(got, 3.0)
 
@@ -209,7 +198,7 @@ class TestProbes:
         # bit; rounding to a coarse lattice makes ties among the levels
         rng = np.random.default_rng(7)
         size, families = 24, 5
-        probes = probe_matrix(ProbePolicy(size=size, n_random=6, seed=3))
+        probes = probe_matrix(size=size, n_random=6, seed=3)
         images = np.round(rng.standard_normal((families, size, probes.shape[1])), 1)
         images[2] = 0.0
         w = WeightSpec("power", exponent=exponent).resolve(size)
@@ -227,7 +216,7 @@ class TestProbes:
         # a stack of weights gives, per weight, the bits of a single-weight call
         rng = np.random.default_rng(11)
         size, families = 24, 3
-        probes = probe_matrix(ProbePolicy(size=size, n_random=6, seed=4))
+        probes = probe_matrix(size=size, n_random=6, seed=4)
         images = np.round(rng.standard_normal((families, size, probes.shape[1])), 1)
         stack = np.stack([WeightSpec("power", exponent=e).resolve(size)
                           for e in (0.0, -0.5, 2.0)] + [rng.uniform(0.1, 3.0, size)])
@@ -245,7 +234,7 @@ class TestProbes:
                               [weak_quasinorm(signal, w) for w in stack])
 
     def test_weight_stack_validation(self):
-        probes = probe_matrix(ProbePolicy(size=6, n_random=2, seed=0))
+        probes = probe_matrix(size=6, n_random=2, seed=0)
         stack = np.ones((3, 6))
         assert np.array_equal(norm_ratio_max(np.zeros((6, 2)), np.zeros((6, 2)), 2.0, stack),
                               np.zeros(3))
@@ -259,7 +248,7 @@ class TestProbes:
 
     def test_probe_matrix_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            probe_matrix(ProbePolicy(size=0))
+            probe_matrix(0, 8, 0)
 
 
 class TestWeightSpec:
