@@ -4,12 +4,13 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 verification
 failure. All data files are byte-stable for a fixed config and seed; wall-clock
 measurements go only to timings.json.
 
-`--workers N` (or the `workers` config key) is a count of worker processes
-for `verify` and `norms`. With N > 1 their independent tasks run in processes
-forked from this one, so numpy and jhl are not imported again; results come
-back in submission order and a worker's exception is raised here, so the data
-files and the exit code are the same for any N. With N = 1 every task runs in
-this process and no process is started.
+Every command runs one task per (alpha, beta) params, and `verify` one more
+for its negative control. `--workers N` (or the `workers` config key) is a
+count of worker processes. With N > 1 the tasks run in processes forked from
+this one, so numpy and jhl are not imported again; results come back in
+submission order and a worker's exception is raised here, so the data files
+and the exit code are the same for any N. With N = 1 every task runs in this
+process and no process is started.
 """
 
 from __future__ import annotations
@@ -101,70 +102,83 @@ def _write_json(path: str, payload) -> None:
         handle.write("\n")
 
 
-def _ensure_dir(path: str) -> None:
-    """Create path; an output directory that cannot be created is a
-    configuration error, raised before the command computes anything."""
+def _ensure_dir(*parts: str) -> str:
+    """Create and return the joined path. An output directory that cannot be
+    created is a configuration error; a command creates its own before it
+    computes anything."""
+    path = os.path.join(*parts)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return path
+
+
+def _run_command(config: RunConfig, command: str, task, first: tuple = ()) -> list:
+    """The one path of every command. Create <out>/<command>/ and write
+    config.json; run the `first` tasks, then `task(config, params)` for each
+    params, through `_run_tasks`; write the timings cells each task returns
+    to timings.json. Every task returns (cells, rows); the rows are returned
+    in task order."""
+    base = _ensure_dir(config.out_dir, command)
+    _write_json(os.path.join(base, "config.json"), config.to_dict())
+    results = _run_tasks([*first, *((task, config, params) for params in config.params)],
+                         config.workers or 1)
+    timings = {}
+    for cells, _ in results:
+        timings.update(cells)
+    _write_json(os.path.join(base, "timings.json"), {"command": command, "cells": timings})
+    return [rows for _, rows in results]
+
+
+def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
+    """Write one params' heat-kernel and time-derivative matrices and its
+    report.json, with the route, Gauss-Jacobi order (null for Gauss-Laguerre)
+    and defects of each time."""
+    started = time.perf_counter()
+    tag = params.tag()
+    tag_dir = _ensure_dir(config.out_dir, "kernel", tag)
+    times = list(config.kernel_times)
+    size = max(config.sizes)
+    defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
+    write_s = spectral_s = 0.0
+    for idx, t in enumerate(times):
+        quad = kernel_matrix(params, t, size, method="quadrature",
+                             quad_tol=config.quad_tol)
+        solved = time.perf_counter()
+        spectral = kernel_matrix(params, t, size, method="spectral",
+                                 quad_tol=config.quad_tol)
+        spectral_s += time.perf_counter() - solved
+        dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
+        written = time.perf_counter()
+        _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
+        _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
+        write_s += time.perf_counter() - written
+        defects["markov"].append(max(
+            markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
+        defects["semigroup"].append(
+            semigroup_defect(params, t / 2.0, t / 2.0, size))
+        defects["cross_method"].append(
+            float(np.abs(quad - spectral).max()))
+    split = laguerre_split(params, size)
+    _write_json(os.path.join(tag_dir, "report.json"), {
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "size": size,
+        "method": "quadrature",
+        "orders": [auto_order(size - 1, t, config.quad_tol) if t < split else None
+                   for t in times],
+        "routes": ["jacobi" if t < split else "laguerre" for t in times],
+        "times": times,
+        "defects": defects,
+    })
+    return {tag: time.perf_counter() - started, f"{tag}/write": write_s,
+            f"{tag}/spectral": spectral_s}, []
 
 
 def cmd_kernel(config: RunConfig) -> int:
     """Write heat-kernel and time-derivative matrices with defect sidecars."""
-    base = os.path.join(config.out_dir, "kernel")
-    _ensure_dir(base)
-    _write_json(os.path.join(base, "config.json"), config.to_dict())
-    times = list(config.kernel_times)
-    size = max(config.sizes)
-    timings = {}
-    for params in config.params:
-        started = time.perf_counter()
-        tag_dir = os.path.join(base, params.tag())
-        _ensure_dir(tag_dir)
-        defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
-        write_s = spectral_s = 0.0
-        for idx, t in enumerate(times):
-            quad = kernel_matrix(params, t, size, method="quadrature",
-                                 quad_tol=config.quad_tol)
-            solved = time.perf_counter()
-            spectral = kernel_matrix(params, t, size, method="spectral",
-                                     quad_tol=config.quad_tol)
-            spectral_s += time.perf_counter() - solved
-            dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
-            written = time.perf_counter()
-            _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
-            _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
-            write_s += time.perf_counter() - written
-            defects["markov"].append(max(
-                markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
-            defects["semigroup"].append(
-                semigroup_defect(params, t / 2.0, t / 2.0, size))
-            defects["cross_method"].append(
-                float(np.abs(quad - spectral).max()))
-        # "order" is the Gauss-Jacobi order of the times below the split, or
-        # null if every time takes the Gauss-Laguerre route.
-        split = laguerre_split(params, size)
-        routes = ["jacobi" if t < split else "laguerre" for t in times]
-        jacobi_times = [t for t, route in zip(times, routes) if route == "jacobi"]
-        _write_json(os.path.join(tag_dir, "report.json"), {
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "size": size,
-            "method": "quadrature",
-            "order": (auto_order(size - 1, max(jacobi_times), config.quad_tol)
-                      if jacobi_times else None),
-            "routes": routes,
-            "times": times,
-            "defects": defects,
-        })
-        # Every memo key carries (alpha, beta), so no later params reads these.
-        clear_caches()
-        timings[params.tag()] = time.perf_counter() - started
-        timings[f"{params.tag()}/write"] = write_s
-        timings[f"{params.tag()}/spectral"] = spectral_s
-    _write_json(os.path.join(base, "timings.json"),
-                {"command": "kernel", "cells": timings})
+    _run_command(config, "kernel", _kernel_params)
     return EXIT_OK
 
 
@@ -209,26 +223,23 @@ def _operator_table(config: RunConfig, params: JacobiParams):
     return header, rows, report
 
 
+def _operators_params(config: RunConfig, params: JacobiParams) -> tuple:
+    """Write one params' operators.csv and report.json."""
+    started = time.perf_counter()
+    tag_dir = _ensure_dir(config.out_dir, "operators", params.tag())
+    header, rows, report = _operator_table(config, params)
+    _write_csv(os.path.join(tag_dir, "operators.csv"), header, rows)
+    _write_json(os.path.join(tag_dir, "report.json"),
+                {"alpha": params.alpha, "beta": params.beta, **report})
+    return {params.tag(): time.perf_counter() - started}, []
+
+
 def cmd_operators(config: RunConfig) -> int:
     """Write per-index path-functional tables for the configured signal."""
     grid = config.t_grid
     if "oscillation" in config.operators and grid.t_max < 2.0 * grid.t_min:
         raise ConfigError("t_grid must span a factor of 2 for the oscillation bands")
-    base = os.path.join(config.out_dir, "operators")
-    _ensure_dir(base)
-    _write_json(os.path.join(base, "config.json"), config.to_dict())
-    timings = {}
-    for params in config.params:
-        started = time.perf_counter()
-        tag_dir = os.path.join(base, params.tag())
-        _ensure_dir(tag_dir)
-        header, rows, report = _operator_table(config, params)
-        _write_csv(os.path.join(tag_dir, "operators.csv"), header, rows)
-        _write_json(os.path.join(tag_dir, "report.json"),
-                    {"alpha": params.alpha, "beta": params.beta, **report})
-        timings[params.tag()] = time.perf_counter() - started
-    _write_json(os.path.join(base, "timings.json"),
-                {"command": "operators", "cells": timings})
+    _run_command(config, "operators", _operators_params)
     return EXIT_OK
 
 
@@ -271,10 +282,18 @@ _READS_K = {"kernel_decay", "kernel_smoothness"}
 _READS_DK = _READS_K | {"dt_sup"}
 
 
+def _summary_row(estimate: str, params: JacobiParams, report) -> list:
+    return [estimate, params.alpha, params.beta, report.verdict, report.constants[-1],
+            report.stability_ratio]
+
+
 def _verify_params(config: RunConfig, params: JacobiParams) -> tuple:
-    """The seconds taken to build the verify-grid tensors that the configured
-    estimates read, then one report per estimate of one params. The tensors
-    are memoised, so no estimate's runtime includes building them."""
+    """Build the verify-grid tensors that the configured estimates read, then
+    run and write one report per estimate of one params; return the summary
+    rows. The tensors are memoised, so no estimate's runtime includes
+    building them; `<params>/kernels` times that build."""
+    tag = params.tag()
+    tag_dir = _ensure_dir(config.out_dir, "verify", tag)
     times = config.t_grid.build().times
     size = max(config.sizes)
     started = time.perf_counter()
@@ -282,58 +301,44 @@ def _verify_params(config: RunConfig, params: JacobiParams) -> tuple:
         kernel_tensor(params, times, size, config.quad_tol)
     if _READS_DK.intersection(config.estimates):
         kernel_dt_tensor(params, times, size, config.quad_tol)
-    kernels_s = time.perf_counter() - started
-    return kernels_s, [_verify_cell(config, params, estimate)
-                       for estimate in config.estimates]
+    cells = {f"{tag}/kernels": time.perf_counter() - started}
+    rows = []
+    for estimate in config.estimates:
+        report = _verify_cell(config, params, estimate)
+        _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
+        cells[f"{tag}/{estimate}"] = report.runtime
+        rows.append(_summary_row(estimate, params, report))
+    return cells, rows
 
 
-def _negative_control(config: RunConfig):
+def _negative_control(config: RunConfig) -> tuple:
+    """Run and write the growing-weight negative control; return its summary row."""
     cell = (NEGATIVE_CONTROL_P, WeightSpec("power", exponent=NEGATIVE_CONTROL_P), "strong")
-    return verify_theorem_norms(
+    control = verify_theorem_norms(
         NEGATIVE_CONTROL_PARAMS, "variation", [cell], config.sizes,
         grid=config.norms_t_grid.build(), rho=config.rho,
         lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)[0]
+    _write_json(os.path.join(config.out_dir, "verify", "negative_control.json"),
+                control.to_dict())
+    return ({"negative_control": control.runtime},
+            [_summary_row("negative_control", NEGATIVE_CONTROL_PARAMS, control)])
 
 
 def cmd_verify(config: RunConfig) -> int:
     """Run the estimate verifiers plus the growing-weight negative control."""
     if len(config.sizes) < 2:
         raise ConfigError("verify needs at least two sizes")
-    base = os.path.join(config.out_dir, "verify")
-    _ensure_dir(base)
-    _write_json(os.path.join(base, "config.json"), config.to_dict())
     # The control is the longest task, so it goes to the pool first.
-    control, *groups = _run_tasks(
-        [(_negative_control, config)]
-        + [(_verify_params, config, params) for params in config.params],
-        config.workers or 1)
-    timings = {}
-    summary_rows = []
-    exit_code = EXIT_OK
-    for params, (kernels_s, reports) in zip(config.params, groups):
-        tag_dir = os.path.join(base, params.tag())
-        _ensure_dir(tag_dir)
-        timings[f"{params.tag()}/kernels"] = kernels_s
-        for estimate, report in zip(config.estimates, reports):
-            _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
-            timings[f"{params.tag()}/{estimate}"] = report.runtime
-            summary_rows.append([estimate, params.alpha, params.beta, report.verdict,
-                                 report.constants[-1], report.stability_ratio])
-            if report.verdict in ("failed", "growing"):
-                exit_code = EXIT_VERIFY
-    _write_json(os.path.join(base, "negative_control.json"), control.to_dict())
-    timings["negative_control"] = control.runtime
-    summary_rows.append(["negative_control", NEGATIVE_CONTROL_PARAMS.alpha,
-                         NEGATIVE_CONTROL_PARAMS.beta, control.verdict,
-                         control.constants[-1], control.stability_ratio])
-    if control.verdict == "failed":
-        exit_code = EXIT_VERIFY
-    _write_csv(os.path.join(base, "summary.csv"),
+    (control,), *groups = _run_command(config, "verify", _verify_params,
+                                       first=((_negative_control, config),))
+    rows = [row for group in groups for row in group]
+    _write_csv(os.path.join(config.out_dir, "verify", "summary.csv"),
                ("estimate", "alpha", "beta", "verdict", "constant",
-                "stability_ratio"), summary_rows)
-    _write_json(os.path.join(base, "timings.json"),
-                {"command": "verify", "cells": timings})
-    return exit_code
+                "stability_ratio"), rows + [control])
+    # The control is expected to grow, so only its failure fails the run.
+    if control[3] == "failed" or any(row[3] in ("failed", "growing") for row in rows):
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 def _norm_pairs(config: RunConfig) -> list:
@@ -343,12 +348,12 @@ def _norm_pairs(config: RunConfig) -> list:
 
 
 def _norms_params(config: RunConfig, params: JacobiParams) -> tuple:
-    """The seconds taken to build the kernel tensors that the configured
-    operators read, then one sweep per operator of one params: the strong and
-    weak11 reports of every (p, weight) pair, in that order. The tensors are
-    memoised, so the sweeps read them without building them again; each sweep
-    takes its operator's images once per size and reduces them over all its
-    cells."""
+    """Build the kernel tensors that the configured operators read, then run
+    one sweep per operator of one params over the strong and weak11 cells of
+    every (p, weight) pair; return one norms.csv row per (operator, pair,
+    size). The tensors are memoised, so the sweeps read them without building
+    them again; each sweep takes its operator's images once per size and
+    reduces them over all its cells."""
     grid = config.norms_t_grid.build()
     lac = config.lacunary.build()
     b = config.bcoef.resolve(lac)
@@ -358,14 +363,23 @@ def _norms_params(config: RunConfig, params: JacobiParams) -> tuple:
         kernel_tensor(params, grid.times, size, config.quad_tol)
     if "s_star" in config.operators:
         kernel_tensor(params, lac.values, size, config.quad_tol)
-    kernels_s = time.perf_counter() - started
-    cells = [cell for p, wspec in _norm_pairs(config)
+    tag = params.tag()
+    cells = {f"{tag}/kernels": time.perf_counter() - started}
+    pairs = _norm_pairs(config)
+    sweep = [cell for p, wspec in pairs
              for cell in ((p, wspec, "strong"), (1.0, wspec, "weak11"))]
-    return kernels_s, [verify_theorem_norms(
-        params, operator, cells, config.sizes, grid=grid, rho=config.rho,
-        lambdas=config.lambdas, lac=lac, bcoef=b,
-        m_range=config.lacunary.window, seed=config.seed, quad_tol=config.quad_tol)
-        for operator in config.operators]
+    rows = []
+    for operator in config.operators:
+        reports = verify_theorem_norms(
+            params, operator, sweep, config.sizes, grid=grid, rho=config.rho,
+            lambdas=config.lambdas, lac=lac, bcoef=b, m_range=config.lacunary.window,
+            seed=config.seed, quad_tol=config.quad_tol)
+        cells[f"{tag}/{operator}"] = reports[0].runtime
+        for (p, wspec), strong, weak in zip(pairs, reports[::2], reports[1::2]):
+            for i, n in enumerate(config.sizes):
+                rows.append([tag, operator, p, wspec.label(), n, strong.constants[i],
+                             weak.constants[i], strong.stability_ratio])
+    return cells, rows
 
 
 def cmd_norms(config: RunConfig) -> int:
@@ -377,43 +391,26 @@ def cmd_norms(config: RunConfig) -> int:
     grid = config.norms_t_grid
     if "oscillation" in config.operators and grid.t_max < 2.0 * grid.t_min:
         raise ConfigError("norms_t_grid must span a factor of 2 for the oscillation bands")
-    pairs = _norm_pairs(config)
     # a power weight is increasing or decreasing in n, so if it is finite and
     # positive at the largest size it is at every size
     size = max(config.sizes)
-    for p, wspec in pairs:
+    for p, wspec in _norm_pairs(config):
         try:
             wspec.resolve(size)
         except ValueError as exc:
             raise ConfigError(
                 f"weight {wspec.label()} (p = {p:g}) at size {size}: {exc}") from exc
-    base = os.path.join(config.out_dir, "norms")
-    _ensure_dir(base)
-    _write_json(os.path.join(base, "config.json"), config.to_dict())
-    groups = _run_tasks([(_norms_params, config, params) for params in config.params],
-                        config.workers or 1)
-    timings = {}
-    rows = []
-    for params, (kernels_s, sweeps) in zip(config.params, groups):
-        timings[f"{params.tag()}/kernels"] = kernels_s
-        for operator, reports in zip(config.operators, sweeps):
-            timings[f"{params.tag()}/{operator}"] = reports[0].runtime
-            for (p, wspec), strong, weak in zip(pairs, reports[::2], reports[1::2]):
-                for i, size in enumerate(config.sizes):
-                    rows.append([params.tag(), operator, p, wspec.label(), size,
-                                 strong.constants[i], weak.constants[i],
-                                 strong.stability_ratio])
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    _write_csv(os.path.join(base, "norms.csv"),
+    groups = _run_command(config, "norms", _norms_params)
+    rows = sorted((row for group in groups for row in group), key=lambda r: r[:5])
+    _write_csv(os.path.join(config.out_dir, "norms", "norms.csv"),
                ("params", "operator", "p", "weight", "size", "norm_estimate",
                 "weak11_estimate", "stability_ratio"), rows)
-    _write_json(os.path.join(base, "timings.json"),
-                {"command": "norms", "cells": timings})
     return EXIT_OK
 
 
 def _run_task(function, *args):
-    """function(*args), after which the memo is emptied. Every task covers one
+    """function(*args), after which the memo is emptied: the one place a
+    command empties it. Every task covers one
     params, every memo key carries alpha and all but the Gauss-Laguerre rule
     ("laguerre", alpha, order) carry beta, so a later task reads almost none
     of it. Kept, it made a pool worker's peak memory depend on which tasks the
@@ -469,8 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, help="probe seed (overrides config)")
         cmd.add_argument("--workers", type=int,
-                         help="worker processes for verify and norms "
-                              "(overrides config; default 1)")
+                         help="worker processes (overrides config; default 1)")
     return parser
 
 

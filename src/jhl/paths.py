@@ -83,14 +83,12 @@ def default_bands(grid: TimeGrid) -> BandSequence:
 class LacunarySequence:
     """Increasing positive times a_j, j = j_min..j_max, with ratio control.
 
-    Consecutive ratios must be at least `ratio` (> 1); when `pinned` is set the
-    ratios must also stay at or below ratio^2.
+    Consecutive ratios must lie between `ratio` (> 1) and ratio^2.
     """
 
     j_min: int
     values: np.ndarray
     ratio: float
-    pinned: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -103,8 +101,8 @@ class LacunarySequence:
         r = v[1:] / v[:-1]
         if np.any(r < self.ratio * (1.0 - 1e-12)):
             raise ValueError("consecutive ratios fall below the declared lower bound")
-        if self.pinned and np.any(r > self.ratio ** 2 * (1.0 + 1e-12)):
-            raise ValueError("pinned sequence has a ratio above ratio^2")
+        if np.any(r > self.ratio ** 2 * (1.0 + 1e-12)):
+            raise ValueError("consecutive ratios rise above ratio^2")
         object.__setattr__(self, "values", v)
 
     @property
@@ -117,12 +115,11 @@ class LacunarySequence:
         return float(self.values[j - self.j_min])
 
     @classmethod
-    def geometric(cls, ratio: float, j_min: int, j_max: int,
-                  pinned: bool = True) -> "LacunarySequence":
+    def geometric(cls, ratio: float, j_min: int, j_max: int) -> "LacunarySequence":
         if j_max <= j_min:
             raise ValueError("need j_max > j_min")
         j = np.arange(j_min, j_max + 1, dtype=float)
-        return cls(j_min=j_min, values=ratio ** j, ratio=ratio, pinned=pinned)
+        return cls(j_min=j_min, values=ratio ** j, ratio=ratio)
 
 
 def _turning_mask(flat: np.ndarray) -> np.ndarray:

@@ -406,19 +406,30 @@ class TestKernelCommand:
 
     def test_report_routes_each_time(self, tmp_path):
         # At size 64, t = 1e4 is past 64^2 / 4 and takes the Gauss-Laguerre
-        # route; "order" stays the Gauss-Jacobi order of t = 0.1, and is null
-        # once no time is left below the split.
+        # route, whose entry in "orders" is null; t = 0.1 keeps its
+        # Gauss-Jacobi order.
         cfg = _base_config(params=[[3.0, -0.9]], sizes=[16, 64], kernel_times=[0.1, 1e4])
         out = tmp_path / "run"
         path = _write_config(tmp_path, {**cfg, "out_dir": str(out)})
         assert main(["kernel", "--config", path]) == 0
         report = json.loads((out / "kernel" / "alpha3_beta-0.9" / "report.json").read_text())
         assert report["routes"] == ["jacobi", "laguerre"]
-        assert report["order"] == 79
+        assert report["orders"] == [79, None]
         path = _write_config(tmp_path, {**cfg, "kernel_times": [1e4], "out_dir": str(out)})
         assert main(["kernel", "--config", path]) == 0
         report = json.loads((out / "kernel" / "alpha3_beta-0.9" / "report.json").read_text())
-        assert report["routes"] == ["laguerre"] and report["order"] is None
+        assert report["routes"] == ["laguerre"] and report["orders"] == [None]
+
+    def test_report_orders_are_those_of_each_time(self, tmp_path):
+        # Each time's kernel is built at its own order, not at the order of
+        # the largest Gauss-Jacobi time.
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, {"params": [[0, 0]], "sizes": [32, 64],
+                                        "kernel_times": [0.1, 500], "out_dir": str(out)})
+        assert main(["kernel", "--config", path]) == 0
+        report = json.loads((out / "kernel" / "alpha0_beta0" / "report.json").read_text())
+        assert report["routes"] == ["jacobi", "jacobi"]
+        assert report["orders"] == [79, 158]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -457,6 +468,43 @@ class TestKernelCommand:
         path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o")))
         assert main(["kernel", "--config", path]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+class TestParamsTasks:
+    """kernel and operators run their params through the same tasks as verify
+    and norms."""
+
+    @pytest.mark.parametrize("command, task", [("kernel", "_kernel_params"),
+                                               ("operators", "_operators_params")])
+    def test_memo_holds_one_params_at_a_time(self, tmp_path, monkeypatch, command, task):
+        # While the second params' task runs, no memo key carries the first
+        # params' (alpha, beta); after the run the memo is empty.
+        first = (0.0, 0.0)
+        real = getattr(jhl.cli, task)
+        held = []
+
+        def spy(config, params):
+            if (params.alpha, params.beta) == first:
+                return real(config, params)
+            held.append([key for key in jhl._memo._cache if key[1:3] == first])
+            result = real(config, params)
+            held.append([key for key in jhl._memo._cache if key[1:3] == first])
+            return result
+
+        monkeypatch.setattr(jhl.cli, task, spy)
+        clear_caches()
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(tmp_path / "o"), params=[list(first), [0.5, -0.5]]))
+        assert main([command, "--config", path]) == 0
+        assert held == [[], []]
+        assert not jhl._memo._cache
+
+    @pytest.mark.parametrize("command", ["kernel", "operators"])
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch, command):
+        spy = _PoolSpy(monkeypatch)
+        _assert_workers_agree(tmp_path, command, _base_config(
+            params=[[0.0, 0.0], [0.5, -0.5]], operators=list(OPERATOR_NAMES)))
+        assert spy.built == [2]
 
 
 class TestScipyFreeCommands:
@@ -667,11 +715,12 @@ class TestVerifyCommand:
         (["dt_sup"], ["dK"]),
         (["kernel_smoothness", "poly_bound"], ["K", "dK"]),
     ])
-    def test_kernels_built_up_front_are_only_those_read(self, monkeypatch, estimates,
-                                                        tensors):
+    def test_kernels_built_up_front_are_only_those_read(self, tmp_path, monkeypatch,
+                                                        estimates, tensors):
         # before the first estimate runs, the verify-grid tensors it and the
         # later ones read are built, and no other
-        config = RunConfig.from_dict(_base_config(estimates=estimates))
+        config = RunConfig.from_dict(_base_config(estimates=estimates,
+                                                  out_dir=str(tmp_path)))
         times = tuple(config.t_grid.build().times.tolist())
 
         def grid_tensors():
@@ -688,10 +737,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(jhl.cli, "_verify_cell", recording)
         clear_caches()
-        kernels_s, reports = _verify_params(config, JacobiParams(0.0, 0.0))
+        cells, rows = _verify_params(config, JacobiParams(0.0, 0.0))
         after = grid_tensors()
         clear_caches()
-        assert kernels_s >= 0.0 and len(reports) == len(estimates)
+        assert cells["alpha0_beta0/kernels"] >= 0.0 and len(rows) == len(estimates)
         assert before_first == [sorted(tensors)]
         assert after == sorted(tensors)
 
@@ -730,7 +779,7 @@ class TestVerifyCommand:
             _run_task(task, True)
         assert not jhl._memo._cache
 
-    @pytest.mark.parametrize("command", ["verify", "norms"])
+    @pytest.mark.parametrize("command", ["kernel", "operators", "verify", "norms"])
     def test_one_worker_builds_no_pool(self, tmp_path, monkeypatch, command):
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was built for one worker")
@@ -838,10 +887,10 @@ class TestNormsCommand:
         times = {"norms": tuple(config.norms_t_grid.build().times.tolist()),
                  "lacunary": tuple(config.lacunary.build().values.tolist())}
         clear_caches()
-        kernels_s, sweeps = _norms_params(config, JacobiParams(0.0, 0.0))
+        cells, _ = _norms_params(config, JacobiParams(0.0, 0.0))
         keys = list(jhl._memo._cache)
         clear_caches()
-        assert kernels_s >= 0.0 and len(sweeps) == len(operators)
+        assert cells["alpha0_beta0/kernels"] >= 0.0 and len(cells) == len(operators) + 1
         assert sorted(key[4] for key in keys if key[0] == "K") == \
             sorted(times[grid] for grid in grids)
 

@@ -119,10 +119,7 @@ class TestGridsAndSequences:
         with pytest.raises(ValueError, match="ratio"):
             LacunarySequence(j_min=0, values=np.array([1.0, 2.0]), ratio=1.0)
         with pytest.raises(ValueError, match="above"):
-            LacunarySequence(j_min=0, values=np.array([1.0, 8.0]), ratio=2.0,
-                             pinned=True)
-        # the same spread is fine when not pinned
-        LacunarySequence(j_min=0, values=np.array([1.0, 8.0]), ratio=2.0)
+            LacunarySequence(j_min=0, values=np.array([1.0, 8.0]), ratio=2.0)
 
     def test_lacunary_geometric_and_lookup(self):
         lac = LacunarySequence.geometric(2.0, -3, 4)
