@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import jhl.quadrature
 import jhl.semigroup
 import jhl.verify
 from jhl.basis import JacobiParams
-from jhl._format17 import format_17g
+from jhl._format17 import CHUNK, format_17g
 from jhl.cli import (
     _norms_params,
     _run_task,
@@ -527,6 +528,7 @@ class TestScipyFreeCommands:
 
 class TestMatrixWriter:
     VALUES = [-0.0, 5e-324, 1e-300, 1e308, 1.0, 1e16, 0.1]
+    FALLBACK = [0.0, -0.0, 5e-324, np.inf, np.nan, 1e300]  # values only `%` formats
 
     def _matrices(self):
         rng = np.random.default_rng(11)
@@ -608,6 +610,43 @@ class TestMatrixWriter:
         matrix = kernel_matrix(params, 1.0, 64)
         _write_matrix_csv(str(tmp_path / "kernel.csv"), matrix)
         assert len(fallback) < 0.01 * np.unique(matrix).size
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_formats_across_chunk_boundaries(self, monkeypatch, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-290, 16, size)
+        # fallback values at the first and last slot of every chunk
+        ends = [i for start in range(0, size, CHUNK)
+                for i in (start, min(start + CHUNK, size) - 1)]
+        values[ends] = rng.choice(self.FALLBACK, len(ends))
+        whole_chunk = size > 2 * CHUNK
+        if whole_chunk:  # one chunk of fallback values only: `_round17` gets an empty k
+            values[CHUNK:2 * CHUNK] = np.resize(self.FALLBACK, CHUNK)
+        sizes = []
+        round17 = jhl._format17._round17
+
+        def spy(x, k):
+            sizes.append(k.size)
+            return round17(x, k)
+
+        monkeypatch.setattr(jhl._format17, "_round17", spy)
+        assert format_17g(values).tolist() == [b"%.17g" % v for v in values.tolist()]
+        assert len(sizes) == -(-size // CHUNK)
+        assert not whole_chunk or sizes[1] == 0
+
+    def test_memory_does_not_grow_with_the_vector(self):
+        # 32,896 distinct values: formatting them all at once takes about 9 MB
+        # of temporaries; a chunk's take under 1 MB, next to the ~2 MB
+        # of bytes objects returned.
+        matrix = kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 256)
+        values = np.unique(matrix.view(np.int64)).view(np.float64)
+        tracemalloc.start()
+        try:
+            format_17g(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
 
 
 class TestOperatorsCommand:
