@@ -134,7 +134,8 @@ def _run_command(config: RunConfig, command: str, task, first: tuple = ()) -> li
 def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
     """Write one params' heat-kernel and time-derivative matrices and its
     report.json, with the route, Gauss-Jacobi order (null for Gauss-Laguerre)
-    and defects of each time."""
+    and defects of each time, measured on the kernels written, all built at
+    `quad_tol`."""
     started = time.perf_counter()
     tag = params.tag()
     tag_dir = _ensure_dir(config.out_dir, "kernel", tag)
@@ -143,21 +144,18 @@ def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
     defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
     write_s = spectral_s = 0.0
     for idx, t in enumerate(times):
-        quad = kernel_matrix(params, t, size, method="quadrature",
-                             quad_tol=config.quad_tol)
+        quad = kernel_tensor(params, [t], size, config.quad_tol)[0]
         solved = time.perf_counter()
-        spectral = kernel_matrix(params, t, size, method="spectral",
-                                 quad_tol=config.quad_tol)
+        spectral = kernel_matrix(params, t, size, config.quad_tol)
         spectral_s += time.perf_counter() - solved
-        dkt = kernel_dt_tensor(params, np.array([t]), size, config.quad_tol)[0]
+        dkt = kernel_dt_tensor(params, [t], size, config.quad_tol)[0]
         written = time.perf_counter()
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
         write_s += time.perf_counter() - written
-        defects["markov"].append(max(
-            markov_defect(params, t, n, size) for n in range(size // 4 + 1)))
-        defects["semigroup"].append(
-            semigroup_defect(params, t / 2.0, t / 2.0, size))
+        half = kernel_tensor(params, [t / 2.0], size, config.quad_tol)[0]
+        defects["markov"].append(markov_defect(params, quad[:size // 4 + 1]))
+        defects["semigroup"].append(semigroup_defect(half, half, quad))
         defects["cross_method"].append(
             float(np.abs(quad - spectral).max()))
     split = laguerre_split(params, size)

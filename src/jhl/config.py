@@ -195,6 +195,8 @@ class SignalSpec:
         kind = raw.get("kind", cls.kind)
         if kind not in ("delta", "explicit"):
             raise ConfigError(f"signal.kind must be delta or explicit, got {kind!r}")
+        if kind == "explicit" and "index" in raw:
+            raise ConfigError("signal.index only valid with kind delta")
         index = _integer(raw.get("index", cls.index), "signal.index")
         if kind == "delta" and index < 0:
             raise ConfigError("signal.index must be nonnegative")
@@ -226,6 +228,9 @@ def _parse_weight(raw: dict, where: str) -> WeightSpec:
     if kind not in ("constant", "power", "explicit", "file"):
         raise ConfigError(
             f"{where}.kind must be constant, power, explicit, or file, got {kind!r}")
+    for key, reader in (("exponent", "power"), ("values", "explicit"), ("path", "file")):
+        if key in raw and kind != reader:
+            raise ConfigError(f"{where}.{key} only valid with kind {reader}")
     path = raw.get("path", "")
     if not isinstance(path, str):
         raise ConfigError(f"{where}.path must be a string, got {path!r}")

@@ -13,18 +13,19 @@ p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
 route diagonalizes, with numpy.linalg.eigh, the M x M truncation of the
 operator, M = min(4N, N + d) with d the least margin that a Poisson tail bound
 certifies to the tolerance at t (`_truncation`), and exponentiates; it is a
-cross-check only well below t = N^2, so not in the Laguerre range. Every
-derived value of the quadrature routes (rule, Laguerre order, table, tensor,
-p_n(1) vector) is memoised in `jhl._memo`, and `clear_caches` empties that
-one cache; a quadrature `kernel_matrix` is a slice of its one-time tensor.
-The spectral route keeps no eigenbasis, as its truncation size changes with t.
-The tests check both routes entry by entry against scalar oracles that take
-a Gauss-Jacobi rule (`tests/oracles.py`), and the whole kernel at
-(-1/2, -1/2) and (1/2, 1/2) against its closed form in Bessel functions.
+cross-check only well below t = N^2, so not in the Laguerre range; it is
+`kernel_matrix`, and the quadrature route is `kernel_tensor` and
+`kernel_dt_tensor`. Every derived value of the quadrature route (rule,
+Laguerre order, table, tensor) is memoised in `jhl._memo`, and `clear_caches`
+empties that one cache. The spectral route keeps no eigenbasis, as its
+truncation size changes with t. The tests check both routes entry by entry
+against scalar oracles that take a Gauss-Jacobi rule (`tests/oracles.py`), and
+the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against its closed form in
+Bessel functions.
 
-The diagnostics measure the truncated kernels against two identities of the
-full lattice: K_t p_.(1) = p_.(1) (`markov_defect`, with p_n(1) from
-`weight_at_one`) and K_t K_s = K_{t+s} (`semigroup_defect`).
+The diagnostics take the truncated kernels they measure and hold them to two
+identities of the full lattice: K_t p_.(1) = p_.(1) (`markov_defect`, with
+p_n(1) from `weight_at_one`) and K_t K_s = K_{t+s} (`semigroup_defect`).
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ def _truncation(t: float, size: int, tol: float) -> int:
     margins = np.arange(3 * size)
     fits = t * _poisson_tail(t, 2 * margins + 1) <= tol
     return size + int(np.argmax(np.append(fits, True)))
-
-
-def _require_time(t: float) -> None:
-    if not np.isfinite(t) or t < 0.0:
-        raise ValueError("time t must be finite and nonnegative")
 
 
 def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
@@ -144,35 +140,26 @@ def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
     return out
 
 
-def kernel_matrix(params: JacobiParams, t: float, size: int, method: str = "quadrature",
+def kernel_matrix(params: JacobiParams, t: float, size: int,
                   quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Read-only truncated kernel matrix (K_t(n, m))_{n,m < size} by the
-    requested method.
-
-    t = 0 returns the exact identity. The quadrature method returns
-    `kernel_tensor(params, [t], size, quad_tol)[0]`. The spectral method
-    diagonalizes the truncation of size `_truncation(t, size, quad_tol)`,
-    within quad_tol of the full lattice's kernel on the leading block
-    wherever that size is below 4*size, and keeps the leading block.
+    """Read-only truncated kernel matrix (K_t(n, m))_{n,m < size}, t > 0, by
+    the spectral route: it diagonalizes the truncation of size
+    `_truncation(t, size, quad_tol)`, within quad_tol of the full lattice's
+    kernel on the leading block wherever that size is below 4*size, and keeps
+    the leading block.
     """
-    _require_time(t)
+    if not np.isfinite(t) or t <= 0.0:
+        raise ValueError("time t must be finite and positive")
     if size < 1:
         raise ValueError("size must be positive")
-    if method not in ("quadrature", "spectral"):
-        raise ValueError(f"unknown kernel method {method!r}")
-    if t == 0.0:
-        entries = np.eye(size)
-    elif method == "quadrature":
-        return kernel_tensor(params, [t], size, quad_tol)[0]
-    else:
-        diag, off = generator_coefficients(params, _truncation(t, size, quad_tol))
-        try:
-            # eigh reads the lower triangle only.
-            lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"generator eigensolver failed at size {diag.size}") from exc
-        entries = _gram(vec[:size, :], np.exp(t * lam))
-        _check_positivity(params, entries)
+    diag, off = generator_coefficients(params, _truncation(t, size, quad_tol))
+    try:
+        # eigh reads the lower triangle only.
+        lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"generator eigensolver failed at size {diag.size}") from exc
+    entries = _gram(vec[:size, :], np.exp(t * lam))
+    _check_positivity(params, entries)
     entries.setflags(write=False)
     return entries
 
@@ -211,41 +198,27 @@ def kernel_dt_tensor(params: JacobiParams, times: np.ndarray, size: int,
 
 def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
     """The positive sequence p_n(1), n < size, as running products of the
-    ratios p_{n+1}(1) / p_n(1) (`basis._at_one_by_ratios`); memoised and
-    read-only."""
-    def compute() -> np.ndarray:
-        out = np.array(_at_one_by_ratios(params, size - 1))
-        out.setflags(write=False)
-        return out
-    return memo(("at_one", params.alpha, params.beta, size), compute)
+    ratios p_{n+1}(1) / p_n(1) (`basis._at_one_by_ratios`)."""
+    return np.array(_at_one_by_ratios(params, size - 1))
 
 
-def markov_defect(params: JacobiParams, t: float, n: int, size: int) -> float:
-    """Relative defect |sum_m K_t(n,m) p_m(1) - p_n(1)| / p_n(1) on the truncation.
+def markov_defect(params: JacobiParams, rows: np.ndarray) -> float:
+    """Largest relative defect |sum_m K_t(n,m) p_m(1) - p_n(1)| / p_n(1) over
+    the given leading rows K_t(n, .) of a size-N truncated kernel.
 
-    Meaningful only well inside the truncation, so n must stay below size/4.
+    Meaningful only well inside the truncation, so at most N/4 + 1 rows.
     """
-    if n < 0:
-        raise ValueError("index n must be nonnegative")
-    if n > size // 4:
-        raise ValueError("markov defect requires n <= size/4, away from the truncation edge")
-    if t == 0.0:
-        return 0.0
-    kern = kernel_matrix(params, t, size)
+    size = rows.shape[1]
+    if not 0 < rows.shape[0] <= size // 4 + 1:
+        raise ValueError("markov defect takes 1 to size/4 + 1 leading rows, "
+                         "away from the truncation edge")
     v = weight_at_one(params, size)
-    return float(abs(kern[n] @ v - v[n]) / v[n])
+    return max(float(abs(rows[n] @ v - v[n]) / v[n]) for n in range(rows.shape[0]))
 
 
-def semigroup_defect(params: JacobiParams, t: float, s: float, size: int) -> float:
-    """Max-entry defect of K_t K_s = K_{t+s} on the leading size/4 block."""
-    _require_time(t)
-    _require_time(s)
-    if t == 0.0 or s == 0.0:
-        return 0.0
-    block = max(1, size // 4)
-    kt = kernel_matrix(params, t, size)
-    ks = kernel_matrix(params, s, size)
-    kts = kernel_matrix(params, t + s, size)
+def semigroup_defect(kt: np.ndarray, ks: np.ndarray, kts: np.ndarray) -> float:
+    """Max-entry defect of K_t K_s = K_{t+s} on the leading size/4 block,
+    from the three size-N truncated kernels."""
+    block = max(1, kt.shape[0] // 4)
     prod = kt[:block] @ ks
     return float(np.abs(prod[:, :block] - kts[:block, :block]).max())
-

@@ -11,8 +11,7 @@ path or window at a time, and checks these routes:
 - `moments`, the monomial moments by a two-term recursion: the exactness of
   `quadrature.build_rule`;
 - `kernel_entry` and `kernel_dt_entry`, one entry of K_t or d/dt K_t from a
-  given Gauss-Jacobi rule: `semigroup.kernel_matrix`, `kernel_tensor` and
-  `kernel_dt_tensor`;
+  given Gauss-Jacobi rule: `semigroup.kernel_tensor` and `kernel_dt_tensor`;
 - `bessel_kernels`, K_t and d/dt K_t in closed form at (-1/2, -1/2) and
   (1/2, 1/2): both quadrature routes of `kernel_tensor` and
   `kernel_dt_tensor`, and the spectral `kernel_matrix`;
@@ -36,7 +35,7 @@ from jhl.basis import JacobiParams, generator_coefficients, normalization, ortho
 from jhl.errors import ConvergenceFailure
 from jhl.paths import _local_mask
 from jhl.quadrature import QuadratureRule, total_mass
-from jhl.semigroup import DEFAULT_QUAD_TOL, kernel_matrix, kernel_tensor
+from jhl.semigroup import DEFAULT_QUAD_TOL, kernel_tensor
 
 
 def jacobi_poly(params: JacobiParams, n: int, x):
@@ -150,7 +149,7 @@ def bessel_kernels(params: JacobiParams, times, size: int) -> tuple:
 def apply_heat(params: JacobiParams, t: float, f: np.ndarray, size: int) -> np.ndarray:
     """W_t f on the truncated range, f padded with zeros to `size` entries."""
     fv = np.pad(np.asarray(f, dtype=float), (0, size - np.size(f)))
-    return kernel_matrix(params, t, size) @ fv
+    return kernel_tensor(params, [t], size)[0] @ fv
 
 
 def brute_variation(values: np.ndarray, rho: float) -> float:

@@ -97,19 +97,20 @@ def test_4_kernel_oracles(capfd):
     ok = True
     for params in ALL_PAIRS:
         for t in (0.1, 1.0, 10.0):
-            quad = kernel_matrix(params, t, 30, method="quadrature")
-            spec = kernel_matrix(params, t, 30, method="spectral")
+            quad = kernel_tensor(params, [t], 30)[0]
+            spec = kernel_matrix(params, t, 30)
             ok &= float(np.abs(quad - spec).max()) <= 1e-8
-        ok &= semigroup_defect(params, 0.5, 0.5, 256) <= 1e-8
+        half = kernel_tensor(params, [0.5], 256)[0]
+        ok &= semigroup_defect(half, half, kernel_tensor(params, [1.0], 256)[0]) <= 1e-8
         # all four pairs sit in the alpha >= beta >= -1/2 positivity regime
         for t in (0.1, 1.0, 10.0):
-            ok &= float(kernel_matrix(params, t, 64).min()) >= -1e-12
+            ok &= float(kernel_tensor(params, [t], 64)[0].min()) >= -1e-12
     # the row-sum identity is checked where its tolerance is calibrated: the
     # flat pair, where p_m(1) stays O(1) and the 400-term sum does not amplify
     # entry roundoff
     flat = JacobiParams(0.0, 0.0)
     for t in (0.1, 1.0, 5.0):
-        ok &= max(markov_defect(flat, t, n, 400) for n in range(21)) <= 1e-8
+        ok &= markov_defect(flat, kernel_tensor(flat, [t], 400)[0][:21]) <= 1e-8
     _report(capfd, 4, "kernel_oracles", ok, time.perf_counter() - started, 60.0)
 
 

@@ -32,7 +32,7 @@ from jhl.cli import (
 )
 from jhl.config import OPERATOR_NAMES, RunConfig, load_config
 from jhl.errors import ConfigError
-from jhl.semigroup import clear_caches, kernel_matrix
+from jhl.semigroup import clear_caches, kernel_tensor, weight_at_one
 
 
 def _base_config(**overrides):
@@ -159,6 +159,7 @@ class TestConfig:
         except ConfigError:
             return
         assert isinstance(config, RunConfig)
+        assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -207,8 +208,11 @@ class TestMainErrors:
         {"bcoef": {"kind": "explicit", "values": "12"}},
         {"estimates": [[1]]},
         {"operators": [{"name": "jump"}]},
+        {"signal": {"kind": "explicit", "values": [1.0], "index": 0}},
+        {"bcoef": {"kind": "ones", "values": [1.0]}},
     ], ids=["t-grid-int", "lacunary-list", "bcoef-int", "weight-int", "signal-values-int",
-            "bcoef-values-str", "estimate-list", "operator-dict"])
+            "bcoef-values-str", "estimate-list", "operator-dict", "explicit-signal-index",
+            "ones-bcoef-values"])
     def test_wrong_section_types_exit_two(self, tmp_path, capsys, override):
         path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
                                                     **override))
@@ -247,8 +251,17 @@ class TestMainErrors:
         ({"kind": "file", "path": "w.txt"}, "1.0\n" * 11 + "0.0\n"),
         ({"kind": "explicit", "values": [1.0] * 11}, None),
         ({"kind": "explicit", "values": [1.0] * 11 + [-2.0]}, None),
+        # keys the kind never reads
+        ({"kind": "constant", "exponent": 2}, None),
+        ({"kind": "explicit", "values": [1.0] * 12, "exponent": 1.0}, None),
+        ({"kind": "power", "exponent": 1.0, "values": [1.0] * 12}, None),
+        ({"kind": "file", "path": "w.txt", "values": [1.0] * 12}, "1.0\n" * 12),
+        ({"kind": "constant", "path": "w.txt"}, "1.0\n" * 12),
+        ({"kind": "explicit", "values": [1.0] * 12, "path": "w.txt"}, "1.0\n" * 12),
     ], ids=["file-missing", "file-not-numeric", "file-short", "file-nan",
-            "file-zero", "explicit-short", "explicit-negative"])
+            "file-zero", "explicit-short", "explicit-negative", "constant-exponent",
+            "explicit-exponent", "power-values", "file-values", "constant-path",
+            "explicit-path"])
     def test_bad_weights_exit_two_at_load(self, tmp_path, capsys, weight, contents):
         if contents is not None:
             (tmp_path / weight["path"]).write_text(contents)
@@ -432,6 +445,26 @@ class TestKernelCommand:
         assert report["routes"] == ["jacobi", "jacobi"]
         assert report["orders"] == [79, 158]
 
+    def test_defects_are_those_of_the_written_kernel(self, tmp_path):
+        # At quad_tol 1e-8 the t = 15 kernel is built at order 31, against 62
+        # at the default tolerance, and the two disagree in the markov defect
+        # from its 13th digit: the report must measure the kernel written.
+        out = tmp_path / "run"
+        path = _write_config(tmp_path, {"params": [[0, 0]], "sizes": [16], "quad_tol": 1e-8,
+                                        "kernel_times": [15.0], "out_dir": str(out)})
+        assert main(["kernel", "--config", path]) == 0
+        tag = out / "kernel" / "alpha0_beta0"
+        defects = json.loads((tag / "report.json").read_text())["defects"]
+        # A C-contiguous copy: rows of the strided column view give other dot bits.
+        data = np.loadtxt(tag / "kernel_00.csv", delimiter=",", skiprows=1)
+        written = np.ascontiguousarray(data[:, 2].reshape(16, 16))
+        v = weight_at_one(JacobiParams(0.0, 0.0), 16)
+        markov = max(float(abs(written[n] @ v - v[n]) / v[n]) for n in range(5))
+        half = kernel_tensor(JacobiParams(0.0, 0.0), [7.5], 16, 1e-8)[0]
+        semigroup = float(np.abs((half[:4] @ half)[:, :4] - written[:4, :4]).max())
+        assert defects["markov"] == [markov]
+        assert defects["semigroup"] == [semigroup]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         p1 = _write_config(tmp_path, _base_config(out_dir=str(out1)), "c1.json")
@@ -546,7 +579,7 @@ class TestMatrixWriter:
         yield matrix
         yield np.zeros((0, 0))
         yield np.zeros((0, 3))
-        yield kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 64)  # bitwise symmetric
+        yield kernel_tensor(JacobiParams(0.0, 0.0), [1.0], 64)[0]  # bitwise symmetric
 
     def test_matches_generic_writer(self, tmp_path):
         ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
@@ -607,7 +640,7 @@ class TestMatrixWriter:
             return percent(values)
 
         monkeypatch.setattr(jhl._format17, "percent_17g", spy)
-        matrix = kernel_matrix(params, 1.0, 64)
+        matrix = kernel_tensor(params, [1.0], 64)[0]
         _write_matrix_csv(str(tmp_path / "kernel.csv"), matrix)
         assert len(fallback) < 0.01 * np.unique(matrix).size
 
@@ -638,7 +671,7 @@ class TestMatrixWriter:
         # 32,896 distinct values: formatting them all at once takes about 9 MB
         # of temporaries; a chunk's take under 1 MB, next to the ~2 MB
         # of bytes objects returned.
-        matrix = kernel_matrix(JacobiParams(0.0, 0.0), 1.0, 256)
+        matrix = kernel_tensor(JacobiParams(0.0, 0.0), [1.0], 256)[0]
         values = np.unique(matrix.view(np.int64)).view(np.float64)
         tracemalloc.start()
         try:

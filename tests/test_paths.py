@@ -20,7 +20,7 @@ from jhl.paths import (
     variation_batch,
 )
 from jhl.quadrature import build_rule
-from jhl.semigroup import kernel_matrix, kernel_tensor
+from jhl.semigroup import kernel_tensor
 from oracles import (
     apply_heat,
     brute_jump_count,
@@ -356,8 +356,8 @@ class TestDifferenceSums:
         lac = LacunarySequence.geometric(2.0, -4, 5)
         size = 12
         dense = qn_kernel_matrix(LEGENDRE, -2, 2, lac, np.ones(9), size)
-        hi = kernel_matrix(LEGENDRE, lac.value(3), size)
-        lo = kernel_matrix(LEGENDRE, lac.value(-2), size)
+        hi = kernel_tensor(LEGENDRE, [lac.value(3)], size)[0]
+        lo = kernel_tensor(LEGENDRE, [lac.value(-2)], size)[0]
         assert_allclose(dense, hi - lo, atol=1e-13)
 
     def test_scalar_kernel_matches_dense(self):

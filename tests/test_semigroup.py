@@ -33,6 +33,11 @@ def _rule_for(params, n_max, t_max):
     return build_rule(params, auto_order(n_max, t_max, 1e-12))
 
 
+def _kernel(params, t, size):
+    """The quadrature K_t, a slice of its one-time tensor."""
+    return kernel_tensor(params, [t], size)[0]
+
+
 def _at_one_closed_form(params, size):
     """p_n(1), n < size, in closed form: Legendre sqrt(n + 1/2), Chebyshev
     sqrt(2 / pi) past p_0(1) = 1 / sqrt(pi), and at (5/2, 1/2)
@@ -73,33 +78,30 @@ class TestKernelEntry:
 
 
 class TestKernelMatrix:
-    def test_time_zero_is_identity(self):
-        kern = kernel_matrix(LEGENDRE, 0.0, 10)
-        assert_allclose(kern, np.eye(10))
-
     def test_tiny_time_near_identity(self):
-        kern = kernel_matrix(LEGENDRE, 1e-12, 16)
+        kern = kernel_tensor(LEGENDRE, [1e-12], 16)[0]
         assert np.abs(kern - np.eye(16)).max() < 1e-9
 
     def test_methods_agree(self):
         for params in (LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)):
             for t in (0.1, 1.0, 10.0):
-                quad = kernel_matrix(params, t, 30, method="quadrature")
-                spec = kernel_matrix(params, t, 30, method="spectral")
+                quad = kernel_tensor(params, [t], 30)[0]
+                spec = kernel_matrix(params, t, 30)
                 assert np.abs(quad - spec).max() < 1e-8
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            kernel_matrix(LEGENDRE, 1.0, 8, method="pade")
-
     def test_positive_in_regime(self):
-        kern = kernel_matrix(JacobiParams(2.5, 0.5), 0.7, 40)
+        kern = kernel_tensor(JacobiParams(2.5, 0.5), [0.7], 40)[0]
         assert kern.min() >= -1e-12
 
-    @pytest.mark.parametrize("t, method", [(0.0, "quadrature"), (0.5, "quadrature"),
-                                           (0.5, "spectral")])
-    def test_entries_immutable(self, t, method):
-        kern = kernel_matrix(LEGENDRE, t, 8, method)
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_spectral_time_must_be_positive(self, t):
+        with pytest.raises(ValueError, match="positive"):
+            kernel_matrix(LEGENDRE, t, 8)
+
+    @pytest.mark.parametrize("method", ["quadrature", "spectral"])
+    def test_entries_immutable(self, method):
+        kern = (kernel_tensor(LEGENDRE, [0.5], 8)[0] if method == "quadrature"
+                else kernel_matrix(LEGENDRE, 0.5, 8))
         with pytest.raises(ValueError):
             kern[0, 0] = 99.0
 
@@ -107,7 +109,7 @@ class TestKernelMatrix:
         times = np.array([0.2, 1.5])
         tensor = kernel_tensor(LEGENDRE, times, 12)
         for i, t in enumerate(times):
-            assert_allclose(tensor[i], kernel_matrix(LEGENDRE, t, 12),
+            assert_allclose(tensor[i], kernel_tensor(LEGENDRE, [t], 12)[0],
                             rtol=1e-13)
 
     @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, JacobiParams(3.0, -0.9)],
@@ -161,7 +163,7 @@ class TestSpectralTruncation:
         lam, vec = scipy_linalg.eigh_tridiagonal(*generator_coefficients(params, 8 * size))
         for t in (1.0, 10.0, 50.0, 100.0):
             oracle = (vec[:size] * np.exp(t * lam)) @ vec[:size].T
-            spectral = kernel_matrix(params, t, size, method="spectral")
+            spectral = kernel_matrix(params, t, size)
             assert np.abs(spectral - oracle).max() <= DEFAULT_QUAD_TOL
 
     @pytest.mark.parametrize("size", [30, 64])
@@ -174,7 +176,7 @@ class TestSpectralTruncation:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericFailure, match="eigensolver"):
-            kernel_matrix(LEGENDRE, 1.0, 8, method="spectral")
+            kernel_matrix(LEGENDRE, 1.0, 8)
 
 
 class TestDerivative:
@@ -195,38 +197,39 @@ class TestDerivative:
 class TestDefects:
     def test_markov_defect_small_and_shrinking(self):
         # t = 50 pushes mass out to distance ~ sqrt(t) * few, so size 32 truncates
-        # visibly while size 64 does not; at t = 1 both sit at the noise floor.
-        coarse = markov_defect(LEGENDRE, 50.0, 8, 32)
-        fine = markov_defect(LEGENDRE, 50.0, 8, 64)
+        # visibly in rows n <= 8 while size 64 does not; at t = 1 both sit at
+        # the noise floor.
+        coarse = markov_defect(LEGENDRE, _kernel(LEGENDRE, 50.0, 32)[:9])
+        fine = markov_defect(LEGENDRE, _kernel(LEGENDRE, 50.0, 64)[:9])
         assert coarse > 1e-5
         assert fine < 1e-8
-        assert markov_defect(LEGENDRE, 1.0, 5, 100) < 1e-10
+        assert markov_defect(LEGENDRE, _kernel(LEGENDRE, 1.0, 100)[:6]) < 1e-10
 
-    def test_markov_defect_zero_time(self):
-        assert markov_defect(LEGENDRE, 0.0, 3, 64) == 0.0
-
-    def test_markov_defect_tail_guard(self):
-        with pytest.raises(ValueError, match="n"):
-            markov_defect(LEGENDRE, 1.0, 40, 64)
+    @pytest.mark.parametrize("count", [0, 18])
+    def test_markov_defect_tail_guard(self, count):
+        with pytest.raises(ValueError, match="rows"):
+            markov_defect(LEGENDRE, _kernel(LEGENDRE, 1.0, 64)[:count])
 
     @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)])
     def test_markov_defect_matches_closed_form_weights(self, params):
         size, t = 64, 0.7
         exact = _at_one_closed_form(params, size)
-        rows = kernel_matrix(params, t, size)
-        for n in range(size // 4 + 1):
-            expected = float(abs(rows[n] @ exact - exact[n]) / exact[n])
-            assert abs(markov_defect(params, t, n, size) - expected) <= 1e-14
+        rows = _kernel(params, t, size)[:size // 4 + 1]
+        expected = max(float(abs(row @ exact - exact[n]) / exact[n])
+                       for n, row in enumerate(rows))
+        assert abs(markov_defect(params, rows) - expected) <= 1e-14
 
     def test_semigroup_identity(self):
-        assert semigroup_defect(LEGENDRE, 0.5, 0.5, 128) < 1e-8
-        assert semigroup_defect(LEGENDRE, 0.0, 0.7, 64) == 0.0
+        half = _kernel(LEGENDRE, 0.5, 128)
+        assert semigroup_defect(half, half, _kernel(LEGENDRE, 1.0, 128)) < 1e-8
+        # the law fails for kernels of unrelated times
+        assert semigroup_defect(half, half, half) > 1e-2
 
 
 def _tilde(params, t, f, size):
     """The conjugated semigroup W_t(v f) / v with v = p_.(1), Markovian on the lattice."""
     v = weight_at_one(params, size)
-    return kernel_matrix(params, t, size) @ (v * f) / v
+    return _kernel(params, t, size) @ (v * f) / v
 
 
 class TestTildeScale:
@@ -234,7 +237,7 @@ class TestTildeScale:
         rng = np.random.default_rng(5)
         f = rng.standard_normal(24)
         image = apply_heat(LEGENDRE, 0.9, f, 24)
-        assert_allclose(image, kernel_matrix(LEGENDRE, 0.9, 24) @ f,
+        assert_allclose(image, _kernel(LEGENDRE, 0.9, 24) @ f,
                         rtol=1e-13)
 
     def test_short_signal_padded(self):
@@ -271,12 +274,6 @@ class TestTildeScale:
 
 
 class TestCaches:
-    def test_weight_at_one_memoised_read_only(self):
-        params = JacobiParams(1.0, 0.0)
-        v = weight_at_one(params, 16)
-        assert weight_at_one(params, 16) is v
-        assert not v.flags.writeable
-
     @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)],
                              ids=["legendre", "chebyshev", "asymmetric"])
     def test_weight_at_one_meets_closed_forms(self, params):
@@ -311,17 +308,11 @@ ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
 class TestAssemblyOracles:
     @pytest.mark.parametrize("params", ORACLE_PARAMS)
     @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
-    def test_matrix_is_tensor_slice_bitwise(self, params, t):
-        kern = kernel_matrix(params, t, 24)
-        assert np.array_equal(kern, kernel_tensor(params, [t], 24)[0])
-
-    @pytest.mark.parametrize("params", ORACLE_PARAMS)
-    @pytest.mark.parametrize("t", [1e-3, 0.7, 50.0])
     def test_scalar_entries_match_batch(self, params, t):
         # Relative to the largest entry: entries at rounding level carry no
         # relative accuracy on either route.
         size = 24
-        kern = kernel_matrix(params, t, size)
+        kern = _kernel(params, t, size)
         dkern = kernel_dt_tensor(params, [t], size)[0]
         rule = build_rule(params, auto_order(size - 1, t, DEFAULT_QUAD_TOL))
         scalar = np.array([[kernel_entry(params, t, n, m, rule) for m in range(size)]
@@ -402,7 +393,7 @@ class TestBesselClosedForm:
         assert len(times) >= 4
         exact, _ = bessel_kernels(params, times, size)
         for t, expected in zip(times, exact):
-            spectral = kernel_matrix(params, t, size, method="spectral")
+            spectral = kernel_matrix(params, t, size)
             assert np.abs(spectral - expected).max() <= DEFAULT_QUAD_TOL, t
 
 
