@@ -22,7 +22,6 @@ from .paths import (
     LacunarySequence,
     TimeGrid,
     default_bands,
-    default_time_grid,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
@@ -39,8 +38,6 @@ from .semigroup import (
     weight_at_one,
 )
 from .verify import (
-    DEFAULT_LAMBDAS,
-    DEFAULT_RHO,
     STABILITY_THRESHOLD,
     EstimateReport,
     majorant_batch,

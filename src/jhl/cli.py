@@ -38,6 +38,7 @@ from .semigroup import (
 )
 from .verify import (
     operator_images,
+    s_star_kernels,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,
@@ -114,6 +115,12 @@ def _ensure_dir(*parts: str) -> str:
     return path
 
 
+def _timed(function, *args) -> tuple:
+    """function(*args) and the seconds it took."""
+    started = time.perf_counter()
+    return function(*args), time.perf_counter() - started
+
+
 def _run_command(config: RunConfig, command: str, task, first: tuple = ()) -> list:
     """The one path of every command. Create <out>/<command>/ and write
     config.json; run the `first` tasks, then `task(config, params)` for each
@@ -144,16 +151,18 @@ def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
     defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
     write_s = spectral_s = 0.0
     for idx, t in enumerate(times):
+        # Each time's matrices replace the last time's, so no earlier time's
+        # kernel is alive while this one's are written.
         quad = kernel_tensor(params, [t], size, config.quad_tol)[0]
+        dkt = kernel_dt_tensor(params, [t], size, config.quad_tol)[0]
+        half = kernel_tensor(params, [t / 2.0], size, config.quad_tol)[0]
         solved = time.perf_counter()
         spectral = kernel_matrix(params, t, size, config.quad_tol)
         spectral_s += time.perf_counter() - solved
-        dkt = kernel_dt_tensor(params, [t], size, config.quad_tol)[0]
         written = time.perf_counter()
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
         write_s += time.perf_counter() - written
-        half = kernel_tensor(params, [t / 2.0], size, config.quad_tol)[0]
         defects["markov"].append(markov_defect(params, quad[:size // 4 + 1]))
         defects["semigroup"].append(semigroup_defect(half, half, quad))
         defects["cross_method"].append(
@@ -180,10 +189,29 @@ def cmd_kernel(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _operator_kernels(config: RunConfig, params: JacobiParams, grid) -> dict:
+    """Each listed operator's kernels at max(sizes), as `operator_images`
+    takes them: from one K tensor over the lacunary times, built if s_star is
+    listed, and one over the grid, built if a heat-path operator is."""
+    size = max(config.sizes)
+    kernels = {}
+    if "s_star" in config.operators:
+        lac = config.lacunary.build()
+        kernels["s_star"] = s_star_kernels(
+            kernel_tensor(params, lac.values, size, config.quad_tol), lac,
+            config.bcoef.resolve(lac), config.lacunary.window)
+    heat = [operator for operator in config.operators if operator != "s_star"]
+    if heat:
+        kernels.update(dict.fromkeys(heat, kernel_tensor(params, grid.times, size,
+                                                         config.quad_tol)))
+    return kernels
+
+
 def _operator_table(config: RunConfig, params: JacobiParams):
-    """Header, rows and report of one params' operators table: a column per
-    listed operator (one per lambda for jump), in `OPERATOR_NAMES` order, then
-    the margin 2^(1 + 1/rho) variation - max_lambda jump where both are listed."""
+    """Header, rows, report and kernel build time of one params' operators
+    table: a column per listed operator (one per lambda for jump), in
+    `OPERATOR_NAMES` order, then the margin 2^(1 + 1/rho) variation -
+    max_lambda jump where both are listed."""
     grid = config.t_grid.build()
     size = max(config.sizes)
     f = config.signal.resolve(size)
@@ -196,16 +224,14 @@ def _operator_table(config: RunConfig, params: JacobiParams):
     if with_margin:
         header.append("margin")
     if f.size == 0:
-        return header, [], {}
+        return header, [], {}, 0.0
     if f.size > size:
         raise ConfigError(
             f"signal has {f.size} entries, larger than the truncation size {size}")
     f = np.pad(f, (0, size - f.size))
-    lac = config.lacunary.build()
-    b = config.bcoef.resolve(lac)
-    images = {operator: operator_images(params, operator, size, grid, config.rho,
-                                        config.lambdas, lac, b, config.lacunary.window, f,
-                                        config.quad_tol)
+    kernels, built = _timed(_operator_kernels, config, params, grid)
+    images = {operator: operator_images(operator, kernels[operator], f, grid, config.rho,
+                                        config.lambdas)
               for operator in listed}
     columns = [images[operator].reshape(-1, size) for operator in listed]
     report = {"size": size}
@@ -218,18 +244,19 @@ def _operator_table(config: RunConfig, params: JacobiParams):
         report["min_margin"] = float(margin.min())
     table = np.concatenate(columns)
     rows = [[n, *table[:, n]] for n in range(size)]
-    return header, rows, report
+    return header, rows, report, built
 
 
 def _operators_params(config: RunConfig, params: JacobiParams) -> tuple:
     """Write one params' operators.csv and report.json."""
     started = time.perf_counter()
-    tag_dir = _ensure_dir(config.out_dir, "operators", params.tag())
-    header, rows, report = _operator_table(config, params)
+    tag = params.tag()
+    tag_dir = _ensure_dir(config.out_dir, "operators", tag)
+    header, rows, report, built = _operator_table(config, params)
     _write_csv(os.path.join(tag_dir, "operators.csv"), header, rows)
     _write_json(os.path.join(tag_dir, "report.json"),
                 {"alpha": params.alpha, "beta": params.beta, **report})
-    return {params.tag(): time.perf_counter() - started}, []
+    return {tag: time.perf_counter() - started, f"{tag}/kernels": built}, []
 
 
 def cmd_operators(config: RunConfig) -> int:
@@ -245,39 +272,52 @@ NEGATIVE_CONTROL_PARAMS = JacobiParams(-0.5, -0.5)
 NEGATIVE_CONTROL_P = 2.0
 
 
-def _verify_cell(config: RunConfig, params: JacobiParams, estimate: str):
-    grid = config.t_grid.build()
+# The estimates that read K, and those that read dK, over the verify grid, and
+# those that read K over the lacunary times.
+_READS_K = {"kernel_decay", "kernel_smoothness"}
+_READS_DK = _READS_K | {"dt_sup"}
+_READS_LACUNARY = {"qn_bounds", "lacunary_tail", "cotlar"}
+
+
+def _verify_inputs(config: RunConfig, params: JacobiParams) -> dict:
+    """The `_verify_cell` arguments that the configured estimates read, each
+    built once at max(sizes): K and dK over the verify grid's times, and the
+    lacunary sequence, its coefficients and K over its times (the stack)."""
+    estimates = set(config.estimates)
+    size = max(config.sizes)
+    times = config.t_grid.build().times
+    inputs = {"times": times}
+    if estimates & _READS_K:
+        inputs["kt"] = kernel_tensor(params, times, size, config.quad_tol)
+    if estimates & _READS_DK:
+        inputs["dkt"] = kernel_dt_tensor(params, times, size, config.quad_tol)
+    if estimates & _READS_LACUNARY:
+        lac = config.lacunary.build()
+        inputs.update(lac=lac, b=config.bcoef.resolve(lac),
+                      stack=kernel_tensor(params, lac.values, size, config.quad_tol))
+    return inputs
+
+
+def _verify_cell(config: RunConfig, params: JacobiParams, estimate: str, times=None,
+                 kt=None, dkt=None, lac=None, b=None, stack=None):
+    """One estimate's report, from the `_verify_inputs` it reads."""
+    sizes = config.sizes
     if estimate == "kernel_decay":
-        return verify_kernel_decay(params, config.sizes, grid, config.rho,
-                                   config.quad_tol)
+        return verify_kernel_decay(params, sizes, kt, dkt, times, config.rho)
     if estimate == "kernel_smoothness":
-        return verify_kernel_smoothness(params, config.sizes, grid, config.rho,
-                                        config.quad_tol)
+        return verify_kernel_smoothness(params, sizes, kt, dkt, times, config.rho)
     if estimate == "dt_sup":
-        return verify_dt_sup(params, config.sizes, grid, config.quad_tol)
+        return verify_dt_sup(params, sizes, dkt)
     if estimate == "qn_bounds":
-        lac = config.lacunary.build()
-        return verify_qn_bounds(params, lac, config.bcoef.resolve(lac),
-                                config.lacunary.window, config.sizes,
-                                config.quad_tol)
+        return verify_qn_bounds(params, lac, b, config.lacunary.window, sizes, stack)
     if estimate == "lacunary_tail":
-        lac = config.lacunary.build()
-        return verify_lacunary_tail(params, lac, config.bcoef.resolve(lac),
-                                    config.sizes, config.quad_tol)
+        return verify_lacunary_tail(params, lac, b, sizes, stack)
     if estimate == "cotlar":
-        m_range = min(COTLAR_WINDOW, config.lacunary.window)
-        lac = config.lacunary.build()
-        return verify_cotlar(params, m_range, lac, config.bcoef.resolve(lac),
-                             COTLAR_Q, config.sizes, config.seed, COTLAR_RANDOM,
-                             config.quad_tol)
+        return verify_cotlar(params, min(COTLAR_WINDOW, config.lacunary.window), lac, b,
+                             COTLAR_Q, sizes, stack, config.seed, COTLAR_RANDOM)
     if estimate == "poly_bound":
         return verify_poly_bound(params, POLY_SIZES)
     raise ConfigError(f"unknown estimate {estimate!r}")
-
-
-# The estimates that read K, and those that read dK, over the verify grid.
-_READS_K = {"kernel_decay", "kernel_smoothness"}
-_READS_DK = _READS_K | {"dt_sup"}
 
 
 def _summary_row(estimate: str, params: JacobiParams, report) -> list:
@@ -286,23 +326,17 @@ def _summary_row(estimate: str, params: JacobiParams, report) -> list:
 
 
 def _verify_params(config: RunConfig, params: JacobiParams) -> tuple:
-    """Build the verify-grid tensors that the configured estimates read, then
-    run and write one report per estimate of one params; return the summary
-    rows. The tensors are memoised, so no estimate's runtime includes
-    building them; `<params>/kernels` times that build."""
+    """Build what the configured estimates read (`_verify_inputs`), then run
+    and write one report per estimate of one params; return the summary
+    rows. `<params>/kernels` times the build, which no estimate's runtime
+    includes."""
     tag = params.tag()
     tag_dir = _ensure_dir(config.out_dir, "verify", tag)
-    times = config.t_grid.build().times
-    size = max(config.sizes)
-    started = time.perf_counter()
-    if _READS_K.intersection(config.estimates):
-        kernel_tensor(params, times, size, config.quad_tol)
-    if _READS_DK.intersection(config.estimates):
-        kernel_dt_tensor(params, times, size, config.quad_tol)
-    cells = {f"{tag}/kernels": time.perf_counter() - started}
+    inputs, built = _timed(_verify_inputs, config, params)
+    cells = {f"{tag}/kernels": built}
     rows = []
     for estimate in config.estimates:
-        report = _verify_cell(config, params, estimate)
+        report = _verify_cell(config, params, estimate, **inputs)
         _write_json(os.path.join(tag_dir, f"{estimate}.json"), report.to_dict())
         cells[f"{tag}/{estimate}"] = report.runtime
         rows.append(_summary_row(estimate, params, report))
@@ -312,13 +346,15 @@ def _verify_params(config: RunConfig, params: JacobiParams) -> tuple:
 def _negative_control(config: RunConfig) -> tuple:
     """Run and write the growing-weight negative control; return its summary row."""
     cell = (NEGATIVE_CONTROL_P, WeightSpec("power", exponent=NEGATIVE_CONTROL_P), "strong")
-    control = verify_theorem_norms(
-        NEGATIVE_CONTROL_PARAMS, "variation", [cell], config.sizes,
-        grid=config.norms_t_grid.build(), rho=config.rho,
-        lambdas=config.lambdas, seed=config.seed, quad_tol=config.quad_tol)[0]
+    grid = config.norms_t_grid.build()
+    kernels, built = _timed(kernel_tensor, NEGATIVE_CONTROL_PARAMS, grid.times,
+                            max(config.sizes), config.quad_tol)
+    control = verify_theorem_norms(NEGATIVE_CONTROL_PARAMS, "variation", [cell],
+                                   config.sizes, kernels, grid, config.rho, config.lambdas,
+                                   seed=config.seed)[0]
     _write_json(os.path.join(config.out_dir, "verify", "negative_control.json"),
                 control.to_dict())
-    return ({"negative_control": control.runtime},
+    return ({"negative_control/kernels": built, "negative_control": control.runtime},
             [_summary_row("negative_control", NEGATIVE_CONTROL_PARAMS, control)])
 
 
@@ -346,32 +382,24 @@ def _norm_pairs(config: RunConfig) -> list:
 
 
 def _norms_params(config: RunConfig, params: JacobiParams) -> tuple:
-    """Build the kernel tensors that the configured operators read, then run
-    one sweep per operator of one params over the strong and weak11 cells of
-    every (p, weight) pair; return one norms.csv row per (operator, pair,
-    size). The tensors are memoised, so the sweeps read them without building
-    them again; each sweep takes its operator's images once per size and
+    """Build the kernels the configured operators read (`_operator_kernels`),
+    then run one sweep per operator of one params over the strong and weak11
+    cells of every (p, weight) pair; return one norms.csv row per (operator,
+    pair, size). `<params>/kernels` times the build, which no sweep's runtime
+    includes; each sweep takes its operator's images once per size and
     reduces them over all its cells."""
     grid = config.norms_t_grid.build()
-    lac = config.lacunary.build()
-    b = config.bcoef.resolve(lac)
-    size = max(config.sizes)
-    started = time.perf_counter()
-    if set(config.operators) - {"s_star"}:
-        kernel_tensor(params, grid.times, size, config.quad_tol)
-    if "s_star" in config.operators:
-        kernel_tensor(params, lac.values, size, config.quad_tol)
+    kernels, built = _timed(_operator_kernels, config, params, grid)
     tag = params.tag()
-    cells = {f"{tag}/kernels": time.perf_counter() - started}
+    cells = {f"{tag}/kernels": built}
     pairs = _norm_pairs(config)
     sweep = [cell for p, wspec in pairs
              for cell in ((p, wspec, "strong"), (1.0, wspec, "weak11"))]
     rows = []
     for operator in config.operators:
-        reports = verify_theorem_norms(
-            params, operator, sweep, config.sizes, grid=grid, rho=config.rho,
-            lambdas=config.lambdas, lac=lac, bcoef=b, m_range=config.lacunary.window,
-            seed=config.seed, quad_tol=config.quad_tol)
+        reports = verify_theorem_norms(params, operator, sweep, config.sizes,
+                                       kernels[operator], grid, config.rho,
+                                       config.lambdas, seed=config.seed)
         cells[f"{tag}/{operator}"] = reports[0].runtime
         for (p, wspec), strong, weak in zip(pairs, reports[::2], reports[1::2]):
             for i, n in enumerate(config.sizes):
@@ -408,13 +436,13 @@ def cmd_norms(config: RunConfig) -> int:
 
 def _run_task(function, *args):
     """function(*args), after which the memo is emptied: the one place a
-    command empties it. Every task covers one
-    params, every memo key carries alpha and all but the Gauss-Laguerre rule
-    ("laguerre", alpha, order) carry beta, so a later task reads almost none
-    of it. Kept, it made a pool worker's peak memory depend on which tasks the
-    scheduler gave it, and a serial run's peak on the layout of the memory
-    earlier tasks had freed, which varies with address randomisation and the
-    string hash seed."""
+    command empties it. A task's kernel tensors are its own values and go
+    when it returns. Every task covers one params, every memo key carries
+    alpha and all but the Gauss-Laguerre rule ("laguerre", alpha, order)
+    carry beta, so a later task reads almost none of it. Kept, it made a pool
+    worker's peak memory depend on which tasks the scheduler gave it, and a
+    serial run's peak on the layout of the memory earlier tasks had freed,
+    which varies with address randomisation and the string hash seed."""
     try:
         return function(*args)
     finally:

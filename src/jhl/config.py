@@ -12,6 +12,7 @@ import numpy as np
 from .basis import JacobiParams
 from .errors import ConfigError
 from .paths import LacunarySequence, TimeGrid
+from .semigroup import DEFAULT_QUAD_TOL
 from .weights import WeightSpec
 
 __all__ = [
@@ -291,7 +292,7 @@ class RunConfig:
     kernel_times: tuple = (1e-12, 0.1, 1.0, 10.0)
     estimates: tuple = ESTIMATE_NAMES
     operators: tuple = OPERATOR_NAMES
-    quad_tol: float = 1e-12
+    quad_tol: float = DEFAULT_QUAD_TOL
     seed: int = 0
     workers: int | None = None
     out_dir: str = "out"

@@ -17,7 +17,6 @@ __all__ = [
     "TimeGrid",
     "BandSequence",
     "LacunarySequence",
-    "default_time_grid",
     "default_bands",
     "variation_batch",
     "oscillation_batch",
@@ -48,11 +47,6 @@ class TimeGrid:
         if count < 2 or t_min <= 0.0 or t_max <= t_min:
             raise ValueError("need count >= 2 and 0 < t_min < t_max")
         return cls(np.geomspace(t_min, t_max, count))
-
-
-def default_time_grid() -> TimeGrid:
-    """96 log-uniform times spanning [1e-3, 1e2]."""
-    return TimeGrid.geometric(1e-3, 1e2, 96)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ operator, M = min(4N, N + d) with d the least margin that a Poisson tail bound
 certifies to the tolerance at t (`_truncation`), and exponentiates; it is a
 cross-check only well below t = N^2, so not in the Laguerre range; it is
 `kernel_matrix`, and the quadrature route is `kernel_tensor` and
-`kernel_dt_tensor`. Every derived value of the quadrature route (rule,
-Laguerre order, table, tensor) is memoised in `jhl._memo`, and `clear_caches`
-empties that one cache. The spectral route keeps no eigenbasis, as its
-truncation size changes with t. The tests check both routes entry by entry
+`kernel_dt_tensor`. The rules, Laguerre orders and tables of the quadrature
+route are memoised in `jhl._memo`, which `clear_caches` empties; each tensor
+is built anew. The spectral route keeps no eigenbasis, as its truncation size
+changes with t. The tests check both routes entry by entry
 against scalar oracles that take a Gauss-Jacobi rule (`tests/oracles.py`), and
 the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against its closed form in
 Bessel functions.
@@ -169,19 +169,14 @@ def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times <= 0.0):
         raise ValueError("time grid must be nonempty with positive entries")
-
-    def compute() -> np.ndarray:
-        out = _quad_kernels(params, times, size, quad_tol, derivative)
-        if not np.all(np.isfinite(out)):
-            raise NumericFailure(
-                f"{'dK' if derivative else 'K'} tensor at size {size} has non-finite entries")
-        if not derivative:
-            _check_positivity(params, out)
-        out.setflags(write=False)
-        return out
-
-    return memo(("dK" if derivative else "K", params.alpha, params.beta, size,
-                 tuple(times.tolist()), quad_tol), compute)
+    out = _quad_kernels(params, times, size, quad_tol, derivative)
+    if not np.all(np.isfinite(out)):
+        raise NumericFailure(
+            f"{'dK' if derivative else 'K'} tensor at size {size} has non-finite entries")
+    if not derivative:
+        _check_positivity(params, out)
+    out.setflags(write=False)
+    return out
 
 
 def kernel_tensor(params: JacobiParams, times: np.ndarray, size: int,

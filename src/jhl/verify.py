@@ -3,10 +3,11 @@
 Each verifier sweeps truncation sizes, extracts the best empirical constant per
 size, and grades stability by the ratio of the two largest sizes: at most 1.10
 is "stable" and anything larger is "growing". A kernel entry K_t(n, m) does not
-depend on the truncation, so each sweep builds its kernels once, at the largest
-size, and reads every smaller size from their leading block. An exception
-propagates and ends the run; no verdict is "failed" until failures are
-isolated per cell. The module measures, it does not prove.
+depend on the truncation, so each sweep takes the kernels it reads, built by
+its caller at the largest size, and reads every smaller size from their
+leading block; the module builds no kernel. An exception propagates and ends
+the run; no verdict is "failed" until failures are isolated per cell. The
+module measures, it does not prove.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .paths import (
     LacunarySequence,
     TimeGrid,
     default_bands,
-    default_time_grid,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
@@ -30,14 +30,11 @@ from .paths import (
     _local_mask,
     _resolve_bcoef,
 )
-from .semigroup import DEFAULT_QUAD_TOL, kernel_dt_tensor, kernel_tensor
 from .weights import norm_ratio_max, probe_matrix, weak_quasinorm
 
 __all__ = [
     "EstimateReport",
     "STABILITY_THRESHOLD",
-    "DEFAULT_RHO",
-    "DEFAULT_LAMBDAS",
     "majorant_batch",
     "operator_images",
     "verify_kernel_decay",
@@ -51,8 +48,6 @@ __all__ = [
 ]
 
 STABILITY_THRESHOLD = 1.10
-DEFAULT_RHO = 2.5
-DEFAULT_LAMBDAS = tuple(2.0 ** k for k in range(-5, 3))
 _TINY = 1e-300
 # `_pair_values` gathers the kernel paths of this many (n, m) pairs at a time;
 # a path's functional does not depend on the others in its batch.
@@ -125,10 +120,14 @@ def _finish(name: str, params: JacobiParams, sizes, route_series: dict,
     )
 
 
-def _check_sizes(sizes) -> tuple:
+def _check_sizes(sizes, *stacks) -> tuple:
+    """sizes as ints, at least two and strictly increasing; each stack must
+    hold matrices of the largest size."""
     out = tuple(int(s) for s in sizes)
     if len(out) < 2 or any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("need at least two strictly increasing sizes")
+    if any(stack.shape[1:] != (out[-1], out[-1]) for stack in stacks):
+        raise ValueError(f"kernels must be {out[-1]} x {out[-1]}, the largest size")
     return out
 
 
@@ -186,10 +185,10 @@ def _pair_values(functional, keep: np.ndarray, mirror: bool = False) -> np.ndarr
     return np.zeros(keep.shape) if out is None else out
 
 
-def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = None,
-                        rho: float = DEFAULT_RHO,
-                        quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Constant sup |n-m| * ||K_.(n,m)||_rho by two routes: majorant and variation.
+def verify_kernel_decay(params: JacobiParams, sizes, kt: np.ndarray, dkt: np.ndarray,
+                        times: np.ndarray, rho: float) -> EstimateReport:
+    """Constant sup |n-m| * ||K_.(n,m)||_rho by two routes, majorant and
+    variation, from the K and dK tensors over the increasing times.
 
     Indices run over 1 <= n != m < size; the rho-variation of each kernel path
     must sit below its derivative-integral majorant, and both route constants
@@ -198,16 +197,13 @@ def verify_kernel_decay(params: JacobiParams, sizes, grid: TimeGrid | None = Non
     run on the pairs 1 <= n < m only.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
-    grid = grid or default_time_grid()
+    sizes = _check_sizes(sizes, kt, dkt)
     size = sizes[-1]
-    kt = kernel_tensor(params, grid.times, size, quad_tol)
-    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
     sep = _sep(size)
     sep[0, :] = 0.0
     sep[:, 0] = 0.0
     keep = np.triu(sep) > 0.0
-    maj = _pair_values(lambda idx: majorant_batch(_paths(dkt, idx), grid.times), keep)
+    maj = _pair_values(lambda idx: majorant_batch(_paths(dkt, idx), times), keep)
     var = _pair_values(lambda idx: variation_batch(_paths(kt, idx).T, rho), keep)
     return _finish("kernel_decay", params, sizes,
                    {"majorant": _leading_max(sep * maj, sizes),
@@ -226,18 +222,16 @@ def _smoothness_mask(size: int) -> np.ndarray:
     return (n != m) & (np.abs(n - m) > 2) & (2 * n >= m) & (2 * (n + 1) <= 3 * m)
 
 
-def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None = None,
-                             rho: float = DEFAULT_RHO,
-                             quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Constant sup |n-m|^2 * ||K_.(n+1,m) - K_.(n,m)||_rho on the local region;
-    both routes run on the `_smoothness_mask` pairs only, each forming its
-    differenced paths per batch of pairs."""
+def verify_kernel_smoothness(params: JacobiParams, sizes, kt: np.ndarray,
+                             dkt: np.ndarray, times: np.ndarray,
+                             rho: float) -> EstimateReport:
+    """Constant sup |n-m|^2 * ||K_.(n+1,m) - K_.(n,m)||_rho on the local region,
+    from the K and dK tensors over the increasing times; both routes run on
+    the `_smoothness_mask` pairs only, each forming its differenced paths per
+    batch of pairs."""
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
-    grid = grid or default_time_grid()
+    sizes = _check_sizes(sizes, kt, dkt)
     size = sizes[-1]
-    kt = kernel_tensor(params, grid.times, size, quad_tol)
-    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
     sep = _sep(size)[:-1]
     mask = _smoothness_mask(size)
     excluded = (sep > 0.0) & ~mask
@@ -246,7 +240,7 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
         # the flat index of (n + 1, m) is that of (n, m) plus size
         return _paths(tensor, idx + size) - _paths(tensor, idx)
 
-    maj = _pair_values(lambda idx: majorant_batch(diff(dkt, idx), grid.times), mask)
+    maj = _pair_values(lambda idx: majorant_batch(diff(dkt, idx), times), mask)
     var = _pair_values(lambda idx: variation_batch(diff(kt, idx).T, rho), mask)
     return _finish("kernel_smoothness", params, sizes,
                    {"majorant": _leading_max(sep ** 2 * maj, sizes, lag=1),
@@ -256,26 +250,24 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, grid: TimeGrid | None 
                     "excluded_pairs": [int(excluded[:s - 1, :s].sum()) for s in sizes]})
 
 
-def verify_dt_sup(params: JacobiParams, sizes, grid: TimeGrid | None = None,
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Constant sup over n != m of |n-m|^3 * sup_t |d/dt K_t(n,m)|."""
+def verify_dt_sup(params: JacobiParams, sizes, dkt: np.ndarray) -> EstimateReport:
+    """Constant sup over n != m of |n-m|^3 * sup_t |d/dt K_t(n,m)|, over the
+    times of the dK tensor."""
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
-    grid = grid or default_time_grid()
+    sizes = _check_sizes(sizes, dkt)
     size = sizes[-1]
-    dkt = kernel_dt_tensor(params, grid.times, size, quad_tol)
     # negation is exact, so this is max |dK| over t without an |dK| tensor
     sup_t = np.maximum(dkt.max(axis=0), -dkt.min(axis=0))
     return _finish("dt_sup", params, sizes,
                    {"dt_sup": _leading_max(_sep(size) ** 3 * sup_t, sizes)}, started)
 
 
-def _lacunary_step_matrices(params: JacobiParams, lac: LacunarySequence, coef: np.ndarray,
-                            size: int, quad_tol: float) -> np.ndarray:
-    """Stack coef_j * (K_{a_{j+1}} - K_{a_j}) for j = j_min..j_max-1, from one
-    kernel tensor whose order is chosen for max(lac.values)."""
-    mats = kernel_tensor(params, lac.values, size, quad_tol)
-    return coef[:, None, None] * np.diff(mats, axis=0)
+def _lacunary_steps(stack: np.ndarray, lac: LacunarySequence, coef) -> np.ndarray:
+    """Stack b_j (K_{a_{j+1}} - K_{a_j}) for j = j_min..j_max-1, from the stack
+    of K over lac.values and the coefficients coef (`_resolve_bcoef`)."""
+    steps = np.diff(stack, axis=0)
+    steps *= _resolve_bcoef(coef, lac)[:, None, None]
+    return steps
 
 
 def _window_prefix(steps: np.ndarray, lac: LacunarySequence, m_range: int) -> np.ndarray:
@@ -288,12 +280,15 @@ def _window_prefix(steps: np.ndarray, lac: LacunarySequence, m_range: int) -> np
         raise ValueError("lacunary window must cover [-M, M+1]")
     offset = -m_range - lac.j_min
     window = steps[offset:offset + 2 * m_range + 1]
-    return np.concatenate([np.zeros((1,) + window.shape[1:]), np.cumsum(window, axis=0)])
+    prefix = np.zeros((window.shape[0] + 1,) + window.shape[1:])
+    np.cumsum(window, axis=0, out=prefix[1:])
+    return prefix
 
 
 def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range: int,
-                     sizes, quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Size and smoothness of difference-sum kernels over every window in [-M, M].
+                     sizes, stack: np.ndarray) -> EstimateReport:
+    """Size and smoothness of difference-sum kernels over every window in [-M, M],
+    from the stack of K over lac.values.
 
     Tracks sup |n-m| |Q(n,m)| pooled over windows and the differenced analogue
     sup |n-m|^2 |Q(n+1,m) - Q(n,m)| on the local region; extras report each
@@ -301,11 +296,9 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
     pooled max.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
-    b = _resolve_bcoef(bcoef, lac)
+    sizes = _check_sizes(sizes, stack)
     size = sizes[-1]
-    prefix = _window_prefix(_lacunary_step_matrices(params, lac, b, size, quad_tol),
-                            lac, m_range)
+    prefix = s_star_kernels(stack, lac, bcoef, m_range)
     sep = _sep(size)
     sep2 = np.where(_smoothness_mask(size), sep[:-1] ** 2, 0.0)
     window_series, smooth_series = {}, []
@@ -335,8 +328,9 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
 
 
 def verify_lacunary_tail(params: JacobiParams, lac: LacunarySequence, vcoef, sizes,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Suffix and geometric-tail bounds for lacunary difference sums.
+                         stack: np.ndarray) -> EstimateReport:
+    """Suffix and geometric-tail bounds for lacunary difference sums, from the
+    stack of K over lac.values.
 
     Route "suffix": sup over k, n, m of sqrt(a_k) |sum_{j>=k} v_j dK_j(n,m)|.
     Route "tail": sup over k > l and |n-m| > c sqrt(a_k) of
@@ -344,12 +338,11 @@ def verify_lacunary_tail(params: JacobiParams, lac: LacunarySequence, vcoef, siz
     tail constants at c in {1, 2, 4} land in extras.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
-    v = _resolve_bcoef(vcoef, lac)
+    sizes = _check_sizes(sizes, stack)
     lam = lac.ratio
     j_lo, j_hi = lac.j_min, lac.j_max
     size = sizes[-1]
-    steps = _lacunary_step_matrices(params, lac, v, size, quad_tol)
+    steps = _lacunary_steps(stack, lac, vcoef)
     suffix = np.cumsum(steps[::-1], axis=0)[::-1]
     c_suffix = _leading_max(np.max([np.sqrt(lac.value(k)) * np.abs(suffix[k - j_lo])
                                     for k in range(j_lo, j_hi)], axis=0), sizes)
@@ -375,21 +368,21 @@ def _hl_columns(g: np.ndarray) -> np.ndarray:
 
 
 def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bcoef,
-                  q: float, sizes, seed: int = 0, n_random: int = 20,
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> EstimateReport:
-    """Pointwise domination of the windowed sup by maximal functions.
+                  q: float, sizes, stack: np.ndarray, seed: int = 0,
+                  n_random: int = 20) -> EstimateReport:
+    """Pointwise domination of the windowed sup by maximal functions, from the
+    stack of K over lac.values.
 
     Constant: sup over probes f and indices n of
     S*_loc f(n) / (M(S_(-M,M),loc f)(n) + M_q f(n)), denominators below 1e-14
     skipped and counted.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
+    sizes = _check_sizes(sizes, stack)
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    b = _resolve_bcoef(bcoef, lac)
-    steps = _lacunary_step_matrices(params, lac, b, sizes[-1], quad_tol)
-    prefix = _window_prefix(steps * _local_mask(sizes[-1]), lac, m_range)
+    prefix = _window_prefix(_lacunary_steps(stack, lac, bcoef) * _local_mask(sizes[-1]),
+                            lac, m_range)
     constants, skipped = [], []
     for size in sizes:
         rng = np.random.default_rng(seed)
@@ -432,20 +425,11 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
     return _finish("poly_bound", params, sizes, {"poly_envelope": constants}, started)
 
 
-def _operator_kernels(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
-                      lac: LacunarySequence | None, b, m_range: int,
-                      quad_tol: float) -> np.ndarray:
-    """The kernels an operator reads at truncation `size`, one matrix per
-    path step: K_t over the grid, or for "s_star" the zero matrix and the
-    running sums of the steps b_j (K_{a_{j+1}} - K_{a_j}), j = -M..M."""
-    if operator == "s_star":
-        if lac is None:
-            raise ValueError("s_star sweeps need a lacunary sequence")
-        steps = _lacunary_step_matrices(params, lac, _resolve_bcoef(b, lac), size, quad_tol)
-        return _window_prefix(steps, lac, m_range)
-    if operator not in ("variation", "oscillation", "jump"):
-        raise ValueError(f"unknown operator choice {operator!r}")
-    return kernel_tensor(params, grid.times, size, quad_tol)
+def s_star_kernels(stack: np.ndarray, lac: LacunarySequence, b, m_range: int) -> np.ndarray:
+    """The kernels "s_star" reads, one matrix per path step: the zero matrix
+    and the running sums of the steps b_j (K_{a_{j+1}} - K_{a_j}),
+    j = -M..M, from the stack of K over lac.values."""
+    return _window_prefix(_lacunary_steps(stack, lac, b), lac, m_range)
 
 
 def _functional(operator: str, paths: np.ndarray, grid: TimeGrid, rho: float,
@@ -459,6 +443,8 @@ def _functional(operator: str, paths: np.ndarray, grid: TimeGrid, rho: float,
         return variation_batch(paths, rho)
     if operator == "oscillation":
         return oscillation_batch(grid.times, paths, default_bands(grid))
+    if operator != "jump":
+        raise ValueError(f"unknown operator choice {operator!r}")
     lams = np.asarray(lambdas, dtype=float)
     return (lams.reshape((-1,) + (1,) * (paths.ndim - 1))
             * jump_count_batch(paths, lams) ** (1.0 / rho))
@@ -479,20 +465,18 @@ def _delta_images(operator: str, kernels: np.ndarray, grid: TimeGrid, rho: float
     return _pair_values(images, np.triu(np.ones((size, size), dtype=bool)), mirror=True)
 
 
-def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGrid,
-                    rho: float, lambdas, lac: LacunarySequence | None, b, m_range: int,
-                    probes: np.ndarray, quad_tol: float) -> np.ndarray:
+def operator_images(operator: str, kernels: np.ndarray, probes: np.ndarray,
+                    grid: TimeGrid, rho: float, lambdas) -> np.ndarray:
     """Images of one operator of heat paths on a probe matrix (k, P) or on
     one signal (k,), one entry per index n < k and probe.
 
-    The kernels are built at truncation `size` and the probes act through
-    their leading k x k block, k = probes.shape[0] <= size. "jump" stacks one
-    image per lambda along a new leading axis; "s_star" is the spread of the
-    window prefix sums over [-M, M] with step coefficients b.
+    kernels are the operator's, one matrix per path step: K over grid.times,
+    or for "s_star" its `s_star_kernels`, whose spread is the image. The
+    probes act through their leading k x k block, k = probes.shape[0]. "jump"
+    stacks one image per lambda along a new leading axis.
     """
     k = probes.shape[0]
-    kernels = _operator_kernels(params, operator, size, grid, lac, b, m_range,
-                                quad_tol)[:, :k, :k]
+    kernels = kernels[:, :k, :k]
     if operator == "s_star":
         paths = kernels @ probes
     else:
@@ -501,20 +485,18 @@ def operator_images(params: JacobiParams, operator: str, size: int, grid: TimeGr
 
 
 def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
-                         grid: TimeGrid | None = None, rho: float = DEFAULT_RHO,
-                         lambdas=DEFAULT_LAMBDAS, lac: LacunarySequence | None = None,
-                         bcoef=None, m_range: int = 6, seed: int = 0,
-                         n_random: int = 8,
-                         quad_tol: float = DEFAULT_QUAD_TOL) -> list:
+                         kernels: np.ndarray, grid: TimeGrid, rho: float, lambdas,
+                         seed: int = 0, n_random: int = 8) -> list:
     """Operator-norm sweep of a path operator on l^p(w) over truncation sizes,
     one report per (p, weight_spec, mode) cell, in cell order.
 
-    Size s takes probes on the first s indices through the leading block of
-    kernels built at max(sizes); their images are taken once and reduced for
-    every cell. The delta probes' images come from the upper triangle of those
-    kernels once per sweep, each size reading their leading block, so per size
-    only the random probes pass through `operator_images`. Every report
-    carries the wall time of the whole sweep.
+    kernels are the operator's at max(sizes), as `operator_images` takes
+    them. Size s takes probes on the first s indices through their leading
+    block; their images are taken once and reduced for every cell. The delta
+    probes' images come from the upper triangle of the kernels once per
+    sweep, each size reading their leading block, so per size only the random
+    probes pass through `operator_images`. Every report carries the wall time
+    of the whole sweep.
 
     mode "strong" maxes ||Tf||/||f|| over delta and random probes (for jump,
     additionally over the lambda family); mode "weak11" uses delta probes and
@@ -523,19 +505,15 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
     |images|^p and |probes|^p once for all their weights, and the weak11 cells
     share one `weak_quasinorm` call, which sorts the delta images once; each
     call reduces every family, and each distinct weight once for all the cells
-    that share it. "s_star" needs `lac`. Raises NumericFailure if an image has
-    a non-finite entry.
+    that share it. Raises NumericFailure if an image has a non-finite entry.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes)
+    sizes = _check_sizes(sizes, kernels)
     for p, _, mode in cells:
         if mode not in ("strong", "weak11"):
             raise ValueError(f"unknown mode {mode!r}")
         if p < 1.0:
             raise ValueError("p must be at least 1")
-    grid = grid or default_time_grid()
-    kernels = _operator_kernels(params, operator, sizes[-1], grid, lac, bcoef, m_range,
-                                quad_tol)
     delta_block = _delta_images(operator, kernels, grid, rho, lambdas)
     # a weight's entries do not depend on the size it is resolved at, so each
     # is resolved once and every size reads its leading entries
@@ -551,8 +529,8 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
         probes = probe_matrix(size, n_random, seed)
         images = np.concatenate(
             [delta_block[..., :size, :size],
-             operator_images(params, operator, sizes[-1], grid, rho, lambdas, lac, bcoef,
-                             m_range, probes[:, size:], quad_tol)], axis=-1)
+             operator_images(operator, kernels, probes[:, size:], grid, rho, lambdas)],
+            axis=-1)
         if not np.all(np.isfinite(images)):
             raise NumericFailure(
                 f"{operator} images at size {size} have non-finite entries")

@@ -13,20 +13,19 @@ import time
 import numpy as np
 
 from jhl.basis import JacobiParams, coeff_a, coeff_b, ortho_table
-from jhl.cli import _verify_cell, main
+from jhl.cli import _verify_cell, _verify_inputs, main
 from jhl.config import RunConfig
 from jhl.paths import (
     LacunarySequence,
     TimeGrid,
     default_bands,
-    default_time_grid,
     jump_count_batch,
     oscillation_batch,
     variation_batch,
 )
 from jhl.quadrature import build_rule
 from jhl.semigroup import kernel_matrix, kernel_tensor, markov_defect, semigroup_defect
-from jhl.verify import DEFAULT_LAMBDAS, verify_theorem_norms
+from jhl.verify import s_star_kernels, verify_theorem_norms
 from jhl.weights import WeightSpec
 from oracles import brute_jump_count, brute_variation, build_generator
 
@@ -36,7 +35,7 @@ ALL_PAIRS = (
     JacobiParams(0.5, -0.5),
     JacobiParams(2.5, 0.5),
 )
-DEFAULT_PAIRS = RunConfig().params
+DEFAULT = RunConfig()
 
 
 def _report(capfd, num: int, name: str, ok: bool, elapsed: float,
@@ -137,19 +136,19 @@ def test_5_path_functional_oracles(capfd):
 
 def test_6_inequality_suite(capfd):
     started = time.perf_counter()
-    grid = default_time_grid()
+    grid = DEFAULT.t_grid.build()
     bands = default_bands(grid)
-    rho = 2.5
+    rho = DEFAULT.rho
     factor = 2.0 ** (1.0 + 1.0 / rho)
     violations = 0
-    for params in DEFAULT_PAIRS:
+    for params in DEFAULT.params:
         kt = kernel_tensor(params, grid.times, 64)
         paths = kt[:, :, :33].transpose(1, 2, 0)
         v_rho = variation_batch(paths, rho)
         v_two = variation_batch(paths, 2.0)
         osc = oscillation_batch(grid.times, paths, bands)
         violations += int((osc > v_two + 1e-12).sum())
-        for lam in DEFAULT_LAMBDAS:
+        for lam in DEFAULT.lambdas:
             jf = lam * jump_count_batch(paths, lam) ** (1.0 / rho)
             violations += int((jf > factor * v_rho + 1e-12).sum())
     _report(capfd, 6, "inequality_suite", violations == 0,
@@ -158,11 +157,11 @@ def test_6_inequality_suite(capfd):
 
 def test_7_estimate_stability(capfd):
     started = time.perf_counter()
-    config = RunConfig()
     verdicts = []
-    for params in config.params:
-        for estimate in config.estimates:
-            report = _verify_cell(config, params, estimate)
+    for params in DEFAULT.params:
+        inputs = _verify_inputs(DEFAULT, params)
+        for estimate in DEFAULT.estimates:
+            report = _verify_cell(DEFAULT, params, estimate, **inputs)
             verdicts.append(report.verdict)
     _report(capfd, 7, "estimate_stability", all(v == "stable" for v in verdicts),
             time.perf_counter() - started, 900.0)
@@ -181,14 +180,18 @@ def test_8_theorem_sweeps(capfd):
     weak = (1.0, WeightSpec("power", exponent=-0.5), "weak11")
     # s_star: unit coefficients on the 15 steps of the dyadic times 2^j, j = -7..8
     lac = LacunarySequence.geometric(2.0, -7, 8)
+    heat = kernel_tensor(params, grid.times, sizes[-1])
+    kernels = {"s_star": s_star_kernels(kernel_tensor(params, lac.values, sizes[-1]), lac,
+                                        np.ones(15), 6)}
+    args = (grid, DEFAULT.rho, DEFAULT.lambdas)
     for operator in operators:
         reps = verify_theorem_norms(params, operator,
                                     [(p, wspec, "strong") for p, wspec in cells] + [weak],
-                                    sizes, grid=grid, lac=lac, bcoef=np.ones(15), m_range=6)
+                                    sizes, kernels.get(operator, heat), *args)
         ok &= all(rep.verdict == "stable" for rep in reps)
     control, = verify_theorem_norms(params, "variation",
                                     [(2.0, WeightSpec("power", exponent=2.0), "strong")],
-                                    sizes, grid=grid)
+                                    sizes, heat, *args)
     ok &= control.verdict == "growing"
     _report(capfd, 8, "theorem_sweeps", ok, time.perf_counter() - started, 1200.0)
 

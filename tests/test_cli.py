@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,9 +24,7 @@ import jhl.verify
 from jhl.basis import JacobiParams
 from jhl._format17 import CHUNK, format_17g
 from jhl.cli import (
-    _norms_params,
     _run_task,
-    _verify_params,
     _write_csv,
     _write_matrix_csv,
     main,
@@ -477,15 +476,13 @@ class TestKernelCommand:
             b = (out2 / "kernel" / "alpha0_beta0" / name).read_bytes()
             assert a == b, name
 
-    def test_memo_released_after_each_params(self, tmp_path):
+    def test_each_params_writes_what_it_writes_alone(self, tmp_path):
+        # The same files as runs of one params each, on an empty memo.
         cfg = _base_config(params=[[0.0, 0.0], [0.5, -0.5]])
         out1, out2 = tmp_path / "a", tmp_path / "b"
         clear_caches()
         path = _write_config(tmp_path, {**cfg, "out_dir": str(out1)}, "c1.json")
         assert main(["kernel", "--config", path]) == 0
-        tensor_kinds = {"K", "dK", "rule", "table", "laguerre"}
-        assert not [key for key in jhl._memo._cache if key[0] in tensor_kinds]
-        # The same files as runs that each start on an empty memo.
         for params in cfg["params"]:
             clear_caches()
             path = _write_config(tmp_path, {**cfg, "params": [params],
@@ -508,37 +505,118 @@ class TestParamsTasks:
     """kernel and operators run their params through the same tasks as verify
     and norms."""
 
-    @pytest.mark.parametrize("command, task", [("kernel", "_kernel_params"),
-                                               ("operators", "_operators_params")])
-    def test_memo_holds_one_params_at_a_time(self, tmp_path, monkeypatch, command, task):
-        # While the second params' task runs, no memo key carries the first
-        # params' (alpha, beta); after the run the memo is empty.
-        first = (0.0, 0.0)
-        real = getattr(jhl.cli, task)
-        held = []
-
-        def spy(config, params):
-            if (params.alpha, params.beta) == first:
-                return real(config, params)
-            held.append([key for key in jhl._memo._cache if key[1:3] == first])
-            result = real(config, params)
-            held.append([key for key in jhl._memo._cache if key[1:3] == first])
-            return result
-
-        monkeypatch.setattr(jhl.cli, task, spy)
-        clear_caches()
-        path = _write_config(tmp_path, _base_config(
-            out_dir=str(tmp_path / "o"), params=[list(first), [0.5, -0.5]]))
-        assert main([command, "--config", path]) == 0
-        assert held == [[], []]
-        assert not jhl._memo._cache
-
     @pytest.mark.parametrize("command", ["kernel", "operators"])
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch, command):
         spy = _PoolSpy(monkeypatch)
         _assert_workers_agree(tmp_path, command, _base_config(
             params=[[0.0, 0.0], [0.5, -0.5]], operators=list(OPERATOR_NAMES)))
         assert spy.built == [2]
+
+
+def _task_builds(monkeypatch, argv):
+    """Run `jhl <argv>` with one worker; per task, in task order, the
+    (alpha, beta, times, derivative) of every kernel tensor it built."""
+    quad_kernels, run_task = jhl.semigroup._quad_kernels, jhl.cli._run_task
+    tasks = []
+
+    def recording(params, times, size, tol, derivative=False):
+        tasks[-1].append((params.alpha, params.beta, tuple(times.tolist()), derivative))
+        return quad_kernels(params, times, size, tol, derivative)
+
+    def task(function, *args):
+        tasks.append([])
+        return run_task(function, *args)
+
+    monkeypatch.setattr(jhl.semigroup, "_quad_kernels", recording)
+    monkeypatch.setattr(jhl.cli, "_run_task", task)
+    assert main([*argv, "--workers", "1"]) in (0, 4)
+    return tasks
+
+
+# The benchmark's verify estimates: all but cotlar.
+BENCH_ESTIMATES = ["kernel_decay", "kernel_smoothness", "dt_sup", "qn_bounds",
+                   "lacunary_tail", "poly_bound"]
+
+
+class TestTaskKernels:
+    """A task builds each kernel tensor its estimates or operators read once,
+    and no other, and passes it to them; nothing else builds one."""
+
+    @pytest.mark.parametrize("command, overrides, reads", [
+        ("verify", {"estimates": ["poly_bound", "qn_bounds"]}, [("lacunary", False)]),
+        ("verify", {"estimates": ["dt_sup"]}, [("t_grid", True)]),
+        ("verify", {"estimates": ["kernel_smoothness", "poly_bound"]},
+         [("t_grid", False), ("t_grid", True)]),
+        ("verify", {"estimates": ["cotlar", "kernel_decay", "lacunary_tail"]},
+         [("lacunary", False), ("t_grid", False), ("t_grid", True)]),
+        ("norms", {"operators": ["s_star"]}, [("lacunary", False)]),
+        ("norms", {"operators": ["jump"]}, [("norms_t_grid", False)]),
+        ("norms", {"operators": ["oscillation", "s_star"]},
+         [("lacunary", False), ("norms_t_grid", False)]),
+        ("operators", {"operators": ["s_star"]}, [("lacunary", False)]),
+        ("operators", {"operators": ["variation", "jump"]}, [("t_grid", False)]),
+        ("operators", {"operators": list(OPERATOR_NAMES)},
+         [("lacunary", False), ("t_grid", False)]),
+    ])
+    def test_each_task_builds_what_it_reads_once(self, tmp_path, monkeypatch, command,
+                                                 overrides, reads):
+        cfg = _base_config(params=[[0.0, 0.0], [0.5, -0.5]], out_dir=str(tmp_path / "o"),
+                           **overrides)
+        config = RunConfig.from_dict(cfg)
+        times = {"t_grid": config.t_grid.build().times,
+                 "norms_t_grid": config.norms_t_grid.build().times,
+                 "lacunary": config.lacunary.build().values}
+        tasks = _task_builds(monkeypatch, [command, "--config", _write_config(tmp_path, cfg)])
+        if command == "verify":
+            assert tasks.pop(0) == [(-0.5, -0.5, tuple(times["norms_t_grid"].tolist()), False)]
+        assert [sorted(task) for task in tasks] == [
+            sorted((alpha, beta, tuple(times[grid].tolist()), derivative)
+                   for grid, derivative in reads)
+            for alpha, beta in cfg["params"]]
+
+    @pytest.mark.parametrize("command, overrides, total", [
+        ("verify", {"estimates": BENCH_ESTIMATES}, 10),
+        ("norms", {}, 6),
+        ("operators", {}, 6),
+        ("kernel", {}, 36),
+    ])
+    def test_build_totals_of_the_benchmark_runs(self, tmp_path, monkeypatch, command,
+                                                 overrides, total):
+        # The benchmark's workloads run the default config at larger sizes;
+        # the tensors built do not depend on the sizes. jhl kernel builds K,
+        # dK and K at t/2 for each of its 4 times.
+        path = _write_config(tmp_path, {"sizes": [8, 16], "out_dir": str(tmp_path / "o"),
+                                        **overrides})
+        tasks = _task_builds(monkeypatch, [command, "--config", path])
+        assert sum(len(task) for task in tasks) == total
+        assert all(len(set(task)) == len(task) for task in tasks)
+
+    def test_kernel_keeps_no_earlier_time(self, tmp_path, monkeypatch):
+        # When a time's CSVs are written, no K or dK built for an earlier
+        # time (its own or at half of it) is still held.
+        kernel_times = [0.1, 1.0, 10.0]
+        index = {**{t: i for i, t in enumerate(kernel_times)},
+                 **{t / 2.0: i for i, t in enumerate(kernel_times)}}
+        quad_kernels, write = jhl.semigroup._quad_kernels, jhl.cli._write_matrix_csv
+        built, held = [], []
+
+        def recording(params, times, size, tol, derivative=False):
+            out = quad_kernels(params, times, size, tol, derivative)
+            built.append((index[float(times[0])], weakref.ref(out)))
+            return out
+
+        def writing(path, matrix):
+            now = int(os.path.basename(path).split("_")[-1].split(".")[0])
+            held.append([i for i, ref in built if i < now and ref() is not None])
+            write(path, matrix)
+
+        monkeypatch.setattr(jhl.semigroup, "_quad_kernels", recording)
+        monkeypatch.setattr(jhl.cli, "_write_matrix_csv", writing)
+        path = _write_config(tmp_path, _base_config(
+            out_dir=str(tmp_path / "o"), kernel_times=kernel_times))
+        assert main(["kernel", "--config", path]) == 0
+        assert len(built) == 9
+        assert held == [[]] * 6
 
 
 class TestScipyFreeCommands:
@@ -779,42 +857,9 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path]) in (0, 4)
         cells = json.loads((out / "verify" / "timings.json").read_text())["cells"]
         assert set(cells) == {"alpha0_beta0/kernels", "alpha0_beta0/kernel_decay",
-                              "alpha0_beta0/dt_sup", "negative_control"}
+                              "alpha0_beta0/dt_sup", "negative_control/kernels",
+                              "negative_control"}
         assert all(seconds >= 0.0 for seconds in cells.values())
-
-    @pytest.mark.parametrize("estimates, tensors", [
-        (["poly_bound", "qn_bounds"], []),
-        (["dt_sup"], ["dK"]),
-        (["kernel_smoothness", "poly_bound"], ["K", "dK"]),
-    ])
-    def test_kernels_built_up_front_are_only_those_read(self, tmp_path, monkeypatch,
-                                                        estimates, tensors):
-        # before the first estimate runs, the verify-grid tensors it and the
-        # later ones read are built, and no other
-        config = RunConfig.from_dict(_base_config(estimates=estimates,
-                                                  out_dir=str(tmp_path)))
-        times = tuple(config.t_grid.build().times.tolist())
-
-        def grid_tensors():
-            return sorted(key[0] for key in jhl._memo._cache
-                          if key[0] in ("K", "dK") and key[4] == times)
-
-        before_first = []
-        verify_cell = jhl.cli._verify_cell
-
-        def recording(config, params, estimate):
-            if not before_first:
-                before_first.append(grid_tensors())
-            return verify_cell(config, params, estimate)
-
-        monkeypatch.setattr(jhl.cli, "_verify_cell", recording)
-        clear_caches()
-        cells, rows = _verify_params(config, JacobiParams(0.0, 0.0))
-        after = grid_tensors()
-        clear_caches()
-        assert cells["alpha0_beta0/kernels"] >= 0.0 and len(rows) == len(estimates)
-        assert before_first == [sorted(tensors)]
-        assert after == sorted(tensors)
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
         spy = _PoolSpy(monkeypatch)
@@ -948,23 +993,6 @@ class TestNormsCommand:
         assert set(cells) == {"alpha0_beta0/kernels", "alpha0_beta0/variation",
                               "alpha0_beta0/s_star"}
         assert all(seconds >= 0.0 for seconds in cells.values())
-
-    @pytest.mark.parametrize("operators, grids", [(["s_star"], ["lacunary"]),
-                                                  (["jump"], ["norms"]),
-                                                  (["oscillation", "s_star"],
-                                                   ["lacunary", "norms"])])
-    def test_kernels_built_up_front_are_only_those_read(self, operators, grids):
-        # the up-front build adds no tensor the sweeps would not have built
-        config = RunConfig.from_dict(_base_config(operators=operators))
-        times = {"norms": tuple(config.norms_t_grid.build().times.tolist()),
-                 "lacunary": tuple(config.lacunary.build().values.tolist())}
-        clear_caches()
-        cells, _ = _norms_params(config, JacobiParams(0.0, 0.0))
-        keys = list(jhl._memo._cache)
-        clear_caches()
-        assert cells["alpha0_beta0/kernels"] >= 0.0 and len(cells) == len(operators) + 1
-        assert sorted(key[4] for key in keys if key[0] == "K") == \
-            sorted(times[grid] for grid in grids)
 
     @pytest.mark.parametrize("override", [
         {"weights": [{"kind": "power", "exponent": 400}]},

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jhl.basis import JacobiParams
+from jhl.config import RunConfig
 from jhl.paths import (
     BandSequence,
     LacunarySequence,
     TimeGrid,
     _resolve_bcoef,
     default_bands,
-    default_time_grid,
     hl_maximal_all,
     jump_count_batch,
     oscillation_batch,
@@ -87,7 +87,7 @@ class TestGridsAndSequences:
         assert_allclose(ratios, ratios[0])
 
     def test_default_grid_span(self):
-        grid = default_time_grid()
+        grid = RunConfig().t_grid.build()
         assert len(grid) == 96
         assert_allclose([grid.times[0], grid.times[-1]], [1e-3, 1e2])
 

@@ -1,29 +1,27 @@
 """Tests for the estimate verifiers and their report plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import jhl.quadrature
-import jhl.semigroup
+import jhl.cli
 import jhl.verify
 from jhl.basis import JacobiParams
 from jhl.config import RunConfig
-from jhl.errors import NumericFailure
 from jhl.paths import (
     LacunarySequence,
     TimeGrid,
-    default_time_grid,
     jump_count_batch,
     variation_batch,
 )
-from jhl.semigroup import DEFAULT_QUAD_TOL, clear_caches, kernel_dt_tensor, kernel_tensor
+from jhl.semigroup import clear_caches, kernel_dt_tensor, kernel_tensor
 from jhl.verify import (
-    DEFAULT_LAMBDAS,
-    DEFAULT_RHO,
     EstimateReport,
     majorant_batch,
     operator_images,
+    s_star_kernels,
     verify_cotlar,
     verify_dt_sup,
     verify_kernel_decay,
@@ -35,11 +33,8 @@ from jhl.verify import (
 )
 from jhl.verify import (
     _delta_images,
-    _lacunary_step_matrices,
-    _operator_kernels,
     _pair_values,
     _smoothness_mask,
-    _window_prefix,
 )
 from jhl.weights import WeightSpec, norm_ratio_max, probe_matrix, weak_quasinorm
 from oracles import qn_kernel_matrix, s_star
@@ -48,6 +43,9 @@ LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
 ORACLE_PARAMS = [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)]
 
+DEFAULT = RunConfig()
+RHO = DEFAULT.rho
+DEFAULT_GRID = DEFAULT.t_grid.build()
 SMALL_GRID = TimeGrid.geometric(1e-3, 1e2, 32)
 
 
@@ -55,6 +53,41 @@ def _lac(m_range):
     lac = LacunarySequence.geometric(2.0, -m_range - 1, m_range + 2)
     bcoef = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
     return lac, bcoef
+
+
+def _heat(params, sizes, grid=SMALL_GRID):
+    """K, dK and the times of the grid, at the largest size: what the
+    kernel estimates read."""
+    size = sizes[-1]
+    return (kernel_tensor(params, grid.times, size),
+            kernel_dt_tensor(params, grid.times, size), grid.times)
+
+
+def _dk(params, sizes, grid=SMALL_GRID):
+    return kernel_dt_tensor(params, grid.times, sizes[-1])
+
+
+def _stack(params, lac, sizes):
+    """K over the lacunary times at the largest size: what the window
+    estimates read."""
+    return kernel_tensor(params, lac.values, sizes[-1])
+
+
+def _operator_kernels(params, operator, size, grid=SMALL_GRID, m_range=2):
+    """The kernels an operator reads at one size: K over the grid, or for
+    s_star the window prefix of the alternating `_lac(m_range)` steps."""
+    if operator != "s_star":
+        return kernel_tensor(params, grid.times, size)
+    lac, b = _lac(m_range)
+    return s_star_kernels(kernel_tensor(params, lac.values, size), lac, b, m_range)
+
+
+def _sweep(operator, cells, sizes=(8, 12), lambdas=DEFAULT.lambdas, n_random=4):
+    """A norm sweep at LEGENDRE on SMALL_GRID, with the kernels
+    `_operator_kernels` builds at the largest size."""
+    kernels = _operator_kernels(LEGENDRE, operator, sizes[-1])
+    return verify_theorem_norms(LEGENDRE, operator, cells, sizes, kernels, SMALL_GRID, RHO,
+                                lambdas, n_random=n_random)
 
 
 class TestMajorant:
@@ -70,7 +103,7 @@ class TestMajorant:
 
     def test_dominates_grid_variation_on_heat_paths(self):
         # the derivative-integral majorant must sit above the sampled variation
-        grid = default_time_grid()
+        grid = DEFAULT_GRID
         kt = kernel_tensor(LEGENDRE, grid.times, 12)
         dkt = kernel_dt_tensor(LEGENDRE, grid.times, 12)
         var = variation_batch(kt.transpose(1, 2, 0), 2.5)
@@ -84,7 +117,7 @@ class TestMajorant:
         # the intervals are summed in one order, so a shuffled gather of the
         # paths (by flat take or by 2-D index), its contiguous copy and its
         # Fortran-order copy all give the bits of the whole tensor
-        times = default_time_grid().times
+        times = DEFAULT_GRID.times
         dkt = kernel_dt_tensor(params, times, 64)
         whole = majorant_batch(dkt, times).reshape(-1)
         idx = np.random.default_rng(0).permutation(64 * 64)[:2000]
@@ -96,7 +129,7 @@ class TestMajorant:
 
 class TestReportShape:
     def test_fields_and_serialization(self):
-        rep = verify_dt_sup(LEGENDRE, (8, 12), grid=SMALL_GRID)
+        rep = verify_dt_sup(LEGENDRE, (8, 12), _dk(LEGENDRE, (8, 12)))
         assert isinstance(rep, EstimateReport)
         assert rep.name == "dt_sup"
         assert rep.sizes == (8, 12)
@@ -109,15 +142,31 @@ class TestReportShape:
         assert d["constants"] == list(rep.constants)
 
     def test_sizes_must_increase(self):
+        dkt = _dk(LEGENDRE, (12,))
         with pytest.raises(ValueError, match="increasing"):
-            verify_dt_sup(LEGENDRE, (8,), grid=SMALL_GRID)
+            verify_dt_sup(LEGENDRE, (12,), dkt)
         with pytest.raises(ValueError, match="increasing"):
-            verify_dt_sup(LEGENDRE, (12, 8), grid=SMALL_GRID)
+            verify_dt_sup(LEGENDRE, (12, 8), dkt)
+
+    def test_kernels_must_have_the_largest_size(self):
+        # a smaller size is read from the leading block of kernels at the
+        # largest one, so kernels of another size are refused
+        kt, dkt, times = _heat(LEGENDRE, (12,))
+        lac, bcoef = _lac(2)
+        with pytest.raises(ValueError, match="largest size"):
+            verify_dt_sup(LEGENDRE, (8, 16), dkt)
+        with pytest.raises(ValueError, match="largest size"):
+            verify_kernel_decay(LEGENDRE, (8, 10), kt, dkt, times, RHO)
+        with pytest.raises(ValueError, match="largest size"):
+            verify_qn_bounds(LEGENDRE, lac, bcoef, 2, (8, 16), _stack(LEGENDRE, lac, (12,)))
+        with pytest.raises(ValueError, match="largest size"):
+            verify_theorem_norms(LEGENDRE, "variation", [(2.0, WeightSpec("constant"), "strong")],
+                                 (8, 16), kt, SMALL_GRID, RHO, DEFAULT.lambdas)
 
 
 class TestKernelVerifiers:
     def test_decay_routes_and_dominance(self):
-        rep = verify_kernel_decay(LEGENDRE, (10, 14), grid=SMALL_GRID)
+        rep = verify_kernel_decay(LEGENDRE, (10, 14), *_heat(LEGENDRE, (10, 14)), RHO)
         assert set(rep.extras) >= {"route_majorant", "route_variation", "route_ratios"}
         maj = rep.extras["route_majorant"]
         var = rep.extras["route_variation"]
@@ -135,26 +184,28 @@ class TestKernelVerifiers:
         assert not mask[8, 1]
 
     def test_smoothness_stable_on_interior_pair(self):
-        rep = verify_kernel_smoothness(JacobiParams(0.5, -0.5), (16, 24, 32))
+        params, sizes = JacobiParams(0.5, -0.5), (16, 24, 32)
+        rep = verify_kernel_smoothness(params, sizes, *_heat(params, sizes, DEFAULT_GRID), RHO)
         assert rep.verdict == "stable"
         assert rep.extras["excluded_pairs"][0] > 0
 
     def test_dt_sup_runs(self):
-        rep = verify_dt_sup(LEGENDRE, (8, 12), grid=SMALL_GRID)
+        rep = verify_dt_sup(LEGENDRE, (8, 12), _dk(LEGENDRE, (8, 12)))
         assert all(c > 0.0 for c in rep.constants)
 
 
 class TestWindowVerifiers:
     def test_qn_zero_coefficients(self):
         lac, _ = _lac(2)
-        rep = verify_qn_bounds(LEGENDRE, lac, np.zeros(lac.values.size - 1), 2, (8, 12))
+        rep = verify_qn_bounds(LEGENDRE, lac, np.zeros(lac.values.size - 1), 2, (8, 12),
+                               _stack(LEGENDRE, lac, (8, 12)))
         assert_allclose(rep.constants, 0.0)
         assert rep.verdict == "stable"
         assert rep.extras["uniformity_ratio"] == 1.0
 
     def test_qn_window_bookkeeping(self):
         lac, bcoef = _lac(2)
-        rep = verify_qn_bounds(LEGENDRE, lac, bcoef, 2, (8, 12))
+        rep = verify_qn_bounds(LEGENDRE, lac, bcoef, 2, (8, 12), _stack(LEGENDRE, lac, (8, 12)))
         # windows -M <= n1 < n2 <= M
         assert rep.extras["windows"] == 10
         per = rep.extras["per_window_size_constants"]
@@ -168,17 +219,18 @@ class TestWindowVerifiers:
     def test_qn_requires_covering_sequence(self):
         lac, bcoef = _lac(2)
         with pytest.raises(ValueError, match="cover"):
-            verify_qn_bounds(LEGENDRE, lac, bcoef, 5, (8, 12))
+            verify_qn_bounds(LEGENDRE, lac, bcoef, 5, (8, 12), _stack(LEGENDRE, lac, (8, 12)))
 
     def test_lacunary_zero_coefficients(self):
         lac, _ = _lac(2)
-        rep = verify_lacunary_tail(LEGENDRE, lac, np.zeros(lac.values.size - 1), (8, 12))
+        rep = verify_lacunary_tail(LEGENDRE, lac, np.zeros(lac.values.size - 1), (8, 12),
+                                   _stack(LEGENDRE, lac, (8, 12)))
         assert_allclose(rep.constants, 0.0)
         assert rep.verdict == "stable"
 
     def test_lacunary_sensitivity_keys(self):
         lac, bcoef = _lac(2)
-        rep = verify_lacunary_tail(LEGENDRE, lac, bcoef, (8, 12))
+        rep = verify_lacunary_tail(LEGENDRE, lac, bcoef, (8, 12), _stack(LEGENDRE, lac, (8, 12)))
         sens = rep.extras["tail_sensitivity"]
         assert set(sens) == {"c=1", "c=2", "c=4"}
         assert all(len(v) == 2 for v in sens.values())
@@ -189,31 +241,37 @@ class TestWindowVerifiers:
 
     def test_cotlar_reports_skips(self):
         lac, bcoef = _lac(2)
-        rep = verify_cotlar(LEGENDRE, 2, lac, bcoef, 1.5, (8, 12), n_random=4)
+        rep = verify_cotlar(LEGENDRE, 2, lac, bcoef, 1.5, (8, 12), _stack(LEGENDRE, lac, (8, 12)),
+                            n_random=4)
         assert all(c > 0.0 for c in rep.constants)
         skipped = rep.extras["skipped_small_denominators"]
         assert len(skipped) == 2 and all(s >= 0 for s in skipped)
 
     def test_cotlar_validation(self):
         lac, bcoef = _lac(2)
+        stack = _stack(LEGENDRE, lac, (8, 12))
         with pytest.raises(ValueError, match="q"):
-            verify_cotlar(LEGENDRE, 2, lac, bcoef, 0.5, (8, 12))
+            verify_cotlar(LEGENDRE, 2, lac, bcoef, 0.5, (8, 12), stack)
         with pytest.raises(ValueError, match="positive"):
-            verify_cotlar(LEGENDRE, 0, lac, bcoef, 1.5, (8, 12))
+            verify_cotlar(LEGENDRE, 0, lac, bcoef, 1.5, (8, 12), stack)
 
 
 LEADING_BLOCK_SWEEPS = {
-    "kernel_decay": lambda sizes: verify_kernel_decay(LEGENDRE, sizes, SMALL_GRID),
-    "kernel_smoothness": lambda sizes: verify_kernel_smoothness(LEGENDRE, sizes, SMALL_GRID),
-    "dt_sup": lambda sizes: verify_dt_sup(LEGENDRE, sizes, SMALL_GRID),
-    "qn_bounds": lambda sizes: verify_qn_bounds(LEGENDRE, *_lac(2), 2, sizes),
-    "lacunary_tail": lambda sizes: verify_lacunary_tail(LEGENDRE, *_lac(2), sizes),
+    "kernel_decay": lambda sizes: verify_kernel_decay(LEGENDRE, sizes,
+                                                      *_heat(LEGENDRE, sizes), RHO),
+    "kernel_smoothness": lambda sizes: verify_kernel_smoothness(LEGENDRE, sizes,
+                                                                *_heat(LEGENDRE, sizes), RHO),
+    "dt_sup": lambda sizes: verify_dt_sup(LEGENDRE, sizes, _dk(LEGENDRE, sizes)),
+    "qn_bounds": lambda sizes: verify_qn_bounds(LEGENDRE, *_lac(2), 2, sizes,
+                                                _stack(LEGENDRE, _lac(2)[0], sizes)),
+    "lacunary_tail": lambda sizes: verify_lacunary_tail(LEGENDRE, *_lac(2), sizes,
+                                                        _stack(LEGENDRE, _lac(2)[0], sizes)),
 }
 
 
 class TestLeadingBlocks:
-    """Each sweep builds its kernels once, at max(sizes), and reads every
-    smaller size from their leading block."""
+    """Each sweep takes kernels at max(sizes) and reads every smaller size
+    from their leading block."""
 
     @pytest.mark.parametrize("name", sorted(LEADING_BLOCK_SWEEPS))
     def test_same_block_same_bits(self, name):
@@ -227,8 +285,9 @@ class TestLeadingBlocks:
         assert all(a <= b for a, b in zip(three.constants, three.constants[1:]))
 
     def test_dt_sup_reads_the_largest_kernel(self):
-        rep = verify_dt_sup(LEGENDRE, (16, 64), SMALL_GRID)
-        block = kernel_dt_tensor(LEGENDRE, SMALL_GRID.times, 64)[:, :16, :16]
+        dkt = _dk(LEGENDRE, (16, 64))
+        rep = verify_dt_sup(LEGENDRE, (16, 64), dkt)
+        block = dkt[:, :16, :16]
         idx = np.arange(16)
         sep = np.abs(idx[:, None] - idx[None, :]).astype(float)
         assert rep.constants[0] == (sep ** 3 * np.abs(block).max(axis=0)).max()
@@ -236,17 +295,18 @@ class TestLeadingBlocks:
     def test_norm_sweep_reads_the_largest_kernel(self):
         # on the default norms grid (t up to 1e5) a size-16 kernel of its own
         # is off by about 1e-2, while the size-64 block is right to 1e-13
-        grid = RunConfig().norms_t_grid.build()
+        grid = DEFAULT.norms_t_grid.build()
         spec = WeightSpec("power", exponent=1.5)
+        kernels = kernel_tensor(LEGENDRE, grid.times, 64)
         rep, = verify_theorem_norms(LEGENDRE, "jump", [(1.5, spec, "strong")], (16, 64),
-                                    grid=grid)
-        block = kernel_tensor(LEGENDRE, grid.times, 64)[:, :16, :16]
+                                    kernels, grid, RHO, DEFAULT.lambdas)
+        block = kernels[:, :16, :16]
         probes = probe_matrix(size=16, n_random=8, seed=0)
         paths = np.moveaxis(np.tensordot(block, probes, axes=([2], [0])), 0, -1)
         expected = max(
-            norm_ratio_max(lam * jump_count_batch(paths, lam) ** (1.0 / DEFAULT_RHO),
+            norm_ratio_max(lam * jump_count_batch(paths, lam) ** (1.0 / RHO),
                            probes, 1.5, spec.resolve(16))
-            for lam in DEFAULT_LAMBDAS)
+            for lam in DEFAULT.lambdas)
         assert rep.constants[0] == expected
 
 
@@ -267,8 +327,7 @@ class TestPolyBound:
 class TestTheoremNorms:
     def test_strong_mode_reports(self):
         spec = WeightSpec("constant")
-        rep, = verify_theorem_norms(LEGENDRE, "variation", [(2.0, spec, "strong")], (8, 12),
-                                    grid=SMALL_GRID, n_random=4)
+        rep, = _sweep("variation", [(2.0, spec, "strong")])
         assert rep.name == "theorem_norms_variation"
         assert all(c > 0.0 for c in rep.constants)
         assert rep.extras["p"] == 2.0
@@ -276,20 +335,18 @@ class TestTheoremNorms:
 
     def test_weak_mode_name(self):
         spec = WeightSpec("power", exponent=-0.5)
-        rep, = verify_theorem_norms(LEGENDRE, "oscillation", [(1.0, spec, "weak11")],
-                                    (8, 12), grid=SMALL_GRID, n_random=4)
+        rep, = _sweep("oscillation", [(1.0, spec, "weak11")])
         assert rep.name == "theorem_norms_oscillation_weak11"
         assert all(c > 0.0 for c in rep.constants)
 
     def test_weak_mode_maxes_over_delta_probes_and_lambdas(self):
         spec = WeightSpec("power", exponent=0.5)
         lambdas = (0.25, 0.5)
-        rep, = verify_theorem_norms(LEGENDRE, "jump", [(1.0, spec, "weak11")], (8, 12),
-                                    grid=SMALL_GRID, n_random=4, lambdas=lambdas)
+        rep, = _sweep("jump", [(1.0, spec, "weak11")], lambdas=lambdas)
+        kernels = kernel_tensor(LEGENDRE, SMALL_GRID.times, 12)
         for size, constant in zip((8, 12), rep.constants):
             probes = probe_matrix(size=size, n_random=4, seed=0)
-            images = operator_images(LEGENDRE, "jump", 12, SMALL_GRID, DEFAULT_RHO,
-                                     lambdas, None, None, 6, probes, DEFAULT_QUAD_TOL)
+            images = operator_images("jump", kernels, probes, SMALL_GRID, RHO, lambdas)
             w = spec.resolve(size)
             expected = max(weak_quasinorm(fam[:, m], w) / w[m]
                            for fam in images for m in range(size))
@@ -297,22 +354,16 @@ class TestTheoremNorms:
 
     def test_jump_iterates_lambda_family(self):
         spec = WeightSpec("constant")
-        rep, = verify_theorem_norms(LEGENDRE, "jump", [(2.0, spec, "strong")], (8, 12),
-                                    grid=SMALL_GRID, n_random=4, lambdas=(0.25, 0.5))
+        rep, = _sweep("jump", [(2.0, spec, "strong")], lambdas=(0.25, 0.5))
         assert all(c > 0.0 for c in rep.constants)
-
-    def test_s_star_needs_lacunary_sequence(self):
-        spec = WeightSpec("constant")
-        with pytest.raises(ValueError, match="lacunary sequence"):
-            verify_theorem_norms(LEGENDRE, "s_star", [(2.0, spec, "strong")], (8, 12),
-                                 grid=SMALL_GRID, n_random=4, m_range=2)
 
     def test_s_star_images_follow_coefficients(self):
         spec = WeightSpec("constant")
         lac, alternating = _lac(2)
+        stack = _stack(LEGENDRE, lac, (8, 12))
         reps = [verify_theorem_norms(LEGENDRE, "s_star", [(2.0, spec, "strong")], (8, 12),
-                                     grid=SMALL_GRID, n_random=4, lac=lac,
-                                     bcoef=b, m_range=2)[0]
+                                     s_star_kernels(stack, lac, b, 2), SMALL_GRID, RHO,
+                                     DEFAULT.lambdas, n_random=4)[0]
                 for b in (alternating, np.ones_like(alternating))]
         assert reps[0].constants != reps[1].constants
 
@@ -322,13 +373,12 @@ class TestTheoremNorms:
         cells = [(p, spec, mode)
                  for spec in (WeightSpec("constant"), WeightSpec("power", exponent=0.5))
                  for p, mode in ((1.5, "strong"), (1.0, "weak11"))]
-        kwargs = dict(grid=SMALL_GRID, n_random=4, lambdas=(0.25, 0.5))
-        reps = verify_theorem_norms(LEGENDRE, "jump", cells, (8, 12), **kwargs)
+        reps = _sweep("jump", cells, lambdas=(0.25, 0.5))
         assert len(reps) == len(cells)
         assert len({rep.runtime for rep in reps}) == 1
         for cell, rep in zip(cells, reps):
             clear_caches()
-            alone, = verify_theorem_norms(LEGENDRE, "jump", [cell], (8, 12), **kwargs)
+            alone, = _sweep("jump", [cell], lambdas=(0.25, 0.5))
             assert rep.name == alone.name
             assert rep.extras == alone.extras
             assert rep.constants == alone.constants
@@ -352,10 +402,7 @@ class TestTheoremNorms:
 
         monkeypatch.setattr(jhl.verify, "norm_ratio_max", recording)
         sizes = (8, 12)
-        lac, bcoef = _lac(2)
-        reps = verify_theorem_norms(LEGENDRE, operator, cells, sizes, grid=SMALL_GRID,
-                                    n_random=4, lambdas=(0.25, 0.5), lac=lac, bcoef=bcoef,
-                                    m_range=2)
+        reps = _sweep(operator, cells, sizes, lambdas=(0.25, 0.5))
         assert [(probes.shape[0], p) for _, probes, p in seen] == \
             [(size, p) for size in sizes for p in (1.5, 2.0)]
         for i, (images, probes, _) in enumerate(seen[::2]):
@@ -384,8 +431,7 @@ class TestTheoremNorms:
 
         monkeypatch.setattr(jhl.verify, "weak_quasinorm", recording)
         sizes = (8, 12)
-        reps = verify_theorem_norms(LEGENDRE, "jump", cells, sizes, grid=SMALL_GRID,
-                                    n_random=4, lambdas=(0.25, 0.5))
+        reps = _sweep("jump", cells, sizes, lambdas=(0.25, 0.5))
         assert [w.shape for w in stacks] == [(2, size) for size in sizes]
         for w, size in zip(stacks, sizes):
             assert np.array_equal(w, np.stack([pow15.resolve(size), np.ones(size)]))
@@ -394,31 +440,25 @@ class TestTheoremNorms:
     def test_validation(self):
         spec = WeightSpec("constant")
         with pytest.raises(ValueError, match="operator"):
-            verify_theorem_norms(LEGENDRE, "rotation", [(2.0, spec, "strong")], (8, 12),
-                                 grid=SMALL_GRID)
+            _sweep("rotation", [(2.0, spec, "strong")])
         with pytest.raises(ValueError, match="p"):
-            verify_theorem_norms(LEGENDRE, "variation", [(0.5, spec, "strong")], (8, 12),
-                                 grid=SMALL_GRID)
+            _sweep("variation", [(0.5, spec, "strong")])
         with pytest.raises(ValueError, match="mode"):
-            verify_theorem_norms(LEGENDRE, "variation", [(2.0, spec, "medium")], (8, 12),
-                                 grid=SMALL_GRID)
+            _sweep("variation", [(2.0, spec, "medium")])
 
 
 class TestOperatorImages:
     M_RANGE, SIZE = 3, 16
 
     def _images(self, params, operator, probes):
-        lac, b = _lac(self.M_RANGE)
-        return operator_images(params, operator, self.SIZE, SMALL_GRID, DEFAULT_RHO,
-                               DEFAULT_LAMBDAS, lac, b, self.M_RANGE, probes,
-                               DEFAULT_QUAD_TOL)
+        kernels = _operator_kernels(params, operator, self.SIZE, m_range=self.M_RANGE)
+        return operator_images(operator, kernels, probes, SMALL_GRID, RHO, DEFAULT.lambdas)
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
     def test_window_sums_match_dense_kernel(self, params):
         m = self.M_RANGE
         lac, b = _lac(m)
-        steps = _lacunary_step_matrices(params, lac, b, self.SIZE, DEFAULT_QUAD_TOL)
-        prefix = _window_prefix(steps, lac, m)
+        prefix = s_star_kernels(_stack(params, lac, (self.SIZE,)), lac, b, m)
         for n1 in range(-m, m):
             for n2 in range(n1 + 1, m + 1):
                 dense = qn_kernel_matrix(params, n1, n2, lac, b, self.SIZE)
@@ -446,20 +486,13 @@ class TestOperatorImages:
     def test_s_star_window_must_fit_sequence(self):
         # steps j = -2..2 cannot hold the window [-4, 4]
         lac = LacunarySequence.geometric(2.0, -2, 3)
+        stack = _stack(LEGENDRE, lac, (8,))
         with pytest.raises(ValueError, match="cover"):
-            operator_images(LEGENDRE, "s_star", 8, SMALL_GRID, DEFAULT_RHO, (1.0,), lac,
-                            np.ones(5), 4, np.eye(8), DEFAULT_QUAD_TOL)
-        with pytest.raises(ValueError, match="cover"):
-            verify_theorem_norms(LEGENDRE, "s_star", [(2.0, WeightSpec("constant"), "strong")],
-                                 (8, 12), grid=SMALL_GRID, n_random=4, lac=lac,
-                                 bcoef=np.ones(5), m_range=4)
+            s_star_kernels(stack, lac, np.ones(5), 4)
         with pytest.raises(ValueError, match="positive"):
-            operator_images(LEGENDRE, "s_star", 8, SMALL_GRID, DEFAULT_RHO, (1.0,), lac,
-                            np.ones(5), 0, np.eye(8), DEFAULT_QUAD_TOL)
+            s_star_kernels(stack, lac, np.ones(5), 0)
 
-    def test_unknown_operator_builds_no_kernel(self, monkeypatch):
-        clear_caches()
-        monkeypatch.setattr(jhl.quadrature, "MAX_ORDER", 8)
+    def test_unknown_operator_raises(self):
         with pytest.raises(ValueError, match="operator"):
             self._images(LEGENDRE, "rotation", np.eye(self.SIZE))
 
@@ -472,10 +505,10 @@ class TestTriangleRoutes:
     @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
     def test_sweep_delta_block_matches_full_probe_images(self, monkeypatch, operator):
         # the default norms grid runs to t = 1e5, past laguerre_split at size 64
-        config = RunConfig()
+        sizes = (16, 32, 64)
+        config = replace(DEFAULT, sizes=sizes, operators=(operator,))
         grid = config.norms_t_grid.build()
-        lac = config.lacunary.build()
-        b = config.bcoef.resolve(lac)
+        kernels = jhl.cli._operator_kernels(config, CHEBYSHEV, grid)[operator]
         seen = []
 
         def recording(images, probes, p, w):
@@ -483,16 +516,12 @@ class TestTriangleRoutes:
             return norm_ratio_max(images, probes, p, w)
 
         monkeypatch.setattr(jhl.verify, "norm_ratio_max", recording)
-        sizes = (16, 32, 64)
         verify_theorem_norms(CHEBYSHEV, operator, [(2.0, WeightSpec("constant"), "strong")],
-                             sizes, grid=grid, lambdas=config.lambdas, lac=lac, bcoef=b,
-                             m_range=config.lacunary.window)
+                             sizes, kernels, grid, RHO, config.lambdas)
         assert [probes.shape[0] for _, probes in seen] == list(sizes)
         for images, probes in seen:
             size = probes.shape[0]
-            full = operator_images(CHEBYSHEV, operator, sizes[-1], grid, DEFAULT_RHO,
-                                   config.lambdas, lac, b, config.lacunary.window, probes,
-                                   DEFAULT_QUAD_TOL)
+            full = operator_images(operator, kernels, probes, grid, RHO, config.lambdas)
             assert images.shape == full.shape
             assert np.array_equal(images[..., :size], full[..., :size])
             # the random columns pass through a product with fewer columns,
@@ -502,13 +531,10 @@ class TestTriangleRoutes:
     @pytest.mark.parametrize("operator", ["variation", "oscillation", "jump", "s_star"])
     def test_pair_blocks_match_one_block(self, monkeypatch, operator):
         # 528 pairs n <= m at size 32, in blocks of 97 with a partial last one
-        config = RunConfig()
+        config = replace(DEFAULT, sizes=(32,), operators=(operator,))
         grid = config.norms_t_grid.build()
-        lac = config.lacunary.build()
-        b = config.bcoef.resolve(lac)
-        kernels = _operator_kernels(CHEBYSHEV, operator, 32, grid, lac, b,
-                                    config.lacunary.window, DEFAULT_QUAD_TOL)
-        args = (operator, kernels, grid, DEFAULT_RHO, config.lambdas)
+        kernels = jhl.cli._operator_kernels(config, CHEBYSHEV, grid)[operator]
+        args = (operator, kernels, grid, RHO, config.lambdas)
         one_block = _delta_images(*args)
         monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
         assert np.array_equal(_delta_images(*args), one_block)
@@ -526,54 +552,39 @@ class TestTriangleRoutes:
             return out
 
         monkeypatch.setattr(jhl.verify, "_pair_values", recording)
-        params, grid = JacobiParams(2.5, 0.5), default_time_grid()
-        verifier(params, (32, 64), grid)
+        params, sizes = JacobiParams(2.5, 0.5), (32, 64)
+        heat = _heat(params, sizes, DEFAULT_GRID)
+        verifier(params, sizes, *heat, RHO)
         monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
-        verifier(params, (32, 64), grid)
+        verifier(params, sizes, *heat, RHO)
         assert len(seen) == 4
         for (pairs, one_block), (_, blocked) in zip(seen[:2], seen[2:]):
             assert pairs > 97 and pairs % 97 != 0
             assert np.array_equal(blocked, one_block)
 
-    def test_non_finite_kernel_ends_a_jump_sweep(self, monkeypatch):
-        quad_kernels = jhl.semigroup._quad_kernels
-
-        def poisoned(*args, **kwargs):
-            out = quad_kernels(*args, **kwargs)
-            out[-1, 0, 0] = np.nan
-            return out
-
-        clear_caches()
-        monkeypatch.setattr(jhl.semigroup, "_quad_kernels", poisoned)
-        with pytest.raises(NumericFailure, match="non-finite"):
-            verify_theorem_norms(LEGENDRE, "jump", [(2.0, WeightSpec("constant"), "strong")],
-                                 (8, 12), grid=SMALL_GRID, n_random=4)
-        clear_caches()
-
     @staticmethod
     def _full_routes(kt, dkt, times, weight, sizes, lag):
         # every (n, m) path of the whole tensors
         maj = majorant_batch(dkt, times)
-        var = variation_batch(kt.transpose(1, 2, 0), DEFAULT_RHO)
+        var = variation_batch(kt.transpose(1, 2, 0), RHO)
         return {name: [float((weight * q)[:s - lag, :s].max()) for s in sizes]
                 for name, q in (("majorant", maj), ("variation", var))}
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=JacobiParams.tag)
     def test_kernel_estimates_match_full_tensor_routes(self, params):
         sizes = (16, 32, 64)
-        grid = default_time_grid()
-        kt = kernel_tensor(params, grid.times, sizes[-1])
-        dkt = kernel_dt_tensor(params, grid.times, sizes[-1])
+        kt, dkt, times = _heat(params, sizes, DEFAULT_GRID)
         idx = np.arange(sizes[-1])
         sep = np.abs(idx[:, None] - idx[None, :]).astype(float)
         decay_weight = sep.copy()
         decay_weight[0, :] = decay_weight[:, 0] = 0.0
-        decay = self._full_routes(kt, dkt, grid.times, decay_weight, sizes, 0)
+        decay = self._full_routes(kt, dkt, times, decay_weight, sizes, 0)
         smooth = self._full_routes(kt[:, 1:] - kt[:, :-1], dkt[:, 1:] - dkt[:, :-1],
-                                   grid.times,
+                                   times,
                                    np.where(_smoothness_mask(sizes[-1]), sep[:-1] ** 2, 0.0),
                                    sizes, 1)
-        for rep, expected in ((verify_kernel_decay(params, sizes, grid), decay),
-                              (verify_kernel_smoothness(params, sizes, grid), smooth)):
+        for rep, expected in ((verify_kernel_decay(params, sizes, kt, dkt, times, RHO), decay),
+                              (verify_kernel_smoothness(params, sizes, kt, dkt, times, RHO),
+                               smooth)):
             for name, series in expected.items():
                 assert rep.extras[f"route_{name}"] == series, (rep.name, name)
