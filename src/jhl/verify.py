@@ -120,14 +120,23 @@ def _finish(name: str, params: JacobiParams, sizes, route_series: dict,
     )
 
 
-def _check_sizes(sizes, *stacks) -> tuple:
+def _check_finite(*stacks) -> None:
+    """min and max carry any nan or infinity, and need no mask of the stack."""
+    if not all(np.isfinite(stack.min()) and np.isfinite(stack.max()) for stack in stacks):
+        raise NumericFailure("kernels have non-finite entries")
+
+
+def _check_sizes(sizes, *stacks, steps: int | None = None) -> tuple:
     """sizes as ints, at least two and strictly increasing; each stack must
-    hold matrices of the largest size."""
+    hold finite matrices of the largest size, one per time if steps is given."""
     out = tuple(int(s) for s in sizes)
     if len(out) < 2 or any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("need at least two strictly increasing sizes")
     if any(stack.shape[1:] != (out[-1], out[-1]) for stack in stacks):
         raise ValueError(f"kernels must be {out[-1]} x {out[-1]}, the largest size")
+    if steps is not None and any(len(stack) != steps for stack in stacks):
+        raise ValueError(f"kernels must hold {steps} matrices, one per time")
+    _check_finite(*stacks)
     return out
 
 
@@ -197,7 +206,7 @@ def verify_kernel_decay(params: JacobiParams, sizes, kt: np.ndarray, dkt: np.nda
     run on the pairs 1 <= n < m only.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, kt, dkt)
+    sizes = _check_sizes(sizes, kt, dkt, steps=len(times))
     size = sizes[-1]
     sep = _sep(size)
     sep[0, :] = 0.0
@@ -230,7 +239,7 @@ def verify_kernel_smoothness(params: JacobiParams, sizes, kt: np.ndarray,
     the `_smoothness_mask` pairs only, each forming its differenced paths per
     batch of pairs."""
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, kt, dkt)
+    sizes = _check_sizes(sizes, kt, dkt, steps=len(times))
     size = sizes[-1]
     sep = _sep(size)[:-1]
     mask = _smoothness_mask(size)
@@ -296,7 +305,7 @@ def verify_qn_bounds(params: JacobiParams, lac: LacunarySequence, bcoef, m_range
     pooled max.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, stack)
+    sizes = _check_sizes(sizes, stack, steps=lac.values.size)
     size = sizes[-1]
     prefix = s_star_kernels(stack, lac, bcoef, m_range)
     sep = _sep(size)
@@ -338,7 +347,7 @@ def verify_lacunary_tail(params: JacobiParams, lac: LacunarySequence, vcoef, siz
     tail constants at c in {1, 2, 4} land in extras.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, stack)
+    sizes = _check_sizes(sizes, stack, steps=lac.values.size)
     lam = lac.ratio
     j_lo, j_hi = lac.j_min, lac.j_max
     size = sizes[-1]
@@ -378,7 +387,7 @@ def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bco
     skipped and counted.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, stack)
+    sizes = _check_sizes(sizes, stack, steps=lac.values.size)
     if q < 1.0:
         raise ValueError("q must be at least 1")
     prefix = _window_prefix(_lacunary_steps(stack, lac, bcoef) * _local_mask(sizes[-1]),
@@ -472,11 +481,13 @@ def operator_images(operator: str, kernels: np.ndarray, probes: np.ndarray,
 
     kernels are the operator's, one matrix per path step: K over grid.times,
     or for "s_star" its `s_star_kernels`, whose spread is the image. The
-    probes act through their leading k x k block, k = probes.shape[0]. "jump"
-    stacks one image per lambda along a new leading axis.
+    probes act through their leading k x k block, k = probes.shape[0], and
+    raise NumericFailure if that block has a non-finite entry. "jump" stacks
+    one image per lambda along a new leading axis.
     """
     k = probes.shape[0]
     kernels = kernels[:, :k, :k]
+    _check_finite(kernels)
     if operator == "s_star":
         paths = kernels @ probes
     else:
@@ -505,10 +516,13 @@ def verify_theorem_norms(params: JacobiParams, operator: str, cells, sizes,
     |images|^p and |probes|^p once for all their weights, and the weak11 cells
     share one `weak_quasinorm` call, which sorts the delta images once; each
     call reduces every family, and each distinct weight once for all the cells
-    that share it. Raises NumericFailure if an image has a non-finite entry.
+    that share it. Raises NumericFailure if a kernel or an image has a
+    non-finite entry: a jump count compares with nan as false, so a nan kernel
+    could leave every image finite.
     """
     started = time.perf_counter()
-    sizes = _check_sizes(sizes, kernels)
+    sizes = _check_sizes(sizes, kernels,
+                         steps=None if operator == "s_star" else grid.times.size)
     for p, _, mode in cells:
         if mode not in ("strong", "weak11"):
             raise ValueError(f"unknown mode {mode!r}")

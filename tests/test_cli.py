@@ -285,6 +285,27 @@ class TestMainErrors:
         assert "lacunary" in record["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, reader", [
+        ("operators", {"operators": ["s_star"]}),
+        ("norms", {"operators": ["s_star"]}),
+        ("verify", {"estimates": ["qn_bounds"]}),
+    ], ids=["operators", "norms", "verify"])
+    @pytest.mark.parametrize("reads, code", [(True, 2), (False, 0)], ids=["read", "unread"])
+    def test_bcoef_mismatch_fails_only_commands_that_read_it(self, tmp_path, capsys,
+                                                             command, reader, reads, code):
+        # window 2 spans 6 lacunary steps; bcoef is resolved only where s_star
+        # or a window estimate reads it
+        overrides = {"bcoef": {"kind": "explicit", "values": [1.0] * 4}}
+        if reads:
+            overrides.update(reader)
+        path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
+                                                    **overrides))
+        assert main([command, "--config", path]) == code
+        if code == 2:
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "config"
+            assert "bcoef" in record["message"]
+
     @pytest.mark.parametrize("command", ["verify", "norms"])
     def test_one_size_exits_two(self, tmp_path, capsys, command):
         # the sweeps rate growth between sizes, so one size is a config error

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 import jhl.cli
 import jhl.verify
 from jhl.basis import JacobiParams
-from jhl.config import RunConfig
+from jhl.config import LacunarySpec, RunConfig
+from jhl.errors import NumericFailure
 from jhl.paths import (
     LacunarySequence,
     TimeGrid,
@@ -73,13 +74,12 @@ def _stack(params, lac, sizes):
     return kernel_tensor(params, lac.values, sizes[-1])
 
 
-def _operator_kernels(params, operator, size, grid=SMALL_GRID, m_range=2):
-    """The kernels an operator reads at one size: K over the grid, or for
-    s_star the window prefix of the alternating `_lac(m_range)` steps."""
-    if operator != "s_star":
-        return kernel_tensor(params, grid.times, size)
-    lac, b = _lac(m_range)
-    return s_star_kernels(kernel_tensor(params, lac.values, size), lac, b, m_range)
+def _operator_kernels(params, operator, size, m_range=2):
+    """The kernels the commands build for an operator at one size, over
+    SMALL_GRID, with s_star's window M = m_range and alternating steps."""
+    config = replace(DEFAULT, sizes=(size,), operators=(operator,),
+                     lacunary=LacunarySpec(window=m_range))
+    return jhl.cli._operator_kernels(config, params, SMALL_GRID)[operator]
 
 
 def _sweep(operator, cells, sizes=(8, 12), lambdas=DEFAULT.lambdas, n_random=4):
@@ -162,6 +162,25 @@ class TestReportShape:
         with pytest.raises(ValueError, match="largest size"):
             verify_theorem_norms(LEGENDRE, "variation", [(2.0, WeightSpec("constant"), "strong")],
                                  (8, 16), kt, SMALL_GRID, RHO, DEFAULT.lambdas)
+
+    def test_kernels_must_hold_one_matrix_per_time(self):
+        # kernels over other times of the same size would give wrong constants
+        kt, dkt, times = _heat(LEGENDRE, (12,))
+        lac, bcoef = _lac(2)
+        stack = _stack(LEGENDRE, lac, (12,))
+        cell = [(2.0, WeightSpec("constant"), "strong")]
+        with pytest.raises(ValueError, match="one per time"):
+            verify_kernel_decay(LEGENDRE, (8, 12), kt, dkt, times[1:], RHO)
+        with pytest.raises(ValueError, match="one per time"):
+            verify_kernel_smoothness(LEGENDRE, (8, 12), kt, dkt[1:], times, RHO)
+        for verify in (lambda s: verify_qn_bounds(LEGENDRE, lac, bcoef, 2, (8, 12), s),
+                       lambda s: verify_lacunary_tail(LEGENDRE, lac, bcoef, (8, 12), s),
+                       lambda s: verify_cotlar(LEGENDRE, 2, lac, bcoef, 1.5, (8, 12), s)):
+            with pytest.raises(ValueError, match="one per time"):
+                verify(stack[1:])
+        with pytest.raises(ValueError, match="one per time"):
+            verify_theorem_norms(LEGENDRE, "variation", cell, (8, 12), kt[1:], SMALL_GRID,
+                                 RHO, DEFAULT.lambdas)
 
 
 class TestKernelVerifiers:
@@ -538,6 +557,18 @@ class TestTriangleRoutes:
         one_block = _delta_images(*args)
         monkeypatch.setattr(jhl.verify, "_PAIR_BLOCK", 97)
         assert np.array_equal(_delta_images(*args), one_block)
+
+    def test_non_finite_kernel_ends_a_jump_sweep(self):
+        # a jump count compares with nan as false, so a nan kernel would leave
+        # every image finite; the sweep and the images refuse such kernels
+        kernels = kernel_tensor(LEGENDRE, SMALL_GRID.times, 12).copy()
+        kernels[-1, 0, 0] = np.nan
+        with pytest.raises(NumericFailure, match="non-finite"):
+            verify_theorem_norms(LEGENDRE, "jump", [(2.0, WeightSpec("constant"), "strong")],
+                                 (8, 12), kernels, SMALL_GRID, RHO, DEFAULT.lambdas,
+                                 n_random=4)
+        with pytest.raises(NumericFailure, match="non-finite"):
+            operator_images("jump", kernels, np.eye(12), SMALL_GRID, RHO, DEFAULT.lambdas)
 
     @pytest.mark.parametrize("verifier", [verify_kernel_decay, verify_kernel_smoothness])
     def test_kernel_pair_blocks_match_one_block(self, monkeypatch, verifier):
