@@ -1,10 +1,12 @@
 """Numerical laboratory for the discrete heat semigroup of Jacobi polynomials.
 
 The package evaluates orthonormal Jacobi polynomials and their tridiagonal
-difference operator, computes the heat kernel by Gauss quadrature and by a
-spectral truncation oracle, applies variation, oscillation, jump, and windowed
-difference-sum operators to heat paths, and empirically verifies the kernel
-decay and weighted-norm boundedness estimates that make those operators behave.
+difference operator, computes the heat kernel by Gauss quadrature (the
+Gauss-Jacobi rule from one eigensolve of the truncated operator, and
+Gauss-Laguerre at large times) and by a spectral truncation oracle, applies
+variation, oscillation, jump, and windowed difference-sum operators to heat
+paths, and empirically verifies the kernel decay and weighted-norm
+boundedness estimates that make those operators behave.
 """
 
 from .basis import (
@@ -27,7 +29,7 @@ from .paths import (
     oscillation_batch,
     variation_batch,
 )
-from .quadrature import QuadratureRule, auto_order, build_rule, total_mass
+from .quadrature import auto_order
 from .semigroup import (
     clear_caches,
     kernel_dt_tensor,

@@ -1,8 +1,8 @@
 """The package's one cache: derived values keyed by kind-tagged tuples, per process.
 
-It holds the quadrature kernels' shared inputs, never the kernels: "rule",
-"table", "laguerre_order" and "laguerre" keys. The package runs no threads;
-a forked `--workers` process has its own copy.
+It holds the quadrature kernels' shared inputs, never the kernels: "rows"
+(the Gauss-Jacobi eigen-rows), "laguerre_order" and "laguerre" keys. The
+package runs no threads; a forked `--workers` process has its own copy.
 """
 
 from __future__ import annotations

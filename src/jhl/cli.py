@@ -437,12 +437,14 @@ def cmd_norms(config: RunConfig) -> int:
 def _run_task(function, *args):
     """function(*args), after which the memo is emptied: the one place a
     command empties it. A task's kernel tensors are its own values and go
-    when it returns. Every task covers one params, every memo key carries
-    alpha and all but the Gauss-Laguerre rule ("laguerre", alpha, order)
-    carry beta, so a later task reads almost none of it. Kept, it made a pool
-    worker's peak memory depend on which tasks the scheduler gave it, and a
-    serial run's peak on the layout of the memory earlier tasks had freed,
-    which varies with address randomisation and the string hash seed."""
+    when it returns. Every task covers one params, and every memo key
+    carries alpha: the eigen-rows ("rows") and the Laguerre orders
+    ("laguerre_order") carry beta too, the Gauss-Laguerre rule ("laguerre",
+    alpha, order) does not, so a later task reads almost none of it. Kept,
+    it made a pool worker's peak memory depend on which tasks the scheduler
+    gave it, and a serial run's peak on the layout of the memory earlier
+    tasks had freed, which varies with address randomisation and the string
+    hash seed."""
     try:
         return function(*args)
     finally:

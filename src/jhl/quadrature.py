@@ -1,17 +1,21 @@
-"""Gauss-Jacobi quadrature from Newton's method on the three-term recurrence,
-its order from a Bessel-tail certificate, and the Gauss-Laguerre rule of the
-large-t kernel route.
+"""Gauss quadrature for the two kernel routes: the Gauss-Jacobi rule from one
+eigensolve of the truncated operator, its order from a Bessel-tail
+certificate, and the Gauss-Laguerre rule of the large-t route.
 
-Nodes are the zeros of p_Q, found by Newton's method from asymptotic guesses
-(Gatteschi-Pittaluga in the interior, Bessel zeros next to the endpoints; Hale
-& Townsend, SIAM J. Sci. Comput. 35, 2013) and refined by one
-Christoffel-Darboux step; the weight at node x is the Christoffel number
-1 / sum_{k<Q} p_k(x)^2 (Gautschi, Orthogonal Polynomials: Computation and
-Approximation, OUP 2004, sec. 3.1). A Q-point rule integrates polynomials up
-to degree 2Q-1 exactly. Golub-Welsch (total mass times the squared first
-eigenvector components of the Jacobi matrix) is the fallback where Newton does
-not converge or the Christoffel weights fail the checks, and the oracle the
-tests compare against; it is the only code here that imports scipy.
+The order-Q truncation J_Q of the difference operator is the Jacobi matrix of
+the Q-point Gauss-Jacobi rule, shifted by -1 (Golub & Welsch, Math. Comp. 23,
+1969): its eigenvalues are x_k - 1 at the nodes x_k, and its unit
+eigenvector k has entries sqrt(w_k) p_n(x_k), n < Q, up to sign. A Q-point
+rule integrates polynomials up to degree 2Q-1 exactly. `_jacobi_rows` takes
+the eigenvalues of J_Q from numpy.linalg.eigvalsh and builds those rows. The
+solver leaves each eigenvalue an absolute error of about an ulp, a large
+relative error on the small gaps 1 -+ x_k next to the endpoints, and p_n,
+which varies on the scale 1/n^2 there, amplifies it. So each gap takes one
+Newton step on p_Q (`_node_columns`), with p_n evaluated relative to the gap
+(`basis._ortho_table_near_one`), and the column at the refined gap is scaled
+by the Christoffel weight: its entries are accurate relative to themselves
+and its rows orthogonal to rounding, where eigh's eigenvectors are only
+absolutely accurate.
 
 `auto_order` certifies an order a priori, from the Chebyshev coefficients of
 e^{tx}, which are Bessel values: Trefethen's error bound for Gauss quadrature
@@ -25,228 +29,88 @@ tol) alone, and nothing is built or cached to choose it.
 At large t, u = t(1 - x) turns the kernel integral into one against
 u^alpha e^{-u} on (0, 2t), which a generalized Gauss-Laguerre rule resolves
 with about size + 16 nodes where Gauss-Jacobi needs orders near 4 sqrt(t)
-(Gautschi, OUP 2004, sec. 1.4). The rule comes from Golub-Welsch by
-numpy.linalg.eigh, so scipy stays unloaded; its order is size + 16, witnessed
-by the rule of twice that order (`laguerre_order`).
+(Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
+sec. 1.4). That rule comes from Golub-Welsch by numpy.linalg.eigh too; its
+order is size + 16, witnessed by the rule of twice that order
+(`laguerre_order`).
+
+Every rule is a dense eigensolve, so both routes share one order cap,
+MAX_ORDER: 128 MB of matrix, and past the order 3,020 that a size-1024 kernel
+needs just below `semigroup.laguerre_split`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._memo import memo
-from .basis import (JacobiParams, _ortho_table_near_one, coeff_a, generator_coefficients,
-                    normalization)
+from .basis import JacobiParams, _ortho_table_near_one, coeff_a, generator_coefficients
 from .errors import ConvergenceFailure, NumericFailure
 
 __all__ = [
-    "QuadratureRule",
-    "total_mass",
-    "build_rule",
     "auto_order",
 ]
 
-MAX_ORDER = 2 ** 16
-NEWTON_STEPS = 10  # past this, the rule falls back to Golub-Welsch
-BESSEL_GUESSES = 10  # nodes next to each endpoint guessed from Bessel zeros
-LARGE_NU = 3.0  # above this, j_{nu,1} comes from its large-nu expansion
-LAGUERRE_MAX_ORDER = 4096  # dense eigensolve: a 128 MB Jacobi matrix at the cap
+MAX_ORDER = 4096
 
 
-def total_mass(params: JacobiParams) -> float:
-    """mu((-1,1)) = 2^(alpha+beta+1) B(alpha+1, beta+1), via log-gamma."""
-    a, b = params.alpha, params.beta
-    log_m = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) \
-        + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-    return math.exp(log_m)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule for the Jacobi measure: strictly increasing nodes in (-1,1), positive weights."""
-
-    params: JacobiParams
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def build_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss-Jacobi rule with `order` points: Newton nodes after one
-    Christoffel-Darboux step, Christoffel weights, Golub-Welsch where those
-    fail.
-
-    Rules are memoised per (params, order); their arrays are read-only.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    if order > MAX_ORDER:
-        raise ConvergenceFailure(f"quadrature order {order} exceeds cap {MAX_ORDER}")
-    return memo(("rule", params.alpha, params.beta, order),
-                lambda: _christoffel(params, order))
-
-
-def _golub_welsch(params: JacobiParams, order: int) -> QuadratureRule:
-    """Golub-Welsch rule: nodes and first eigenvector components from one
-    tridiagonal eigensolve; the fallback of `_christoffel`. scipy is imported
-    here, so runs that never fall back do not load it."""
-    import scipy.linalg
-
-    mass = total_mass(params)
-    b, off = generator_coefficients(params, order)
+def _eigh(diag: np.ndarray, off: np.ndarray, solver: str = "eigh"):
+    """numpy.linalg.eigh (or eigvalsh, for the ascending eigenvalues alone) of
+    the symmetric tridiagonal matrix with this diagonal and off-diagonal, on
+    its dense lower triangle; NumericFailure if the solver fails."""
     try:
-        nodes, vectors = scipy.linalg.eigh_tridiagonal(b + 1.0, off)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericFailure(f"tridiagonal eigensolver failed at order {order}") from exc
-    return _checked_rule(params, order, nodes, mass * vectors[0, :] ** 2, mass)
+        return getattr(np.linalg, solver)(np.diag(diag) + np.diag(off, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"eigensolver failed at order {diag.size}") from exc
 
 
-def _christoffel(params: JacobiParams, order: int) -> QuadratureRule:
-    """Newton nodes (`_newton_nodes`) refined by one Christoffel-Darboux step,
-    and weights 1 / sum_{k<order} p_k(x)^2; all of it streams the orthonormal
-    three-term recurrence, so memory stays O(order)."""
-    b, off = generator_coefficients(params, order)
-    diag = b + 1.0
-    off = np.append(off, coeff_a(params, order - 1))
-    try:
-        nodes = _newton_nodes(params, diag, off)
-        total, p_last, p_next = _christoffel_sums(params, diag, off, nodes, with_total=True)
-        # At a zero of p_order, Christoffel-Darboux gives p_order' = total / (a p_{order-1}).
-        nodes = nodes - off[-1] * p_last * p_next / total
-        total = _christoffel_sums(params, diag, off, nodes, with_total=True)[0]
-        return _checked_rule(params, order, nodes, 1.0 / total, total_mass(params))
-    except NumericFailure:
-        # Newton did not converge, or the checks failed: a node's absolute
-        # error of an ulp moves its Christoffel weight by about order^2 ulps
-        # relative next to an endpoint, which can break the mass check for an
-        # exponent below -1/2. Use Golub-Welsch there.
-        return _golub_welsch(params, order)
+def _peak_scaled(table: np.ndarray) -> np.ndarray:
+    """Each column over its largest magnitude, so that sums of squares stay
+    finite where p_n(1) is large (about 1e164 at alpha = 100, n = 2255)."""
+    return table / np.abs(table).max(axis=0)
 
 
-def _newton_nodes(params: JacobiParams, diag, off) -> np.ndarray:
-    """Zeros of p_Q, Q = len(diag), ascending: asymptotic guesses, then Newton
-    steps on the nodes whose last correction was 1e-15 or more.
+def _node_columns(params: JacobiParams, gap: np.ndarray, order: int, size: int):
+    """Gaps 1 - x_k to the zeros x_k of p_order next to x = 1, refined from
+    `gap` by one Newton step, and the columns sqrt(w_k) p_n(x_k), n < size,
+    of the Gauss-Jacobi rule there.
 
-    The derivative comes from (2Q+a+b)(1-x^2) P_Q' = Q(a-b-(2Q+a+b)x) P_Q
-    + 2(Q+a)(Q+b) P_{Q-1} for the Jacobi polynomials P_n = p_n / w_n (Szego,
-    Orthogonal Polynomials, sec. 4.5), which holds away from the zeros as
-    well. Raises NumericFailure if a correction is still that large after
-    NEWTON_STEPS steps, or is not finite.
+    At a zero of p_Q, Christoffel-Darboux gives p_Q' = S / (a_{Q-1} p_{Q-1}),
+    S = sum_{n<Q} p_n^2, so the step is a_{Q-1} p_{Q-1} p_Q / S in the gap,
+    and w_k = 1 / S is the Christoffel number (Gautschi, OUP 2004,
+    sec. 3.1). The tables are `basis._ortho_table_near_one`, accurate
+    relative to the gap.
     """
-    order = len(diag)
-    a, b = params.alpha, params.beta
-    c = 2.0 * order + a + b
-    c_last = 2.0 * (order + a) * (order + b) \
-        * normalization(params, order) / normalization(params, order - 1)
-    x = _node_guesses(params, order)
-    active = np.arange(order)
-    for _ in range(NEWTON_STEPS):
-        xa = x[active]
-        _, p_last, p_next = _christoffel_sums(params, diag, off, xa, with_total=False)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = c * (1.0 - xa) * (1.0 + xa) * p_next \
-                / (order * (a - b - c * xa) * p_next + c_last * p_last)
-        if not np.all(np.isfinite(step)):
-            raise NumericFailure(f"Newton step overflowed at order {order}")
-        x[active] = xa - step
-        active = active[~(np.abs(step) < 1e-15)]
-        if not active.size:
-            return x
-    raise NumericFailure(f"Newton iteration for the nodes did not converge at order {order}")
+    table = _peak_scaled(_ortho_table_near_one(params, order, gap))
+    total = np.einsum("ij,ij->j", table[:-1], table[:-1])
+    gap = gap + coeff_a(params, order - 1) * table[-2] * table[-1] / total
+    table = _peak_scaled(_ortho_table_near_one(params, order - 1, gap))
+    return gap, table[:size] / np.sqrt(np.einsum("ij,ij->j", table, table))
 
 
-def _node_guesses(params: JacobiParams, order: int) -> np.ndarray:
-    """Ascending guesses for the zeros of p_order; the half nearest -1 are
-    the zeros of P_order^(b,a), mirrored."""
-    a, b = params.alpha, params.beta
-    return np.concatenate([-np.cos(_theta_guesses(order, b, a, order // 2)),
-                           np.cos(_theta_guesses(order, a, b, (order + 1) // 2)[::-1])])
+def _jacobi_rows(params: JacobiParams, size: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam_k = x_k - 1 of the order-`order` truncation, and rows
+    sqrt(w_k) p_n(x_k), n < size, of the Gauss-Jacobi rule, read-only: the
+    Gram of the rows with weights e^{t lam} is the rule's K_t.
 
-
-def _theta_guesses(order: int, a: float, b: float, count: int) -> np.ndarray:
-    """theta_k ~ arccos of the k-th largest zero of P_order^(a,b), k = 1..count.
-
-    Interior: Gatteschi-Pittaluga. The BESSEL_GUESSES zeros nearest x = 1:
-    Gatteschi's formula in j_{a,k} / rho, rho = order + (a + b + 1) / 2 (Hale
-    & Townsend, SIAM J. Sci. Comput. 35, 2013, sec. 3).
+    A node right of 0 takes its gap 1 - x_k, and its column, from
+    `_node_columns`; one left of it takes 1 + x_k and its column from the
+    mirrored params, since p_n^(alpha, beta)(x) = (-1)^n p_n^(beta, alpha)(-x).
     """
-    rho = order + 0.5 * (a + b + 1.0)
-    phi = (np.arange(1, count + 1) + 0.5 * a - 0.25) * np.pi / rho
-    theta = phi + ((0.25 - a * a) / np.tan(0.5 * phi)
-                   - (0.25 - b * b) * np.tan(0.5 * phi)) / (2.0 * rho) ** 2
-    near = min(count, BESSEL_GUESSES)
-    phi = _bessel_zeros(a, near) / rho
-    theta[:near] = phi + ((a * a - 0.25) * (1.0 - phi / np.tan(phi)) / (2.0 * phi)
-                          - 0.25 * (a * a - b * b) * np.tan(0.5 * phi)) / rho ** 2
-    return theta
-
-
-def _bessel_zeros(nu: float, count: int) -> np.ndarray:
-    """j_{nu,k}, k = 1..count, by McMahon's expansion in 1 / (8 beta_k),
-    beta_k = (k + nu/2 - 1/4) pi (Abramowitz & Stegun 9.5.12).
-
-    The series diverges at k = 1 as nu -> -1, where j_{nu,1} -> 0. The
-    Euler-Rayleigh bound j_{nu,1}^2 < sigma_2 / sigma_3 = 2(nu+1)(nu+3), from
-    the sums sigma_m = sum_k j_{nu,k}^{-2m}, caps it; the cap is the smaller
-    value below about nu = -1/2, and there it is within 0.2% of the zero
-    spacing. McMahon's j_{nu,1} also drifts high as nu grows (1.03 at
-    nu = 30), so above LARGE_NU it comes from the large-nu expansion
-    (A&S 9.5.14) instead; the two are equally good, 1.9e-4 off, at nu = 2.5.
-    """
-    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * np.pi
-    mu = 4.0 * nu * nu
-    e = 1.0 / (8.0 * beta)
-    series = 1.0 + e * e * (4.0 * (7.0 * mu - 31.0) / 3.0 + e * e * (
-        32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15.0 + e * e
-        * 64.0 * (6949.0 * mu ** 3 - 153855.0 * mu * mu + 1585743.0 * mu - 6277237.0) / 105.0))
-    zeros = beta - (mu - 1.0) * e * series
-    if count and nu > LARGE_NU:
-        c = nu ** (1.0 / 3.0)
-        zeros[0] = (nu + 1.8557571 * c + 1.033150 / c - 0.00397 / nu
-                    - 0.0908 / c ** 5 + 0.043 / c ** 7)
-    elif count:
-        zeros[0] = min(zeros[0], math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)))
-    return zeros
-
-
-def _christoffel_sums(params: JacobiParams, diag, off, x: np.ndarray, with_total: bool):
-    """sum_{k<Q} p_k(x)^2 (None unless with_total), p_{Q-1}(x) and p_Q(x) for
-    Q = len(diag) = len(off), streaming the orthonormal recurrence in
-    O(len(x)) memory.
-
-    Raises NumericFailure if p_Q or the sum is not finite: at large exponents
-    the recurrence overflows, and the rule then falls back to Golub-Welsch.
-    """
-    p_prev, p_cur = np.zeros_like(x), np.full_like(x, normalization(params, 0))
-    total = np.zeros_like(x) if with_total else None
-    a_prev = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b, a in zip(diag.tolist(), off.tolist()):
-            if with_total:
-                total += p_cur * p_cur
-            p_prev, p_cur = p_cur, ((x - b) * p_cur - a_prev * p_prev) / a
-            a_prev = a
-    if not (np.all(np.isfinite(p_cur)) and (total is None or np.all(np.isfinite(total)))):
-        raise NumericFailure(f"orthonormal recurrence overflowed at order {len(diag)}")
-    return total, p_prev, p_cur
-
-
-def _checked_rule(params: JacobiParams, order: int, nodes: np.ndarray,
-                  weights: np.ndarray, mass: float) -> QuadratureRule:
-    """The rule, once its nodes rise strictly inside (-1, 1) and its positive
-    weights sum to the total mass; arrays are made read-only."""
-    if not (np.all(np.diff(nodes) > 0.0) and nodes[0] > -1.0 and nodes[-1] < 1.0):
-        raise NumericFailure("quadrature nodes left (-1, 1) or lost strict ordering")
-    if np.any(weights <= 0.0):
-        raise NumericFailure("nonpositive quadrature weight")
-    if abs(weights.sum() - mass) > 1e-12 * mass:
-        raise NumericFailure("quadrature weights do not sum to the total mass")
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(params=params, order=order, nodes=nodes, weights=weights)
+    lam = _eigh(*generator_coefficients(params, order), solver="eigvalsh")
+    rows = np.empty((size, order))
+    left = lam <= -1.0
+    gap, rows[:, ~left] = _node_columns(params, -lam[~left], order, size)
+    lam[~left] = -gap
+    gap, rows[:, left] = _node_columns(JacobiParams(params.beta, params.alpha),
+                                       2.0 + lam[left], order, size)
+    lam[left] = gap - 2.0
+    rows[1::2, left] *= -1.0
+    lam.setflags(write=False)
+    rows.setflags(write=False)
+    return lam, rows
 
 
 def _bessel_tail_bound(d: int, t: float) -> float:
@@ -261,8 +125,7 @@ def _bessel_tail_bound(d: int, t: float) -> float:
     with t (its exponent's t-derivative is (hypot(t, d) - t) / t) and falls
     with d (-asinh(d / t)). Where it decides an order it is 4 to 19 times T
     for t from 1e-12 to 1e7, so the d it certifies exceeds the exact tail's
-    by at most 1 below t = 10 and 5.2% above, and an order moves by at most
-    one doubling.
+    by at most 1 below t = 10 and 5.2% above.
     """
     if d <= 0:
         return 1.0
@@ -278,11 +141,11 @@ def _agree(coarse, fine, tol: float) -> bool:
 
 
 def auto_order(n_max: int, t_max: float, tol: float) -> int:
-    """Smallest order Q, doubling from n_max + 16 and then trying MAX_ORDER,
-    with 16 B(2Q - 2n_max, t_max) <= tol, B the Bessel-tail bound of
-    `_bessel_tail_bound`: the Gauss-Jacobi order for kernels of size
-    n_max + 1 at times up to t_max, for every (alpha, beta). Nothing is built
-    or cached.
+    """Least order Q from n_max + 16 up to MAX_ORDER with
+    16 B(2Q - 2n_max, t_max) <= tol, B the Bessel-tail bound of
+    `_bessel_tail_bound`, found by bisection: the Gauss-Jacobi order for
+    kernels of size n_max + 1 at times up to t_max, for every (alpha, beta).
+    Nothing is built or cached.
 
     Truncating the Chebyshev series of e^{-t(1-x)} after degree 2Q - 2n - 1
     leaves an error of at most 2 T(2Q - 2n, t) on [-1, 1]; the Q-point rule
@@ -293,13 +156,13 @@ def auto_order(n_max: int, t_max: float, tol: float) -> int:
     smaller time and index.
 
     The bound is absolute, so where K_t is tiny it is loose relative: at
-    (5/2, 1/2), n_max = 63 and t = 1e5 the certificate accepts order 2528,
-    where K_t(63, 63) is 3.0e-12 relative off (order 1264: 5.6e-10). Kernels
-    of size up to 632 take t = 1e5 by Gauss-Laguerre
-    (`semigroup.laguerre_split`) instead.
+    (5/2, 1/2), n_max = 63 and t = 1e5 the certificate accepts order 1296,
+    where K_t(63, 63), 1.2e-8, is 1.3e-10 relative off. Kernels of size up
+    to 632 take t = 1e5 by Gauss-Laguerre (`semigroup.laguerre_split`)
+    instead.
 
     Raises ConvergenceFailure if MAX_ORDER fails too; at tol = 1e-12 that
-    happens from t_max of about 2.8e8 at n_max = 0, 8.3e7 at n_max = 30,000.
+    happens from t_max of about 1.1e6 at n_max = 0.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -307,14 +170,17 @@ def auto_order(n_max: int, t_max: float, tol: float) -> int:
         raise ValueError("t_max must be finite and positive")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
-    order = n_max + 16
-    while order <= MAX_ORDER:
-        if 16.0 * _bessel_tail_bound(2 * order - 2 * n_max, t_max) <= tol:
-            return order
-        if order == MAX_ORDER:
-            break
-        order = min(2 * order, MAX_ORDER)
-    raise ConvergenceFailure(f"kernel quadrature did not converge below order cap {MAX_ORDER}")
+
+    def certified(order):
+        return 16.0 * _bessel_tail_bound(2 * order - 2 * n_max, t_max) <= tol
+
+    low, high = n_max + 15, MAX_ORDER  # the least certified order is in (low, high]
+    if low >= high or not certified(high):
+        raise ConvergenceFailure(f"kernel quadrature did not converge below order cap {MAX_ORDER}")
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if certified(mid) else (mid, high)
+    return high
 
 
 def _laguerre_rule(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,17 +190,11 @@ def _laguerre_rule(alpha: float, order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Golub-Welsch on the dense Jacobi matrix, diagonal 2k + alpha + 1 and
     off-diagonal sqrt(k (k + alpha)) (Golub & Welsch, Math. Comp. 23, 1969;
-    Gautschi, OUP 2004, sec. 1.4), by numpy.linalg.eigh, so scipy stays
-    unloaded.
+    Gautschi, OUP 2004, sec. 1.4), by `_eigh`.
     """
     def compute():
         k = np.arange(order, dtype=float)
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        matrix = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-        try:
-            _, vectors = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"Laguerre eigensolver failed at order {order}") from exc
+        _, vectors = _eigh(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)))
         # J = B B^T with B lower bidiagonal, diagonal sqrt(k + alpha + 1) and
         # subdiagonal sqrt(k + 1). The Rayleigh quotient |B^T v|^2 has the
         # eigenvector's relative accuracy, where eigh leaves an absolute error
@@ -384,7 +244,7 @@ def laguerre_order(params: JacobiParams, n_max: int, t_lo: float, t_hi: float,
     in [t_lo, t_hi]: n_max + 17 (the size plus 16), once every diagonal entry
     K_t(n, n), n <= n_max, at t_lo and at t_hi is within tol relative of its
     value under twice that order (`_agree`). Raises ConvergenceFailure if they
-    disagree, or if twice the order passes LAGUERRE_MAX_ORDER.
+    disagree, or if twice the order passes MAX_ORDER.
 
     For beta = 0 the rule is exact once the order exceeds n_max, up to the
     nodes dropped above 2t; otherwise (2 - u/t)^beta is analytic with its
@@ -405,9 +265,8 @@ def laguerre_order(params: JacobiParams, n_max: int, t_lo: float, t_hi: float,
                 for table, weights, _ in _laguerre_terms(params, n_max, (t_lo, t_hi), order)]
 
     order = n_max + 17
-    if 2 * order > LAGUERRE_MAX_ORDER:
-        raise ConvergenceFailure(
-            f"Laguerre order {2 * order} passes the cap {LAGUERRE_MAX_ORDER}")
+    if 2 * order > MAX_ORDER:
+        raise ConvergenceFailure(f"Laguerre order {2 * order} passes the cap {MAX_ORDER}")
     if not _agree(diagonals(order), diagonals(2 * order), tol):
         raise ConvergenceFailure(
             f"Laguerre quadrature at orders {order} and {2 * order} disagrees")

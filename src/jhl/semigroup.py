@@ -2,26 +2,30 @@
 
 K_t(n, m) = int_{-1}^{1} e^{-t(1-x)} p_n(x) p_m(x) dmu(x) realizes e^{tJ}. The
 quadrature route splits a batch of times at `laguerre_split`, about N^2 / 4
-for size N. Below it, the integral is evaluated with the Gauss-Jacobi rule of
-`build_rule`, at the order that `auto_order` certifies for the largest of
-those times from a closed-form bound on the tail of the Chebyshev series of
-e^{-t(1-x)}, whose coefficients are Bessel values; the order depends on the
-size, that time and the tolerance alone. At and above it, with
-u = t(1 - x), it is an integral against u^alpha e^{-u} on (0, 2t), evaluated
-with a Gauss-Laguerre rule whose nodes above 2t are dropped, one table of
-p_n(1 - u/t) per time, at the order `laguerre_order` chooses. The spectral
-route diagonalizes, with numpy.linalg.eigh, the M x M truncation of the
-operator, M = min(4N, N + d) with d the least margin that a Poisson tail bound
-certifies to the tolerance at t (`_truncation`), and exponentiates; it is a
-cross-check only well below t = N^2, so not in the Laguerre range; it is
-`kernel_matrix`, and the quadrature route is `kernel_tensor` and
-`kernel_dt_tensor`. The rules, Laguerre orders and tables of the quadrature
-route are memoised in `jhl._memo`, which `clear_caches` empties; each tensor
-is built anew. The spectral route keeps no eigenbasis, as its truncation size
-changes with t. The tests check both routes entry by entry
-against scalar oracles that take a Gauss-Jacobi rule (`tests/oracles.py`), and
-the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against its closed form in
-Bessel functions.
+for size N. Below it, the integral is evaluated with the Q-point Gauss-Jacobi
+rule, whose Jacobi matrix is the order-Q truncation of the operator shifted
+by 1: one eigensolve gives its nodes, and with them the rows
+sqrt(w_k) p_n(x_k) (`quadrature._jacobi_rows`); K_t is the Gram of the rows
+with weights e^{t lam}, lam = x - 1. Q is the least order that `auto_order`
+certifies for the largest of those times from a closed-form bound on the
+tail of the Chebyshev series of e^{-t(1-x)}, whose coefficients are Bessel
+values; it depends on the size, that time and the tolerance alone. At and
+above it, with u = t(1 - x), it is an integral against u^alpha e^{-u} on
+(0, 2t), evaluated with a Gauss-Laguerre rule whose nodes above 2t are
+dropped, one table of p_n(1 - u/t) per time, at the order `laguerre_order`
+chooses. The spectral route diagonalizes, with numpy.linalg.eigh, the M x M
+truncation of the operator, M = min(4N, N + d) with d the least margin that a
+Poisson tail bound certifies to the tolerance at t (`_truncation`), and
+exponentiates its raw eigenvectors; it is a cross-check only well below
+t = N^2, so not in the Laguerre range; it is `kernel_matrix`, and the
+quadrature route is `kernel_tensor` and `kernel_dt_tensor`. The eigen-rows,
+Laguerre orders and Laguerre rules of the quadrature route are memoised in
+`jhl._memo`, which `clear_caches` empties; each tensor is built anew. The
+spectral route keeps no eigenbasis, as its truncation size changes with t.
+The tests check both routes entry by entry against scalar oracles that take
+a Golub-Welsch rule (`tests/oracles.py`), against the matrix exponential of
+the truncation, and the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against
+its closed form in Bessel functions.
 
 The diagnostics take the truncated kernels they measure and hold them to two
 identities of the full lattice: K_t p_.(1) = p_.(1) (`markov_defect`, with
@@ -34,9 +38,9 @@ import numpy as np
 
 from ._memo import clear as clear_caches
 from ._memo import memo
-from .basis import JacobiParams, _at_one_by_ratios, generator_coefficients, ortho_table
+from .basis import JacobiParams, _at_one_by_ratios, generator_coefficients
 from .errors import NumericFailure
-from .quadrature import _laguerre_terms, auto_order, build_rule, laguerre_order
+from .quadrature import _eigh, _jacobi_rows, _laguerre_terms, auto_order, laguerre_order
 
 __all__ = [
     "kernel_matrix",
@@ -101,17 +105,15 @@ def laguerre_split(params: JacobiParams, size: int) -> float:
 
 def _jacobi_kernels(out: np.ndarray, index: np.ndarray, params: JacobiParams, times,
                     size: int, tol: float, derivative: bool) -> None:
-    """K_t (or d/dt K_t) into out[i] for i in index, from the one Gauss-Jacobi
-    rule chosen for the largest of those times: weights w e^{-t(1-x)} for K,
-    times -(1 - x) for dK."""
+    """K_t (or d/dt K_t) into out[i] for i in index, from the eigen-rows of
+    the one truncation whose order `auto_order` certifies for the largest of
+    those times: weights e^{t lam} for K, times lam for dK."""
     order = auto_order(size - 1, float(np.max(times[index])), tol)
-    rule = build_rule(params, order)
-    table = memo(("table", params.alpha, params.beta, size - 1, order),
-                 lambda: ortho_table(params, size - 1, rule.nodes))
-    g = 1.0 - rule.nodes
-    base = -rule.weights * g if derivative else rule.weights
+    lam, rows = memo(("rows", params.alpha, params.beta, size, order),
+                     lambda: _jacobi_rows(params, size, order))
     for i in index:
-        out[i] = _gram(table, base * np.exp(-times[i] * g))
+        decay = np.exp(times[i] * lam)
+        out[i] = _gram(rows, lam * decay if derivative else decay)
 
 
 def _laguerre_kernels(out: np.ndarray, index: np.ndarray, params: JacobiParams, times,
@@ -152,12 +154,7 @@ def kernel_matrix(params: JacobiParams, t: float, size: int,
         raise ValueError("time t must be finite and positive")
     if size < 1:
         raise ValueError("size must be positive")
-    diag, off = generator_coefficients(params, _truncation(t, size, quad_tol))
-    try:
-        # eigh reads the lower triangle only.
-        lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"generator eigensolver failed at size {diag.size}") from exc
+    lam, vec = _eigh(*generator_coefficients(params, _truncation(t, size, quad_tol)))
     entries = _gram(vec[:size, :], np.exp(t * lam))
     _check_positivity(params, entries)
     entries.setflags(write=False)

@@ -8,10 +8,11 @@ path or window at a time, and checks these routes:
 - `build_generator`, the dense truncated difference operator: the
   eigenrelation of `basis.ortho_table`, and through its matrix exponential
   `semigroup.kernel_tensor`;
-- `moments`, the monomial moments by a two-term recursion: the exactness of
-  `quadrature.build_rule`;
-- `kernel_entry` and `kernel_dt_entry`, one entry of K_t or d/dt K_t from a
-  given Gauss-Jacobi rule: `semigroup.kernel_tensor` and `kernel_dt_tensor`;
+- `total_mass` and `golub_welsch`, the Gauss-Jacobi rule from scipy's
+  tridiagonal eigensolver, exact on the monomial moments of `moments` (a
+  two-term recursion); through `kernel_entry` and `kernel_dt_entry`, one
+  entry of K_t or d/dt K_t from a given rule, it checks the Gauss-Jacobi
+  route of `semigroup.kernel_tensor` and `kernel_dt_tensor`;
 - `bessel_kernels`, K_t and d/dt K_t in closed form at (-1/2, -1/2) and
   (1/2, 1/2): both quadrature routes of `kernel_tensor` and
   `kernel_dt_tensor`, and the spectral `kernel_matrix`;
@@ -27,14 +28,16 @@ path or window at a time, and checks these routes:
 """
 
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.special import ive
 
 from jhl.basis import JacobiParams, generator_coefficients, normalization, ortho_table
 from jhl.errors import ConvergenceFailure
 from jhl.paths import _local_mask
-from jhl.quadrature import QuadratureRule, total_mass
 from jhl.semigroup import DEFAULT_QUAD_TOL, kernel_tensor
 
 
@@ -68,6 +71,42 @@ def build_generator(params: JacobiParams, size: int) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def total_mass(params: JacobiParams) -> float:
+    """mu((-1,1)) = 2^(alpha+beta+1) B(alpha+1, beta+1), via log-gamma."""
+    a, b = params.alpha, params.beta
+    log_m = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) \
+        + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    return math.exp(log_m)
+
+
+class GaussRule(NamedTuple):
+    """Gauss rule for the Jacobi measure: ascending nodes, their weights."""
+
+    order: int
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def golub_welsch(params: JacobiParams, order: int) -> GaussRule:
+    """The order-point Gauss-Jacobi rule by Golub-Welsch (Math. Comp. 23,
+    1969), from scipy's tridiagonal eigensolver: the nodes x_k are the
+    eigenvalues of the Jacobi matrix, and eigenvector k is sqrt(w_k) p_n(x_k),
+    n < order, up to sign.
+
+    Each weight is read at its eigenvector's largest entry. The first entry,
+    which gives the classical w_k = mu((-1, 1)) v_0k^2, is small next to an
+    endpoint and carries the solver's absolute error: at (5/2, 1/2), order
+    52, those weights are up to 1.6e-13 relative off, against 5.8e-14 here.
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    diag, off = generator_coefficients(params, order)
+    nodes, vectors = scipy.linalg.eigh_tridiagonal(diag + 1.0, off)
+    peak, columns = np.argmax(np.abs(vectors), axis=0), np.arange(order)
+    table = ortho_table(params, order - 1, nodes)
+    return GaussRule(order, nodes, (vectors[peak, columns] / table[peak, columns]) ** 2)
+
+
 def moments(params: JacobiParams, k_max: int) -> np.ndarray:
     """Monomial moments m_k = int x^k dmu for k = 0..k_max.
 
@@ -86,7 +125,7 @@ def moments(params: JacobiParams, k_max: int) -> np.ndarray:
     return out
 
 
-def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
+def _entry(params: JacobiParams, t: float, n: int, m: int, rule: GaussRule,
            derivative: bool) -> float:
     """Quadrature value of int (-(1-x))^d e^{-t(1-x)} p_n p_m dmu, d = derivative;
     raises ConvergenceFailure unless the rule is exact on the polynomial part."""
@@ -104,13 +143,13 @@ def _entry(params: JacobiParams, t: float, n: int, m: int, rule: QuadratureRule,
 
 
 def kernel_entry(params: JacobiParams, t: float, n: int, m: int,
-                 rule: QuadratureRule) -> float:
+                 rule: GaussRule) -> float:
     """Quadrature value of K_t(n, m); symmetric in (n, m) exactly."""
     return _entry(params, t, n, m, rule, derivative=False)
 
 
 def kernel_dt_entry(params: JacobiParams, t: float, n: int, m: int,
-                    rule: QuadratureRule) -> float:
+                    rule: GaussRule) -> float:
     """Time derivative d/dt K_t(n, m) = -int (1-x) e^{-t(1-x)} p_n p_m dmu."""
     return _entry(params, t, n, m, rule, derivative=True)
 

@@ -23,11 +23,10 @@ from jhl.paths import (
     oscillation_batch,
     variation_batch,
 )
-from jhl.quadrature import build_rule
 from jhl.semigroup import kernel_matrix, kernel_tensor, markov_defect, semigroup_defect
 from jhl.verify import s_star_kernels, verify_theorem_norms
 from jhl.weights import WeightSpec
-from oracles import brute_jump_count, brute_variation, build_generator
+from oracles import brute_jump_count, brute_variation, build_generator, golub_welsch
 
 ALL_PAIRS = (
     JacobiParams(-0.5, -0.5),
@@ -54,7 +53,7 @@ def test_1_orthonormality(capfd):
     started = time.perf_counter()
     worst = 0.0
     for params in ALL_PAIRS:
-        rule = build_rule(params, 51)
+        rule = golub_welsch(params, 51)
         table = ortho_table(params, 50, rule.nodes)
         gram = (table * rule.weights) @ table.T
         worst = max(worst, float(np.abs(gram - np.eye(51)).max()))

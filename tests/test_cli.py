@@ -463,10 +463,10 @@ class TestKernelCommand:
         assert main(["kernel", "--config", path]) == 0
         report = json.loads((out / "kernel" / "alpha0_beta0" / "report.json").read_text())
         assert report["routes"] == ["jacobi", "jacobi"]
-        assert report["orders"] == [79, 158]
+        assert report["orders"] == [79, 151]
 
     def test_defects_are_those_of_the_written_kernel(self, tmp_path):
-        # At quad_tol 1e-8 the t = 15 kernel is built at order 31, against 62
+        # At quad_tol 1e-8 the t = 15 kernel is built at order 31, against 32
         # at the default tolerance, and the two disagree in the markov defect
         # from its 13th digit: the report must measure the kernel written.
         out = tmp_path / "run"
@@ -643,9 +643,8 @@ class TestTaskKernels:
 class TestScipyFreeCommands:
     @pytest.mark.parametrize("command", ["kernel", "verify", "norms", "operators"])
     def test_run_leaves_scipy_unimported(self, tmp_path, command):
-        # Importing scipy.linalg costs each process about 0.3 s and 28 MB; the
-        # Newton-node rules and kernel's spectral cross-check need only numpy,
-        # and none of these parameters falls back to Golub-Welsch.
+        # Importing scipy.linalg costs each process about 0.3 s and 28 MB;
+        # both kernel routes and kernel's spectral cross-check need only numpy.
         out = tmp_path / "run"
         cfg = _base_config(out_dir=str(out),
                            params=[[-0.5, -0.5], [0.0, 0.0], [2.5, 0.5], [3.0, -0.9]])

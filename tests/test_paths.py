@@ -19,12 +19,12 @@ from jhl.paths import (
     oscillation_batch,
     variation_batch,
 )
-from jhl.quadrature import build_rule
 from jhl.semigroup import kernel_tensor
 from oracles import (
     apply_heat,
     brute_jump_count,
     brute_variation,
+    golub_welsch,
     kernel_entry,
     qn_kernel_matrix,
     s_star,
@@ -364,7 +364,7 @@ class TestDifferenceSums:
         lac = LacunarySequence.geometric(2.0, -3, 4)
         bcoef = np.array([(-1.0) ** j for j in range(lac.j_min, lac.j_max)])
         dense = qn_kernel_matrix(LEGENDRE, -1, 1, lac, bcoef, 8)
-        rule = build_rule(LEGENDRE, 64)
+        rule = golub_welsch(LEGENDRE, 64)
         got = sum(bcoef[j - lac.j_min] * (kernel_entry(LEGENDRE, lac.value(j + 1), 5, 2, rule)
                                           - kernel_entry(LEGENDRE, lac.value(j), 5, 2, rule))
                   for j in range(-1, 2))

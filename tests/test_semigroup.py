@@ -10,7 +10,7 @@ from jhl import _memo
 from jhl.basis import JacobiParams, generator_coefficients, normalization
 from jhl.config import RunConfig
 from jhl.errors import NumericFailure
-from jhl.quadrature import auto_order, build_rule, laguerre_order
+from jhl.quadrature import auto_order, laguerre_order
 from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
     clear_caches,
@@ -23,14 +23,15 @@ from jhl.semigroup import (
     weight_at_one,
 )
 from jhl.weights import norm_ratio_max, probe_matrix
-from oracles import apply_heat, bessel_kernels, kernel_dt_entry, kernel_entry
+from oracles import (apply_heat, bessel_kernels, build_generator, golub_welsch, kernel_dt_entry,
+                     kernel_entry)
 
 LEGENDRE = JacobiParams(0.0, 0.0)
 CHEBYSHEV = JacobiParams(-0.5, -0.5)
 
 
 def _rule_for(params, n_max, t_max):
-    return build_rule(params, auto_order(n_max, t_max, 1e-12))
+    return golub_welsch(params, auto_order(n_max, t_max, 1e-12))
 
 
 def _kernel(params, t, size):
@@ -72,7 +73,7 @@ class TestKernelEntry:
     def test_insufficient_order_rejected(self):
         from jhl.errors import ConvergenceFailure
 
-        rule = build_rule(LEGENDRE, 3)
+        rule = golub_welsch(LEGENDRE, 3)
         with pytest.raises(ConvergenceFailure, match="order"):
             kernel_entry(LEGENDRE, 1.0, 4, 3, rule)
 
@@ -283,7 +284,7 @@ class TestCaches:
                         rtol=2e-14, atol=0.0)
 
     def test_scalar_oracles_do_not_grow_memo(self):
-        rule = build_rule(LEGENDRE, 40)
+        rule = golub_welsch(LEGENDRE, 40)
         before = len(_memo._cache)
         for n in range(12):
             kernel_entry(LEGENDRE, 0.5, n, 11 - n, rule)
@@ -292,14 +293,14 @@ class TestCaches:
 
     def test_clear_and_recompute(self):
         # A tensor is not memoised: each call builds a new one, from the
-        # memoised rule and table or, once they are cleared, from new ones,
-        # with the same bits.
+        # memoised eigen-rows or, once they are cleared, from new ones, with
+        # the same bits.
         clear_caches()
         first = kernel_tensor(LEGENDRE, [0.3], 8)
         again = kernel_tensor(LEGENDRE, [0.3], 8)
         assert again is not first
         assert np.array_equal(again, first)
-        assert sorted(key[0] for key in _memo._cache) == ["rule", "table"]
+        assert [key[0] for key in _memo._cache] == ["rows"]
         clear_caches()
         fresh = kernel_tensor(LEGENDRE, [0.3], 8)
         assert fresh is not first
@@ -318,7 +319,7 @@ class TestAssemblyOracles:
         size = 24
         kern = _kernel(params, t, size)
         dkern = kernel_dt_tensor(params, [t], size)[0]
-        rule = build_rule(params, auto_order(size - 1, t, DEFAULT_QUAD_TOL))
+        rule = golub_welsch(params, auto_order(size - 1, t, DEFAULT_QUAD_TOL))
         scalar = np.array([[kernel_entry(params, t, n, m, rule) for m in range(size)]
                            for n in range(size)])
         dscalar = np.array([[kernel_dt_entry(params, t, n, m, rule) for m in range(size)]
@@ -341,30 +342,60 @@ def _closed_form_cases():
     # At size 64, t = 1e4, 1e5 and 1e7 take the Gauss-Laguerre route.
     for ab in [(-0.5, -0.5), (0.0, 0.0), (2.5, 0.5), (4.0, 1.5), (3.0, -0.9)]:
         for t in (1e-3, 1.0, 1e2, 1e4):
-            yield pytest.param(JacobiParams(*ab), t, id=f"{ab}-{t:g}")
+            yield pytest.param(JacobiParams(*ab), t, 64, id=f"{ab}-{t:g}")
     for ab in [(0.0, 0.0), (-0.5, -0.5), (2.5, 0.5)]:
         for t in (1e5, 1e7):
-            yield pytest.param(JacobiParams(*ab), t, id=f"{ab}-{t:g}")
+            yield pytest.param(JacobiParams(*ab), t, 64, id=f"{ab}-{t:g}")
+    # Large and near-singular exponents, at times below their split.
+    for ab in [(10.0, -0.9), (50.0, 0.0), (100.0, 0.0)]:
+        for size in (64, 256):
+            for t in (1e-3, 1.0, 1e2):
+                yield pytest.param(JacobiParams(*ab), t, size, id=f"{ab}-{t:g}-{size}")
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("params, t", list(_closed_form_cases()))
-    def test_corner_entry_matches_confluent_hypergeometric(self, params, t):
+    @pytest.mark.parametrize("params, t, size", list(_closed_form_cases()))
+    def test_corner_entry_matches_confluent_hypergeometric(self, params, t, size):
         exact = _corner_exact(params, t)
-        value = kernel_tensor(params, [t], 64)[0][0, 0]
+        value = kernel_tensor(params, [t], size)[0][0, 0]
         assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
 
     @pytest.mark.parametrize("size", [16, 32, 64])
     def test_corner_entry_at_default_norms_grid_end(self, size):
         # The default norms grid ends at t = 1e5, above size^2 / 4 for every
         # size here, so the Gauss-Laguerre route computes it; Gauss-Jacobi at
-        # its certified order 2528 is 1.1e-12 relative off at size 64. For
+        # its certified order 1296 is 4.5e-14 relative off at size 64. For
         # Legendre the closed form is (1 - e^{-2t}) / (2t).
         times = RunConfig().norms_t_grid.build().times
         t = times[-1]
         exact = -np.expm1(-2.0 * t) / (2.0 * t)
         value = kernel_tensor(LEGENDRE, times, size)[-1][0, 0]
         assert abs(value - exact) <= DEFAULT_QUAD_TOL * exact
+
+
+class TestMatrixExponential:
+    """Every entry of K against scipy's Pade exponential of the truncated
+    generator, which takes no eigensolve, at large and near-singular
+    exponents: there p_n(1) spans many decades and the nodes crowd an
+    endpoint."""
+
+    @pytest.mark.parametrize("params", [JacobiParams(10.0, -0.9), JacobiParams(50.0, 0.0),
+                                        JacobiParams(0.0, -0.99), JacobiParams(-0.99, 0.0)],
+                             ids=JacobiParams.tag)
+    def test_kernel_meets_expm_of_the_truncation(self, params):
+        # The exponential truncates at twice the size: at t <= 100 the heat
+        # from the first 256 sites reaches the cut with probability below
+        # P(Poisson(100) >= 513), so that truncation is the lattice's kernel
+        # to far below rounding. The worst entry is 2.8e-15 off, at (50, 0),
+        # t = 1e-3, on the diagonal.
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        size, times = 256, [1e-3, 1.0, 10.0, 100.0]
+        assert max(times) < laguerre_split(params, size)
+        generator = build_generator(params, 2 * size)
+        for t in times:
+            exact = scipy_linalg.expm(t * generator)[:size, :size]
+            kernel = kernel_tensor(params, [t], size)[0]
+            assert np.abs(kernel - exact).max() <= 1e-13, t
 
 
 # Both default grids' ranges; at sizes 64 and 256 the last two times are past
@@ -492,12 +523,11 @@ class TestLaguerreRoute:
         batch = kernel_tensor(CHEBYSHEV, times, 64)
         assert np.array_equal(batch[:2], kernel_tensor(CHEBYSHEV, times[:2], 64))
         assert np.array_equal(batch[2:], kernel_tensor(CHEBYSHEV, times[2:], 64))
-        assert [key[3] for key in _memo._cache if key[0] == "rule"] == \
+        assert [key[4] for key in _memo._cache if key[0] == "rows"] == \
             [auto_order(63, 500.0, DEFAULT_QUAD_TOL)]
         assert [key[4:6] for key in _memo._cache if key[0] == "laguerre_order"] == [(2000.0, 1e5)]
         # the memo holds the tensors' shared inputs, not the tensors
-        assert {key[0] for key in _memo._cache} == {"rule", "table", "laguerre_order",
-                                                    "laguerre"}
+        assert {key[0] for key in _memo._cache} == {"rows", "laguerre_order", "laguerre"}
         clear_caches()
 
     @pytest.mark.parametrize("params", [CHEBYSHEV] + LAGUERRE_ORACLE_PARAMS,
