@@ -79,9 +79,10 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     """The bytes `_write_csv` writes for the (row, col, value) entries of a
     matrix in row-major order, written one row at a time.
 
-    Each distinct float64 bit pattern is formatted once, so a symmetric kernel
-    formats about half its entries. Keying on bits, not values, keeps -0.0 and
-    0.0 apart."""
+    Each distinct float64 bit pattern is formatted once: a kernel is
+    symmetric and mostly exact zeros (`semigroup._gram`), so at size 256 that
+    is 283 to 7,709 values of 65,536. Keying on bits, not values, keeps -0.0
+    and 0.0 apart."""
     # Imported here, so that only runs that write a matrix compile it.
     from ._format17 import format_17g
 

@@ -27,12 +27,25 @@ a Golub-Welsch rule (`tests/oracles.py`), against the matrix exponential of
 the truncation, and the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against
 its closed form in Bessel functions.
 
+Every route forms its kernels in one place, `_gram`: the exactly symmetric
+product B B^T of B = rows sqrt(|w|), over the modes of nonzero weight w, with
+the weights' one sign applied after. Each entry whose magnitude is at most
+sqrt(Q') eps sqrt(d_n d_m), Q' the modes kept and d the product's diagonal,
+is set to +0.0: that is the scale of the summed rounding errors of Q' terms,
+which grow like sqrt(Q') rather than Q' (Higham & Mary, SIAM J. Sci. Comput.
+41, 2019). Left in place, such entries read about 1e-17 where the true value
+is far smaller; a zeroed entry is accurate to the floor in absolute terms, as
+every other entry is to rounding. On `jhl kernel` at size 256, 77-99% of each
+matrix is then exactly 0.
+
 The diagnostics take the truncated kernels they measure and hold them to two
 identities of the full lattice: K_t p_.(1) = p_.(1) (`markov_defect`, with
 p_n(1) from `weight_at_one`) and K_t K_s = K_{t+s} (`semigroup_defect`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,9 +104,41 @@ def _check_positivity(params: JacobiParams, entries: np.ndarray) -> None:
 
 
 def _gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The symmetrised (rows * weights) @ rows.T."""
-    raw = (rows * weights) @ rows.T
-    return 0.5 * (raw + raw.T)
+    """(rows * weights) @ rows.T, exactly symmetric, with every entry at or
+    below its rounding floor set to +0.0.
+
+    Modes of weight exactly 0 (an underflowed e^{t lam}) are dropped; the Q'
+    left must share one sign s, or ValueError. With B = rows sqrt(|w|) the
+    Gram is s B B^T, and numpy forms B @ B.T as a symmetric rank-k update, so
+    it is symmetric bit for bit and its diagonal is d_n = sum_k rows_nk^2 |w_k|.
+    Entry (n, m) sums Q' products whose magnitudes add up to at most
+    sqrt(d_n d_m) (Cauchy-Schwarz), and their rounding errors, which grow like
+    the square root of their count (Higham & Mary, SIAM J. Sci. Comput. 41,
+    2019), to about sqrt(Q') eps sqrt(d_n d_m). An entry no larger than that
+    floor holds no digit of its value, so it is set to 0, which is within the
+    floor of the true value in absolute terms. With eps alone as the factor,
+    `jhl kernel` at sizes [64, 128, 256] writes 29.4 MB of CSV against 17.7 MB
+    and the markov defect at (5/2, 1/2) keeps its noise, 1.3e-10 against
+    1.2e-13; with Q' eps the floor removes real digits, and the markov and
+    semigroup defects of the default config rise 3 to 15 times.
+    """
+    keep = weights != 0.0
+    if not keep.all():
+        rows, weights = rows[:, keep], weights[keep]
+    low, high = weights.min(initial=0.0), weights.max(initial=0.0)
+    if low < 0.0 < high:
+        raise ValueError("Gram weights must share one sign")
+    scaled = rows * np.sqrt(np.abs(weights))
+    gram = scaled @ scaled.T
+    scale = np.sqrt(gram.diagonal())
+    floor = np.multiply.outer(scale, math.sqrt(weights.size) * np.finfo(float).eps * scale)
+    # |K| <= floor as two comparisons, with no N x N temporary for |K|
+    small = gram <= floor
+    small &= gram >= np.negative(floor, out=floor)
+    gram[small] = 0.0
+    if low < 0.0:
+        np.subtract(0.0, gram, out=gram)  # 0 - x, unlike -x, keeps 0 as +0.0
+    return gram
 
 
 def laguerre_split(params: JacobiParams, size: int) -> float:

@@ -119,10 +119,12 @@ class TestKernelMatrix:
         # The delta images of the norm sweeps and the kernel-estimate
         # variations are taken on n <= m only and mirrored, so both routes
         # must give exactly symmetric K and dK: at size 64, times 1 and 1023
-        # are below laguerre_split and 1024 and 1e5 at or above it.
+        # are below laguerre_split and 1024 and 1e5 at or above it. The
+        # spectral route forms its matrix in the same `_gram`.
         times = [1.0, 1023.0, 1024.0, 1e5]
         assert laguerre_split(params, 64) == 1024.0
-        for tensor in (kernel_tensor(params, times, 64), kernel_dt_tensor(params, times, 64)):
+        for tensor in (kernel_tensor(params, times, 64), kernel_dt_tensor(params, times, 64),
+                       kernel_matrix(params, 1.0, 64)[None]):
             assert np.array_equal(tensor, tensor.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("derivative", [False, True])
@@ -139,6 +141,56 @@ class TestKernelMatrix:
         build = kernel_dt_tensor if derivative else kernel_tensor
         with pytest.raises(NumericFailure, match="non-finite"):
             build(LEGENDRE, [0.5, 2.0], 8)
+
+
+class TestGram:
+    """`semigroup._gram`, where every route forms its kernels: entries below
+    the rounding floor at +0.0 (symmetry is checked with the tensors)."""
+
+    def test_derivative_has_no_negative_zero(self):
+        # dK's weights are negative, so its Gram is negated after the floor
+        # zeroes entries; those must read +0.0, not -0.0.
+        for params in (CHEBYSHEV, JacobiParams(3.0, -0.9)):
+            d_kernels = kernel_dt_tensor(params, [0.1, 1.0, 1e5], 64)
+            zeros = d_kernels == 0.0
+            assert zeros.any()
+            assert not np.signbit(d_kernels[zeros]).any()
+
+    def test_mixed_sign_weights_raise(self):
+        rows = np.eye(3)
+        with pytest.raises(ValueError, match="one sign"):
+            semigroup._gram(rows, np.array([1.0, -1.0, 0.5]))
+
+    def test_zero_weight_modes_change_no_bit(self):
+        # A mode of weight exactly 0 is dropped before the product and does
+        # not count towards the floor's sqrt(Q').
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((12, 20))
+        weights = np.exp(-rng.uniform(0.0, 40.0, 20))
+        padded = np.insert(rows, [0, 7, 20], rng.standard_normal((12, 3)), axis=1)
+        zeroed = np.insert(weights, [0, 7, 20], 0.0)
+        for sign in (1.0, -1.0):
+            assert np.array_equal(semigroup._gram(padded, sign * zeroed),
+                                  semigroup._gram(rows, sign * weights))
+
+    def test_entries_below_rounding_are_exact_zeros(self):
+        # At (-1/2, -1/2), t = 0.1, the closed form falls below 1e-20 away
+        # from the diagonal, where the summed rounding errors of the Gram, left
+        # in place, read up to about 1e-16.
+        exact, _ = bessel_kernels(CHEBYSHEV, [0.1], 64)
+        tiny = exact[0] < 1e-20
+        assert tiny.sum() > 1000
+        assert np.all(_kernel(CHEBYSHEV, 0.1, 64)[tiny] == 0.0)
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_nonnegative_in_regime_on_default_grids(self, size):
+        # No positivity floor: rounding noise left in place reads down to
+        # -1.5e-15 here, and the Gram's rounding floor sets it to 0.
+        config = RunConfig()
+        for params in config.params:
+            assert params.positivity_regime
+            for grid in (config.t_grid, config.norms_t_grid):
+                assert kernel_tensor(params, grid.build().times, size).min() >= 0.0
 
 
 class TestSpectralTruncation:
@@ -204,6 +256,15 @@ class TestDefects:
         assert coarse > 1e-5
         assert fine < 1e-8
         assert markov_defect(LEGENDRE, _kernel(LEGENDRE, 1.0, 100)[:6]) < 1e-10
+
+    def test_markov_defect_where_p_at_one_spans_decades(self):
+        # At (10, -0.9), p_n(1) grows by many decades over 64 indices, so
+        # rounding noise on a far entry, left in place, times p_m(1) reads
+        # 1.7e-4.
+        params = JacobiParams(10.0, -0.9)
+        for t in RunConfig().kernel_times:
+            rows = _kernel(params, t, 64)[:17]
+            assert markov_defect(params, rows) <= 1e-8, t
 
     @pytest.mark.parametrize("count", [0, 18])
     def test_markov_defect_tail_guard(self, count):
