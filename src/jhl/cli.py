@@ -79,16 +79,19 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     """The bytes `_write_csv` writes for the (row, col, value) entries of a
     matrix in row-major order, written one row at a time.
 
-    Each distinct float64 bit pattern is formatted once: a kernel is
+    Entries whose bits are zero, +0.0, are written as b"0"; every other
+    distinct float64 bit pattern is formatted once with `%.17g`. A kernel is
     symmetric and mostly exact zeros (`semigroup._gram`), so at size 256 that
     is 283 to 7,709 values of 65,536. Keying on bits, not values, keeps -0.0
-    and 0.0 apart."""
-    # Imported here, so that only runs that write a matrix compile it.
-    from ._format17 import format_17g
-
+    apart from 0.0."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
-    text = format_17g(bits.view(np.float64))[inverse.reshape(matrix.shape)]
+    bits = matrix.view(np.int64).ravel()
+    nonzero = np.flatnonzero(bits)
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    text = np.full(bits.size, b"0", dtype=object)
+    strings = [b"%.17g" % v for v in distinct.view(np.float64).tolist()]
+    text[nonzero] = np.array(strings, dtype=object)[inverse]
+    text = text.reshape(matrix.shape)
     # One "%s" slot per column. Joined with the row label as separator, the
     # leading b"" puts that label in front of every line of the row.
     slots = [b"", *(b",%d,%%s\n" % col for col in range(matrix.shape[1]))]

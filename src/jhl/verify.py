@@ -408,7 +408,7 @@ def verify_cotlar(params: JacobiParams, m_range: int, lac: LacunarySequence, bco
                    {"q": q, "skipped_small_denominators": skipped})
 
 
-def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = None) -> EstimateReport:
+def verify_poly_bound(params: JacobiParams, sizes) -> EstimateReport:
     """Envelope constant sup_k sup_x |P_k(x)| sqrt(k) (1-x)^(a/2+1/4) (1+x)^(b/2+1/4).
 
     sizes are degree thresholds; the constant per size takes k = 1..size on an
@@ -416,11 +416,7 @@ def verify_poly_bound(params: JacobiParams, sizes, x_grid: np.ndarray | None = N
     """
     started = time.perf_counter()
     sizes = _check_sizes(sizes)
-    if x_grid is None:
-        x_grid = np.cos(np.linspace(0.01, np.pi - 0.01, 601))[::-1].copy()
-    x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(np.abs(x_grid) >= 1.0):
-        raise ValueError("x_grid must stay strictly inside (-1, 1)")
+    x_grid = np.cos(np.linspace(0.01, np.pi - 0.01, 601))[::-1].copy()
     n_max = max(sizes)
     table = ortho_table(params, n_max, x_grid)
     w = np.array([normalization(params, n) for n in range(n_max + 1)])

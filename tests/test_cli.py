@@ -15,14 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import jhl._format17
 import jhl._memo
 import jhl.cli
 import jhl.quadrature
 import jhl.semigroup
 import jhl.verify
 from jhl.basis import JacobiParams
-from jhl._format17 import CHUNK, format_17g
 from jhl.cli import (
     _run_task,
     _write_csv,
@@ -31,7 +29,7 @@ from jhl.cli import (
 )
 from jhl.config import OPERATOR_NAMES, RunConfig, load_config
 from jhl.errors import ConfigError
-from jhl.semigroup import clear_caches, kernel_tensor, weight_at_one
+from jhl.semigroup import clear_caches, kernel_dt_tensor, kernel_tensor, weight_at_one
 
 
 def _base_config(**overrides):
@@ -658,8 +656,10 @@ class TestScipyFreeCommands:
 
 
 class TestMatrixWriter:
-    VALUES = [-0.0, 5e-324, 1e-300, 1e308, 1.0, 1e16, 0.1]
-    FALLBACK = [0.0, -0.0, 5e-324, np.inf, np.nan, 1e300]  # values only `%` formats
+    VALUES = [-0.0, 5e-324, 1e-300, 1e308, 1.0, 1e16, 0.1, np.nan, np.inf, -np.inf, 1e300]
+    CASES = [*(f"value={value!r}" for value in VALUES), "mixed_7x7", "mixed_3x5",
+             "signed_zeros", "all_zero", "only_negative_zero", "repeats",
+             "transposed", "read_only", "empty", "no_rows", "kernel_64"]
 
     def _matrices(self):
         rng = np.random.default_rng(11)
@@ -670,6 +670,8 @@ class TestMatrixWriter:
             matrix.flat[:len(self.VALUES)] = self.VALUES
             yield matrix
         yield np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
+        yield np.zeros((4, 3))  # no nonzero bit pattern
+        yield np.array([[0.0, -0.0], [-0.0, -0.0]])  # -0.0 the only one
         yield rng.choice(rng.standard_normal(4), size=(9, 6))  # repeats across rows and columns
         matrix = rng.standard_normal((5, 8))
         yield matrix.T
@@ -679,105 +681,39 @@ class TestMatrixWriter:
         yield np.zeros((0, 3))
         yield kernel_tensor(JacobiParams(0.0, 0.0), [1.0], 64)[0]  # bitwise symmetric
 
-    def test_matches_generic_writer(self, tmp_path):
+    def test_cases_are_named(self):
+        assert len(self.CASES) == len(set(self.CASES)) == len(list(self._matrices()))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_generic_writer(self, tmp_path, case):
+        matrix = dict(zip(self.CASES, self._matrices()))[case]
         ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
-        for matrix in self._matrices():
-            rows, cols = matrix.shape
-            _write_csv(str(ref), ("row", "col", "value"),
-                       ((r, c, matrix[r, c]) for r in range(rows) for c in range(cols)))
-            _write_matrix_csv(str(new), matrix)
-            assert new.read_bytes() == ref.read_bytes(), matrix.shape
-
-    @staticmethod
-    def _assert_formats_like_percent(values):
-        values = np.asarray(values, dtype=np.float64)
-        values = np.concatenate([values, -values])
-        expected = [b"%.17g" % v for v in values.tolist()]
-        got = format_17g(values).tolist()
-        wrong = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
-        assert not wrong, wrong[:5]
-
-    def test_formats_powers_of_ten_and_their_neighbours(self):
-        powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
-        self._assert_formats_like_percent(np.concatenate([
-            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
-
-    def test_formats_exact_ties(self):
-        # N / 8 and N / 16 for odd N near 2^50 end in a 5 at the 18th digit.
-        odd = 2.0 ** 50 + np.arange(-999, 1000, 2)
-        self._assert_formats_like_percent(np.concatenate([odd / 8, odd / 16]))
-
-    def test_formats_edges(self):
-        switch = np.array([1e-5, 1e-4])
-        self._assert_formats_like_percent([
-            9.99999999999999999e-5, 99999999999999999.0,  # round up across 10^k
-            *switch, *np.nextafter(switch, 0.0), *np.nextafter(switch, 1.0),
-            0.0, 5e-324, np.finfo(np.float64).tiny, 1e308, np.inf, np.nan,
-            1e16, np.nextafter(1e16, 0.0), 1e-290, np.nextafter(1e-290, 0.0),
-            0.1, 1.0 / 3.0, 123456.789, 2.0 ** 53, 2.0 ** 53 + 2.0])
-        assert format_17g(np.array([9.99999999999999999e-5]))[0] == b"0.0001"
-
-    def test_formats_random_bit_patterns(self):
-        rng = np.random.default_rng(24)
-        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
-        self._assert_formats_like_percent(bits.view(np.float64))
-        # and values in the range the digit arithmetic covers
-        self._assert_formats_like_percent(
-            rng.random(100_000) * 10.0 ** rng.integers(-290, 16, 100_000))
+        rows, cols = matrix.shape
+        _write_csv(str(ref), ("row", "col", "value"),
+                   ((r, c, matrix[r, c]) for r in range(rows) for c in range(cols)))
+        _write_matrix_csv(str(new), matrix)
+        assert new.read_bytes() == ref.read_bytes(), matrix.shape
 
     @pytest.mark.parametrize("params", RunConfig().params, ids=str)
-    def test_fallback_formats_under_one_percent_of_a_kernel(self, tmp_path, monkeypatch,
-                                                           params):
-        # A digit path that quietly stopped certifying would still write the
-        # right bytes, only slower; this makes it fail.
-        fallback = []
-        percent = jhl._format17.percent_17g
+    def test_kernels_read_back_bit_for_bit(self, tmp_path, params):
+        path = tmp_path / "kernel.csv"
+        for tensor in (kernel_tensor, kernel_dt_tensor):
+            matrix = tensor(params, [1e-12], 32)[0]
+            _write_matrix_csv(str(path), matrix)
+            values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2].reshape(matrix.shape)
+            assert np.array_equal(values.view(np.int64), matrix.view(np.int64)), tensor
 
-        def spy(values):
-            fallback.extend(values)
-            return percent(values)
-
-        monkeypatch.setattr(jhl._format17, "percent_17g", spy)
-        matrix = kernel_tensor(params, [1.0], 64)[0]
-        _write_matrix_csv(str(tmp_path / "kernel.csv"), matrix)
-        assert len(fallback) < 0.01 * np.unique(matrix).size
-
-    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-    def test_formats_across_chunk_boundaries(self, monkeypatch, size):
-        rng = np.random.default_rng(size)
-        values = rng.standard_normal(size) * 10.0 ** rng.integers(-290, 16, size)
-        # fallback values at the first and last slot of every chunk
-        ends = [i for start in range(0, size, CHUNK)
-                for i in (start, min(start + CHUNK, size) - 1)]
-        values[ends] = rng.choice(self.FALLBACK, len(ends))
-        whole_chunk = size > 2 * CHUNK
-        if whole_chunk:  # one chunk of fallback values only: `_round17` gets an empty k
-            values[CHUNK:2 * CHUNK] = np.resize(self.FALLBACK, CHUNK)
-        sizes = []
-        round17 = jhl._format17._round17
-
-        def spy(x, k):
-            sizes.append(k.size)
-            return round17(x, k)
-
-        monkeypatch.setattr(jhl._format17, "_round17", spy)
-        assert format_17g(values).tolist() == [b"%.17g" % v for v in values.tolist()]
-        assert len(sizes) == -(-size // CHUNK)
-        assert not whole_chunk or sizes[1] == 0
-
-    def test_memory_does_not_grow_with_the_vector(self):
-        # 32,896 distinct values: formatting them all at once takes about 9 MB
-        # of temporaries; a chunk's take under 1 MB, next to the ~2 MB
-        # of bytes objects returned.
+    def test_memory_of_a_256_kernel(self):
+        # 65,536 entries, 3,493 distinct nonzero values: the writer holds one
+        # bytes object per distinct value and one reference per entry.
         matrix = kernel_tensor(JacobiParams(0.0, 0.0), [1.0], 256)[0]
-        values = np.unique(matrix.view(np.int64)).view(np.float64)
         tracemalloc.start()
         try:
-            format_17g(values)
+            _write_matrix_csv(os.devnull, matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6, peak
+        assert peak <= 1.5e6, peak
 
 
 class TestOperatorsCommand:

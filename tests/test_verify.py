@@ -338,10 +338,6 @@ class TestPolyBound:
         for c in rep.constants:
             assert 0.5 < c < 0.6
 
-    def test_grid_must_be_interior(self):
-        with pytest.raises(ValueError, match="inside"):
-            verify_poly_bound(LEGENDRE, (10, 20), x_grid=np.array([-1.0, 0.0, 1.0]))
-
 
 class TestTheoremNorms:
     def test_strong_mode_reports(self):
