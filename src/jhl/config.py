@@ -1,11 +1,22 @@
-"""Run configuration: strict JSON schema, resolved defaults, round-trip."""
+"""Run configuration: strict JSON schema, resolved defaults, round-trip.
+
+Each section of a config is a frozen dataclass whose fields are its JSON keys
+and whose defaults fill the keys a config leaves out. One reader, `_read`,
+reads a key by the type of its field's default: a float, int or bool by
+`_number`, `_integer` or `_boolean`, a str as a nonempty string, a tuple as
+numbers, and a section by that section's `from_dict`; `RunConfig.READERS`
+names the readers of its irregular keys. One writer, `_json`, writes the
+fields back. A kinded section (`BcoefSpec`, `SignalSpec`, `WeightSpec`) has a
+`READS` table, {kind: the keys it reads besides `kind`}: it accepts exactly
+those keys and writes exactly those. What a section checks beyond the types
+of its keys is in its `_check`.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -69,10 +80,20 @@ def _boolean(raw, where: str) -> bool:
     return raw
 
 
+def _string(raw, where: str) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise ConfigError(f"{where} must be a nonempty string, got {raw!r}")
+    return raw
+
+
 def _sequence(raw, where: str) -> list:
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"{where} must be a list, got {raw!r}")
     return list(raw)
+
+
+def _numbers(raw, where: str) -> tuple:
+    return tuple(_number(v, where) for v in _sequence(raw, where))
 
 
 def _names(raw, allowed: tuple, where: str) -> tuple:
@@ -83,32 +104,79 @@ def _names(raw, allowed: tuple, where: str) -> tuple:
     return names
 
 
+_READ_BY_TYPE = {float: _number, int: _integer, bool: _boolean, str: _string,
+                 tuple: _numbers}
+
+
+def _read(cls, raw, where: str) -> dict:
+    """The keyword arguments of cls for the keys raw sets. Each key is a field
+    of cls, read by cls.READERS[key] if it has one, else by the type of the
+    field's default; a kinded cls reads `kind` and the keys READS[kind]."""
+    prefix = f"{where}." if where else ""
+    keys = [field.name for field in fields(cls)]
+    _require_keys(raw, keys, where or "config")
+    kwargs = {}
+    reads = getattr(cls, "READS", None)
+    if reads is not None:
+        kind = raw.get("kind", getattr(cls, "kind", None))
+        if not isinstance(kind, str) or kind not in reads:
+            raise ConfigError(f"{prefix}kind must be one of {', '.join(reads)}, got {kind!r}")
+        for key in raw:
+            if key != "kind" and key not in reads[kind]:
+                owners = " or ".join(k for k, read in reads.items() if key in read)
+                raise ConfigError(f"{prefix}{key} only valid with kind {owners}")
+        kwargs["kind"] = kind
+        keys = reads[kind]
+    readers = getattr(cls, "READERS", {})
+    for key in keys:
+        if key in raw:
+            default_type = type(getattr(cls, key))
+            read = (readers.get(key) or _READ_BY_TYPE.get(default_type)
+                    or default_type.from_dict)
+            kwargs[key] = read(raw[key], prefix + key)
+    return kwargs
+
+
+def _json(value):
+    """The JSON form of a config value: a section's fields, or for a kinded
+    one `kind` and the keys its kind reads, and a list for a tuple."""
+    if isinstance(value, JacobiParams):
+        return [value.alpha, value.beta]
+    if is_dataclass(value):
+        reads = getattr(value, "READS", None)
+        keys = ("kind", *reads[value.kind]) if reads else [f.name for f in fields(value)]
+        return {key: _json(getattr(value, key)) for key in keys}
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value
+
+
+class _Section:
+    """A config section: a frozen dataclass read by `_read`, written by
+    `_json`, and checked by its own `_check(where)`."""
+
+    @classmethod
+    def from_dict(cls, raw, where: str = ""):
+        section = cls(**_read(cls, raw, where))
+        section._check(where)
+        return section
+
+    def to_dict(self) -> dict:
+        return _json(self)
+
+
 @dataclass(frozen=True)
-class TimeGridSpec:
+class TimeGridSpec(_Section):
     t_min: float = 1e-3
     t_max: float = 1e2
     count: int = 96
     geometric: bool = True
 
-    @classmethod
-    def from_dict(cls, raw: dict, where: str = "t_grid") -> "TimeGridSpec":
-        _require_keys(raw, ("t_min", "t_max", "count", "geometric"), where)
-        spec = cls(
-            t_min=_number(raw.get("t_min", cls.t_min), f"{where}.t_min"),
-            t_max=_number(raw.get("t_max", cls.t_max), f"{where}.t_max"),
-            count=_integer(raw.get("count", cls.count), f"{where}.count"),
-            geometric=_boolean(raw.get("geometric", cls.geometric),
-                               f"{where}.geometric"),
-        )
-        if not (0.0 < spec.t_min < spec.t_max):
+    def _check(self, where: str) -> None:
+        if not (0.0 < self.t_min < self.t_max):
             raise ConfigError(f"{where} needs 0 < t_min < t_max")
-        if spec.count < 2:
+        if self.count < 2:
             raise ConfigError(f"{where}.count must be at least 2")
-        return spec
-
-    def to_dict(self) -> dict:
-        return {"t_min": self.t_min, "t_max": self.t_max,
-                "count": self.count, "geometric": self.geometric}
 
     def build(self) -> TimeGrid:
         if self.geometric:
@@ -117,29 +185,21 @@ class TimeGridSpec:
 
 
 @dataclass(frozen=True)
-class LacunarySpec:
+class LacunarySpec(_Section):
     ratio: float = 2.0
     window: int = 6
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "LacunarySpec":
-        _require_keys(raw, ("ratio", "window"), "lacunary")
-        spec = cls(ratio=_number(raw.get("ratio", cls.ratio), "lacunary.ratio"),
-                   window=_integer(raw.get("window", cls.window), "lacunary.window"))
-        if spec.ratio <= 1.0:
-            raise ConfigError("lacunary.ratio must exceed 1")
-        if spec.window < 1:
-            raise ConfigError("lacunary.window must be at least 1")
+    def _check(self, where: str) -> None:
+        if self.ratio <= 1.0:
+            raise ConfigError(f"{where}.ratio must exceed 1")
+        if self.window < 1:
+            raise ConfigError(f"{where}.window must be at least 1")
         try:
             with np.errstate(over="ignore"):
-                spec.build()
+                self.build()
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"lacunary ratio {spec.ratio:g} and window {spec.window} "
+            raise ConfigError(f"{where} ratio {self.ratio:g} and window {self.window} "
                               f"give no valid sequence: {exc}") from exc
-        return spec
-
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "window": self.window}
 
     def build(self) -> LacunarySequence:
         return LacunarySequence.geometric(self.ratio, -self.window - LACUNARY_PAD,
@@ -147,29 +207,15 @@ class LacunarySpec:
 
 
 @dataclass(frozen=True)
-class BcoefSpec:
+class BcoefSpec(_Section):
     kind: str = "alternating"
     values: tuple = ()
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BcoefSpec":
-        _require_keys(raw, ("kind", "values"), "bcoef")
-        kind = raw.get("kind", cls.kind)
-        if kind not in ("ones", "alternating", "explicit"):
-            raise ConfigError(f"bcoef.kind must be ones, alternating, or explicit, got {kind!r}")
-        values = tuple(_number(v, "bcoef.values")
-                       for v in _sequence(raw.get("values", ()), "bcoef.values"))
-        if kind == "explicit" and not values:
-            raise ConfigError("bcoef.kind explicit requires values")
-        if kind != "explicit" and values:
-            raise ConfigError("bcoef.values only valid with kind explicit")
-        return cls(kind=kind, values=values)
+    READS = {"ones": (), "alternating": (), "explicit": ("values",)}
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "explicit":
-            out["values"] = list(self.values)
-        return out
+    def _check(self, where: str) -> None:
+        if self.kind == "explicit" and not self.values:
+            raise ConfigError(f"{where}.kind explicit requires values")
 
     def resolve(self, lac: LacunarySequence) -> np.ndarray:
         n_steps = lac.values.size - 1
@@ -185,32 +231,16 @@ class BcoefSpec:
 
 
 @dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(_Section):
     kind: str = "delta"
     index: int = 0
     values: tuple = ()
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SignalSpec":
-        _require_keys(raw, ("kind", "index", "values"), "signal")
-        kind = raw.get("kind", cls.kind)
-        if kind not in ("delta", "explicit"):
-            raise ConfigError(f"signal.kind must be delta or explicit, got {kind!r}")
-        if kind == "explicit" and "index" in raw:
-            raise ConfigError("signal.index only valid with kind delta")
-        index = _integer(raw.get("index", cls.index), "signal.index")
-        if kind == "delta" and index < 0:
-            raise ConfigError("signal.index must be nonnegative")
-        values = tuple(_number(v, "signal.values")
-                       for v in _sequence(raw.get("values", ()), "signal.values"))
-        if kind == "delta" and values:
-            raise ConfigError("signal.values only valid with kind explicit")
-        return cls(kind=kind, index=index, values=values)
+    READS = {"delta": ("index",), "explicit": ("values",)}
 
-    def to_dict(self) -> dict:
-        if self.kind == "delta":
-            return {"kind": "delta", "index": self.index}
-        return {"kind": "explicit", "values": list(self.values)}
+    def _check(self, where: str) -> None:
+        if self.index < 0:
+            raise ConfigError(f"{where}.index must be nonnegative")
 
     def resolve(self, size: int) -> np.ndarray:
         if self.kind == "delta":
@@ -223,57 +253,46 @@ class SignalSpec:
         return np.asarray(self.values, dtype=float)
 
 
-def _parse_weight(raw: dict, where: str) -> WeightSpec:
-    _require_keys(raw, ("kind", "exponent", "values", "path"), where)
-    kind = raw.get("kind")
-    if kind not in ("constant", "power", "explicit", "file"):
-        raise ConfigError(
-            f"{where}.kind must be constant, power, explicit, or file, got {kind!r}")
-    for key, reader in (("exponent", "power"), ("values", "explicit"), ("path", "file")):
-        if key in raw and kind != reader:
-            raise ConfigError(f"{where}.{key} only valid with kind {reader}")
-    path = raw.get("path", "")
-    if not isinstance(path, str):
-        raise ConfigError(f"{where}.path must be a string, got {path!r}")
-    values = tuple(_number(v, f"{where}.values")
-                   for v in _sequence(raw.get("values", ()), f"{where}.values"))
-    if kind == "explicit" and not values:
-        raise ConfigError(f"{where} explicit weight requires values")
-    if kind == "file":
-        if not path:
+def _weight(raw, where: str) -> WeightSpec:
+    """A weight, with a file weight's values read from its path."""
+    spec = WeightSpec(**_read(WeightSpec, raw, where))
+    if spec.kind == "file":
+        if not spec.path:
             raise ConfigError(f"{where} file weight requires path")
         try:
-            loaded = np.loadtxt(Path(path), dtype=float, ndmin=1)
+            loaded = np.loadtxt(spec.path, dtype=float, ndmin=1)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"{where} cannot read weight file {path}: {exc}") from exc
-        values = tuple(_number(v, f"{where} file {path}") for v in loaded.tolist())
-    if kind in ("explicit", "file") and any(v <= 0.0 for v in values):
+            raise ConfigError(f"{where} cannot read weight file {spec.path}: {exc}") from exc
+        spec = replace(spec, values=tuple(_number(v, f"{where} file {spec.path}")
+                                          for v in loaded.tolist()))
+    if any(v <= 0.0 for v in spec.values):
         raise ConfigError(f"{where} weight values must be positive")
-    return WeightSpec(kind=kind,
-                      exponent=_number(raw.get("exponent", 0.0), f"{where}.exponent"),
-                      values=values, path=path)
+    return spec
 
 
-def _weight_dict(spec: WeightSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.kind == "power":
-        out["exponent"] = spec.exponent
-    elif spec.kind == "explicit":
-        out["values"] = list(spec.values)
-    elif spec.kind == "file":
-        out["path"] = spec.path
-    return out
+def _weights(raw, where: str) -> tuple:
+    items = [raw] if isinstance(raw, dict) else raw
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{where} must be a weight spec or nonempty list of them")
+    return tuple(_weight(item, f"{where}[{i}]") for i, item in enumerate(items))
 
 
-_TOP_KEYS = (
-    "params", "sizes", "t_grid", "norms_t_grid", "rho", "lambdas", "p_values",
-    "weights", "lacunary", "bcoef", "signal", "kernel_times", "estimates",
-    "operators", "quad_tol", "seed", "workers", "out_dir",
-)
+def _params(raw, where: str) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{where} must be a nonempty list of [alpha, beta] pairs")
+    parsed = []
+    for pair in raw:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{where} entry {pair!r} is not an [alpha, beta] pair")
+        try:
+            parsed.append(JacobiParams(_number(pair[0], "alpha"), _number(pair[1], "beta")))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return tuple(parsed)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section):
     """Fully resolved run configuration; every field has a working default."""
 
     params: tuple = (JacobiParams(-0.5, -0.5), JacobiParams(0.0, 0.0),
@@ -297,125 +316,38 @@ class RunConfig:
     workers: int | None = None
     out_dir: str = "out"
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        _require_keys(raw, _TOP_KEYS, "config")
-        kwargs: dict = {}
-        if "params" in raw:
-            pairs = raw["params"]
-            if not isinstance(pairs, list) or not pairs:
-                raise ConfigError("params must be a nonempty list of [alpha, beta] pairs")
-            parsed = []
-            for pair in pairs:
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ConfigError(f"params entry {pair!r} is not an [alpha, beta] pair")
-                try:
-                    parsed.append(JacobiParams(_number(pair[0], "alpha"),
-                                               _number(pair[1], "beta")))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-            kwargs["params"] = tuple(parsed)
-        if "sizes" in raw:
-            sizes = tuple(_integer(s, "sizes") for s in _sequence(raw["sizes"], "sizes"))
-            if not sizes or any(s < 2 for s in sizes):
-                raise ConfigError("sizes must be integers of at least 2")
-            if any(b <= a for a, b in zip(sizes, sizes[1:])):
-                raise ConfigError("sizes must be strictly increasing")
-            kwargs["sizes"] = sizes
-        if "t_grid" in raw:
-            kwargs["t_grid"] = TimeGridSpec.from_dict(raw["t_grid"], "t_grid")
-        if "norms_t_grid" in raw:
-            kwargs["norms_t_grid"] = TimeGridSpec.from_dict(raw["norms_t_grid"],
-                                                            "norms_t_grid")
-        if "rho" in raw:
-            rho = _number(raw["rho"], "rho")
-            if rho <= 1.0:
-                raise ConfigError("rho must exceed 1")
-            kwargs["rho"] = rho
-        if "lambdas" in raw:
-            lams = tuple(_number(v, "lambdas")
-                         for v in _sequence(raw["lambdas"], "lambdas"))
-            if not lams or any(v <= 0.0 for v in lams):
-                raise ConfigError("lambdas must be positive and nonempty")
-            kwargs["lambdas"] = lams
-        if "p_values" in raw:
-            ps = tuple(_number(v, "p_values")
-                       for v in _sequence(raw["p_values"], "p_values"))
-            if not ps or any(v < 1.0 for v in ps):
-                raise ConfigError("p_values must be at least 1 and nonempty")
-            kwargs["p_values"] = ps
-        if "weights" in raw:
-            items = raw["weights"]
-            if isinstance(items, dict):
-                items = [items]
-            if not isinstance(items, list) or not items:
-                raise ConfigError("weights must be a weight spec or nonempty list of them")
-            kwargs["weights"] = tuple(
-                _parse_weight(item, f"weights[{i}]") for i, item in enumerate(items))
-            need = max(kwargs.get("sizes", cls.sizes))
-            for i, spec in enumerate(kwargs["weights"]):
-                if spec.kind in ("explicit", "file") and len(spec.values) < need:
-                    raise ConfigError(f"weights[{i}] covers {len(spec.values)} indices, "
-                                      f"sizes need {need}")
-        if "lacunary" in raw:
-            kwargs["lacunary"] = LacunarySpec.from_dict(raw["lacunary"])
-        if "bcoef" in raw:
-            kwargs["bcoef"] = BcoefSpec.from_dict(raw["bcoef"])
-        if "signal" in raw:
-            kwargs["signal"] = SignalSpec.from_dict(raw["signal"])
-        if "kernel_times" in raw:
-            times = tuple(_number(v, "kernel_times")
-                          for v in _sequence(raw["kernel_times"], "kernel_times"))
-            if not times or any(v <= 0.0 for v in times):
-                raise ConfigError("kernel_times must be positive and nonempty")
-            kwargs["kernel_times"] = times
-        if "estimates" in raw:
-            kwargs["estimates"] = _names(raw["estimates"], ESTIMATE_NAMES, "estimates")
-        if "operators" in raw:
-            kwargs["operators"] = _names(raw["operators"], OPERATOR_NAMES, "operators")
-        if "quad_tol" in raw:
-            tol = _number(raw["quad_tol"], "quad_tol")
-            if tol <= 0.0:
-                raise ConfigError("quad_tol must be positive")
-            kwargs["quad_tol"] = tol
-        if "seed" in raw:
-            seed = _integer(raw["seed"], "seed")
-            if not (0 <= seed < 2 ** 64):
-                raise ConfigError("seed must fit in an unsigned 64-bit integer")
-            kwargs["seed"] = seed
-        if "workers" in raw and raw["workers"] is not None:
-            workers = _integer(raw["workers"], "workers")
-            if workers < 1:
-                raise ConfigError("workers must be at least 1")
-            kwargs["workers"] = workers
-        if "out_dir" in raw:
-            out_dir = raw["out_dir"]
-            if not isinstance(out_dir, str) or not out_dir:
-                raise ConfigError(f"out_dir must be a nonempty string, got {out_dir!r}")
-            kwargs["out_dir"] = out_dir
-        return cls(**kwargs)
+    READERS = {
+        "params": _params,
+        "sizes": lambda raw, where: tuple(_integer(s, where) for s in _sequence(raw, where)),
+        "weights": _weights,
+        "estimates": lambda raw, where: _names(raw, ESTIMATE_NAMES, where),
+        "operators": lambda raw, where: _names(raw, OPERATOR_NAMES, where),
+        "workers": lambda raw, where: None if raw is None else _integer(raw, where),
+    }
 
-    def to_dict(self) -> dict:
-        return {
-            "params": [[p.alpha, p.beta] for p in self.params],
-            "sizes": list(self.sizes),
-            "t_grid": self.t_grid.to_dict(),
-            "norms_t_grid": self.norms_t_grid.to_dict(),
-            "rho": self.rho,
-            "lambdas": list(self.lambdas),
-            "p_values": list(self.p_values),
-            "weights": [_weight_dict(w) for w in self.weights],
-            "lacunary": self.lacunary.to_dict(),
-            "bcoef": self.bcoef.to_dict(),
-            "signal": self.signal.to_dict(),
-            "kernel_times": list(self.kernel_times),
-            "estimates": list(self.estimates),
-            "operators": list(self.operators),
-            "quad_tol": self.quad_tol,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-        }
+    def _check(self, where: str) -> None:
+        if not self.sizes or any(s < 2 for s in self.sizes):
+            raise ConfigError("sizes must be integers of at least 2")
+        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ConfigError("sizes must be strictly increasing")
+        if self.rho <= 1.0:
+            raise ConfigError("rho must exceed 1")
+        if not self.lambdas or min(self.lambdas) <= 0.0:
+            raise ConfigError("lambdas must be positive and nonempty")
+        if not self.p_values or min(self.p_values) < 1.0:
+            raise ConfigError("p_values must be at least 1 and nonempty")
+        for i, spec in enumerate(self.weights):
+            if spec.kind in ("explicit", "file") and len(spec.values) < max(self.sizes):
+                raise ConfigError(f"weights[{i}] covers {len(spec.values)} indices, "
+                                  f"sizes need {max(self.sizes)}")
+        if not self.kernel_times or min(self.kernel_times) <= 0.0:
+            raise ConfigError("kernel_times must be positive and nonempty")
+        if self.quad_tol <= 0.0:
+            raise ConfigError("quad_tol must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError("workers must be at least 1")
 
 
 def load_config(path: str) -> RunConfig:

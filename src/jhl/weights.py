@@ -53,8 +53,11 @@ class WeightSpec:
     values: tuple = ()
     path: str = ""
 
+    # the keys each kind reads besides `kind`
+    READS = {"constant": (), "power": ("exponent",), "explicit": ("values",), "file": ("path",)}
+
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "power", "explicit", "file"):
+        if self.kind not in self.READS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def resolve(self, size: int) -> np.ndarray:

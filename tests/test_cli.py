@@ -27,9 +27,10 @@ from jhl.cli import (
     _write_matrix_csv,
     main,
 )
-from jhl.config import OPERATOR_NAMES, RunConfig, load_config
+from jhl.config import OPERATOR_NAMES, BcoefSpec, RunConfig, SignalSpec, load_config
 from jhl.errors import ConfigError
 from jhl.semigroup import clear_caches, kernel_dt_tensor, kernel_tensor, weight_at_one
+from jhl.weights import WeightSpec
 
 
 def _base_config(**overrides):
@@ -111,11 +112,24 @@ def _read_matrix(path, size):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        default = RunConfig()
-        rebuilt = RunConfig.from_dict(default.to_dict())
-        assert rebuilt == default
-        assert rebuilt.to_dict() == default.to_dict()
+    @pytest.mark.parametrize("kinds", [False, True], ids=["default", "every-kind"])
+    def test_round_trip(self, tmp_path, kinds):
+        raw = {}
+        if kinds:
+            weights = tmp_path / "w.txt"
+            weights.write_text("".join(f"{n + 1}\n" for n in range(128)))
+            raw = {"bcoef": {"kind": "explicit", "values": [1.0, -1.0] * 7},
+                   "signal": {"kind": "explicit", "values": [0.5, 2.0]},
+                   "weights": [{"kind": "constant"}, {"kind": "power", "exponent": 0.5},
+                               {"kind": "explicit", "values": [2.0] * 128},
+                               {"kind": "file", "path": str(weights)}]}
+        config = RunConfig.from_dict(raw)
+        written = config.to_dict()
+        assert RunConfig.from_dict(written) == config
+        sections = [(written["bcoef"], BcoefSpec), (written["signal"], SignalSpec)]
+        sections += [(weight, WeightSpec) for weight in written["weights"]]
+        for section, cls in sections:
+            assert set(section) == {"kind", *cls.READS[section["kind"]]}
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -207,9 +221,22 @@ class TestMainErrors:
         {"operators": [{"name": "jump"}]},
         {"signal": {"kind": "explicit", "values": [1.0], "index": 0}},
         {"bcoef": {"kind": "ones", "values": [1.0]}},
+        # a key the kind does not read is an error even when it is empty
+        {"bcoef": {"kind": "ones", "values": []}},
+        {"bcoef": {"values": []}},
+        {"signal": {"kind": "delta", "values": []}},
+        # a kind that is not a string is not looked up
+        {"bcoef": {"kind": []}},
+        {"bcoef": {"kind": {}}},
+        {"signal": {"kind": []}},
+        {"signal": {"kind": {}}},
+        {"weights": [{"kind": []}]},
+        {"weights": [{"kind": {}}]},
     ], ids=["t-grid-int", "lacunary-list", "bcoef-int", "weight-int", "signal-values-int",
             "bcoef-values-str", "estimate-list", "operator-dict", "explicit-signal-index",
-            "ones-bcoef-values"])
+            "ones-bcoef-values", "ones-bcoef-empty-values", "default-bcoef-empty-values",
+            "delta-signal-empty-values", "bcoef-kind-list", "bcoef-kind-dict",
+            "signal-kind-list", "signal-kind-dict", "weight-kind-list", "weight-kind-dict"])
     def test_wrong_section_types_exit_two(self, tmp_path, capsys, override):
         path = _write_config(tmp_path, _base_config(out_dir=str(tmp_path / "o"),
                                                     **override))
