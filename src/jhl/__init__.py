@@ -33,6 +33,7 @@ from .quadrature import auto_order
 from .semigroup import (
     clear_caches,
     kernel_dt_tensor,
+    kernel_matrices,
     kernel_matrix,
     kernel_tensor,
     markov_defect,

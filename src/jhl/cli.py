@@ -30,11 +30,12 @@ from .quadrature import auto_order
 from .semigroup import (
     clear_caches,
     kernel_dt_tensor,
-    kernel_matrix,
+    kernel_matrices,
     kernel_tensor,
     laguerre_split,
     markov_defect,
     semigroup_defect,
+    weight_at_one,
 )
 from .verify import (
     operator_images,
@@ -83,22 +84,32 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     distinct float64 bit pattern is formatted once with `%.17g`. A kernel is
     symmetric and mostly exact zeros (`semigroup._gram`), so at size 256 that
     is 283 to 7,709 values of 65,536. Keying on bits, not values, keeps -0.0
-    apart from 0.0."""
+    apart from 0.0. Each row starts from a template of its zero lines and
+    takes a "%s" slot at its nonzero columns only, so the values held are
+    those of the nonzero entries."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    n_rows, n_cols = matrix.shape
     bits = matrix.view(np.int64).ravel()
     nonzero = np.flatnonzero(bits)
     distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
-    text = np.full(bits.size, b"0", dtype=object)
-    strings = [b"%.17g" % v for v in distinct.view(np.float64).tolist()]
-    text[nonzero] = np.array(strings, dtype=object)[inverse]
-    text = text.reshape(matrix.shape)
-    # One "%s" slot per column. Joined with the row label as separator, the
-    # leading b"" puts that label in front of every line of the row.
-    slots = [b"", *(b",%d,%%s\n" % col for col in range(matrix.shape[1]))]
+    strings = np.array([b"%.17g" % v for v in distinct.view(np.float64).tolist()],
+                       dtype=object)[inverse].tolist()
+    # The nonzero entries of row r are strings[bounds[r]:bounds[r + 1]], at
+    # columns cols[bounds[r]:bounds[r + 1]], shifted by 1 past the leading b"".
+    bounds = np.searchsorted(nonzero, np.arange(n_rows + 1) * n_cols).tolist()
+    cols = (nonzero % n_cols + 1).tolist()
+    # Joined with the row label as separator, the leading b"" puts that label
+    # in front of every line of the row.
+    zeros = [b"", *(b",%d,0\n" % col for col in range(n_cols))]
+    slots = [b"", *(b",%d,%%s\n" % col for col in range(n_cols))]
     with open(path, "wb") as handle:
         handle.write(b"row,col,value\n")
-        for row in range(matrix.shape[0]):
-            handle.write((b"%d" % row).join(slots) % tuple(text[row].tolist()))
+        for row in range(n_rows):
+            lo, hi = bounds[row], bounds[row + 1]
+            line = zeros.copy()
+            for col in cols[lo:hi]:
+                line[col] = slots[col]
+            handle.write((b"%d" % row).join(line) % tuple(strings[lo:hi]))
 
 
 def _write_json(path: str, payload) -> None:
@@ -146,7 +157,9 @@ def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
     """Write one params' heat-kernel and time-derivative matrices and its
     report.json, with the route, Gauss-Jacobi order (null for Gauss-Laguerre)
     and defects of each time, measured on the kernels written, all built at
-    `quad_tol`."""
+    `quad_tol`. The spectral cross-check diagonalizes once, when the first
+    time's matrix is taken, for every time; `<params>/spectral` includes
+    that eigensolve."""
     started = time.perf_counter()
     tag = params.tag()
     tag_dir = _ensure_dir(config.out_dir, "kernel", tag)
@@ -154,20 +167,21 @@ def _kernel_params(config: RunConfig, params: JacobiParams) -> tuple:
     size = max(config.sizes)
     defects: dict = {"markov": [], "semigroup": [], "cross_method": []}
     write_s = spectral_s = 0.0
+    at_one = weight_at_one(params, size)
+    spectral_kernels = kernel_matrices(params, times, size, config.quad_tol)
     for idx, t in enumerate(times):
         # Each time's matrices replace the last time's, so no earlier time's
         # kernel is alive while this one's are written.
         quad = kernel_tensor(params, [t], size, config.quad_tol)[0]
         dkt = kernel_dt_tensor(params, [t], size, config.quad_tol)[0]
         half = kernel_tensor(params, [t / 2.0], size, config.quad_tol)[0]
-        solved = time.perf_counter()
-        spectral = kernel_matrix(params, t, size, config.quad_tol)
-        spectral_s += time.perf_counter() - solved
+        spectral, solved = _timed(next, spectral_kernels)
+        spectral_s += solved
         written = time.perf_counter()
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_{idx:02d}.csv"), quad)
         _write_matrix_csv(os.path.join(tag_dir, f"kernel_dt_{idx:02d}.csv"), dkt)
         write_s += time.perf_counter() - written
-        defects["markov"].append(markov_defect(params, quad[:size // 4 + 1]))
+        defects["markov"].append(markov_defect(quad[:size // 4 + 1], at_one))
         defects["semigroup"].append(semigroup_defect(half, half, quad))
         defects["cross_method"].append(
             float(np.abs(quad - spectral).max()))
@@ -227,8 +241,6 @@ def _operator_table(config: RunConfig, params: JacobiParams):
                    else [operator])
     if with_margin:
         header.append("margin")
-    if f.size == 0:
-        return header, [], {}, 0.0
     if f.size > size:
         raise ConfigError(
             f"signal has {f.size} entries, larger than the truncation size {size}")

@@ -241,6 +241,8 @@ class SignalSpec(_Section):
     def _check(self, where: str) -> None:
         if self.index < 0:
             raise ConfigError(f"{where}.index must be nonnegative")
+        if self.kind == "explicit" and not self.values:
+            raise ConfigError(f"{where}.values must be nonempty for kind explicit")
 
     def resolve(self, size: int) -> np.ndarray:
         if self.kind == "delta":
@@ -281,13 +283,15 @@ def _params(raw, where: str) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{where} must be a nonempty list of [alpha, beta] pairs")
     parsed = []
-    for pair in raw:
+    for i, pair in enumerate(raw):
+        entry = f"{where}[{i}]"
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"{where} entry {pair!r} is not an [alpha, beta] pair")
+            raise ConfigError(f"{entry} must be an [alpha, beta] pair, got {pair!r}")
+        alpha, beta = _number(pair[0], f"{entry} alpha"), _number(pair[1], f"{entry} beta")
         try:
-            parsed.append(JacobiParams(_number(pair[0], "alpha"), _number(pair[1], "beta")))
+            parsed.append(JacobiParams(alpha, beta))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{entry}: {exc}") from exc
     return tuple(parsed)
 
 

@@ -15,13 +15,15 @@ above it, with u = t(1 - x), it is an integral against u^alpha e^{-u} on
 dropped, one table of p_n(1 - u/t) per time, at the order `laguerre_order`
 chooses. The spectral route diagonalizes, with numpy.linalg.eigh, the M x M
 truncation of the operator, M = min(4N, N + d) with d the least margin that a
-Poisson tail bound certifies to the tolerance at t (`_truncation`), and
-exponentiates its raw eigenvectors; it is a cross-check only well below
-t = N^2, so not in the Laguerre range; it is `kernel_matrix`, and the
-quadrature route is `kernel_tensor` and `kernel_dt_tensor`. The eigen-rows,
-Laguerre orders and Laguerre rules of the quadrature route are memoised in
+Poisson tail bound certifies to the tolerance at the largest of its times
+(`_truncation`), and exponentiates its raw eigenvectors at each time: the
+bound rises with t, so one eigensolve serves every time of a batch. It is a
+cross-check only well below t = N^2, so not in the Laguerre range; it is
+`kernel_matrices` (and `kernel_matrix` for one time), and the quadrature
+route is `kernel_tensor` and `kernel_dt_tensor`. The eigen-rows, Laguerre
+orders and Laguerre rules of the quadrature route are memoised in
 `jhl._memo`, which `clear_caches` empties; each tensor is built anew. The
-spectral route keeps no eigenbasis, as its truncation size changes with t.
+spectral route's eigenbasis lives only as long as its generator.
 The tests check both routes entry by entry against scalar oracles that take
 a Golub-Welsch rule (`tests/oracles.py`), against the matrix exponential of
 the truncation, and the whole kernel at (-1/2, -1/2) and (1/2, 1/2) against
@@ -56,6 +58,7 @@ from .errors import NumericFailure
 from .quadrature import _eigh, _jacobi_rows, _laguerre_terms, auto_order, laguerre_order
 
 __all__ = [
+    "kernel_matrices",
     "kernel_matrix",
     "kernel_tensor",
     "kernel_dt_tensor",
@@ -187,23 +190,41 @@ def _quad_kernels(params: JacobiParams, times, size: int, tol: float,
     return out
 
 
-def kernel_matrix(params: JacobiParams, t: float, size: int,
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Read-only truncated kernel matrix (K_t(n, m))_{n,m < size}, t > 0, by
-    the spectral route: it diagonalizes the truncation of size
-    `_truncation(t, size, quad_tol)`, within quad_tol of the full lattice's
-    kernel on the leading block wherever that size is below 4*size, and keeps
-    the leading block.
+def kernel_matrices(params: JacobiParams, times, size: int,
+                    quad_tol: float = DEFAULT_QUAD_TOL):
+    """Generator of read-only truncated kernel matrices (K_t(n, m))_{n,m <
+    size}, one per t > 0 of times, in the order given, by the spectral route.
+
+    At the first next() it diagonalizes, once, the truncation of size M =
+    `_truncation(max(times), size, quad_tol)`; each matrix is the Gram of the
+    leading block of those eigenvectors with weights e^{t lam}. The bound
+    t P(Poisson(t) >= 2(M - size) + 1) that certifies M rises with t, and so
+    does its Chernoff form in `_poisson_tail`, so the M certified for the
+    largest time certifies every smaller one: wherever M is below 4*size,
+    each matrix is within quad_tol of the full lattice's kernel on the
+    leading block. ValueError, at the first next(), if times is empty or
+    not all finite and positive.
     """
-    if not np.isfinite(t) or t <= 0.0:
-        raise ValueError("time t must be finite and positive")
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or not np.all(np.isfinite(times)) or np.any(times <= 0.0):
+        raise ValueError("times must be nonempty, finite and positive")
     if size < 1:
         raise ValueError("size must be positive")
-    lam, vec = _eigh(*generator_coefficients(params, _truncation(t, size, quad_tol)))
-    entries = _gram(vec[:size, :], np.exp(t * lam))
-    _check_positivity(params, entries)
-    entries.setflags(write=False)
-    return entries
+    lam, vec = _eigh(*generator_coefficients(
+        params, _truncation(float(times.max()), size, quad_tol)))
+    rows = vec[:size]
+    for t in times:
+        entries = _gram(rows, np.exp(t * lam))
+        _check_positivity(params, entries)
+        entries.setflags(write=False)
+        yield entries
+
+
+def kernel_matrix(params: JacobiParams, t: float, size: int,
+                  quad_tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
+    """The spectral K_t of one time t > 0: the one matrix of
+    `kernel_matrices(params, [t], size, quad_tol)`."""
+    return next(kernel_matrices(params, [t], size, quad_tol))
 
 
 def _tensor(params: JacobiParams, times, size: int, quad_tol: float,
@@ -239,9 +260,11 @@ def weight_at_one(params: JacobiParams, size: int) -> np.ndarray:
     return np.array(_at_one_by_ratios(params, size - 1))
 
 
-def markov_defect(params: JacobiParams, rows: np.ndarray) -> float:
+def markov_defect(rows: np.ndarray, at_one: np.ndarray) -> float:
     """Largest relative defect |sum_m K_t(n,m) p_m(1) - p_n(1)| / p_n(1) over
-    the given leading rows K_t(n, .) of a size-N truncated kernel.
+    the given leading rows K_t(n, .) of a size-N truncated kernel, with
+    at_one the N values p_n(1) (`weight_at_one`), which a caller computes
+    once for all the kernels of one params.
 
     Meaningful only well inside the truncation, so at most N/4 + 1 rows.
     """
@@ -249,8 +272,8 @@ def markov_defect(params: JacobiParams, rows: np.ndarray) -> float:
     if not 0 < rows.shape[0] <= size // 4 + 1:
         raise ValueError("markov defect takes 1 to size/4 + 1 leading rows, "
                          "away from the truncation edge")
-    v = weight_at_one(params, size)
-    return max(float(abs(rows[n] @ v - v[n]) / v[n]) for n in range(rows.shape[0]))
+    return max(float(abs(rows[n] @ at_one - at_one[n]) / at_one[n])
+               for n in range(rows.shape[0]))
 
 
 def semigroup_defect(kt: np.ndarray, ks: np.ndarray, kts: np.ndarray) -> float:

@@ -23,7 +23,8 @@ from jhl.paths import (
     oscillation_batch,
     variation_batch,
 )
-from jhl.semigroup import kernel_matrix, kernel_tensor, markov_defect, semigroup_defect
+from jhl.semigroup import (kernel_matrix, kernel_tensor, markov_defect, semigroup_defect,
+                           weight_at_one)
 from jhl.verify import s_star_kernels, verify_theorem_norms
 from jhl.weights import WeightSpec
 from oracles import brute_jump_count, brute_variation, build_generator, golub_welsch
@@ -108,7 +109,8 @@ def test_4_kernel_oracles(capfd):
     # entry roundoff
     flat = JacobiParams(0.0, 0.0)
     for t in (0.1, 1.0, 5.0):
-        ok &= markov_defect(flat, kernel_tensor(flat, [t], 400)[0][:21]) <= 1e-8
+        ok &= markov_defect(kernel_tensor(flat, [t], 400)[0][:21],
+                            weight_at_one(flat, 400)) <= 1e-8
     _report(capfd, 4, "kernel_oracles", ok, time.perf_counter() - started, 60.0)
 
 

@@ -1,5 +1,7 @@
 """Tests for heat-kernel computation, defects, and the stochastic rescaling."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from jhl.semigroup import (
     DEFAULT_QUAD_TOL,
     clear_caches,
     kernel_dt_tensor,
+    kernel_matrices,
     kernel_matrix,
     kernel_tensor,
     laguerre_split,
@@ -218,6 +221,44 @@ class TestSpectralTruncation:
             spectral = kernel_matrix(params, t, size)
             assert np.abs(spectral - oracle).max() <= DEFAULT_QUAD_TOL
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("size", [16, 64, 256, 512])
+    def test_truncation_nondecreasing_in_time(self, size, tol):
+        # `kernel_matrices` diagonalizes the truncation of its largest time
+        # for every time, so a smaller time must never need a larger one.
+        times = np.union1d(np.geomspace(1e-12, size * size / 4.0, 300),
+                           np.linspace(0.0, size * size / 4.0, 301)[1:])
+        truncations = [semigroup._truncation(t, size, tol) for t in times]
+        assert truncations[0] >= size and truncations[-1] <= 4 * size
+        assert all(a <= b for a, b in zip(truncations, truncations[1:]))
+
+    @pytest.mark.parametrize("params", [CHEBYSHEV, LEGENDRE, JacobiParams(3.0, -0.9)],
+                             ids=["chebyshev", "legendre", "skew"])
+    @pytest.mark.parametrize("size", [16, 64])
+    def test_batch_yields_each_time_in_order(self, params, size):
+        # Unsorted times: the shared truncation is that of the largest, not
+        # of the last, and each matrix is its own time's. Against its own
+        # smaller truncation, an entry may move by the rounding of the two
+        # Grams: each sums M' terms with a diagonal of at most 1, so each is
+        # off by about sqrt(M') eps. Measured: up to 13 eps at size 64.
+        times = [10.0, 1e-12, 1.0]
+        batch = list(kernel_matrices(params, times, size))
+        assert len(batch) == len(times)
+        tol = 2.0 * math.sqrt(semigroup._truncation(10.0, size, DEFAULT_QUAD_TOL)) \
+            * np.finfo(float).eps
+        for t, matrix in zip(times, batch):
+            alone = next(kernel_matrices(params, [t], size))
+            assert np.abs(matrix - alone).max() <= tol, t
+            assert not matrix.flags.writeable
+            assert np.array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
+            assert not np.signbit(matrix[matrix == 0.0]).any()
+
+    # one-time lists are test_spectral_time_must_be_positive's
+    @pytest.mark.parametrize("times", [[], [1.0, 0.0], [2.0, -1.0], [1.0, np.nan]])
+    def test_batch_times_must_be_positive(self, times):
+        with pytest.raises(ValueError, match="positive"):
+            next(kernel_matrices(LEGENDRE, times, 8))
+
     @pytest.mark.parametrize("size", [30, 64])
     def test_large_time_keeps_four_times_the_size(self, size):
         assert semigroup._truncation(float(size * size), size, DEFAULT_QUAD_TOL) == 4 * size
@@ -251,25 +292,27 @@ class TestDefects:
         # t = 50 pushes mass out to distance ~ sqrt(t) * few, so size 32 truncates
         # visibly in rows n <= 8 while size 64 does not; at t = 1 both sit at
         # the noise floor.
-        coarse = markov_defect(LEGENDRE, _kernel(LEGENDRE, 50.0, 32)[:9])
-        fine = markov_defect(LEGENDRE, _kernel(LEGENDRE, 50.0, 64)[:9])
+        coarse = markov_defect(_kernel(LEGENDRE, 50.0, 32)[:9], weight_at_one(LEGENDRE, 32))
+        fine = markov_defect(_kernel(LEGENDRE, 50.0, 64)[:9], weight_at_one(LEGENDRE, 64))
         assert coarse > 1e-5
         assert fine < 1e-8
-        assert markov_defect(LEGENDRE, _kernel(LEGENDRE, 1.0, 100)[:6]) < 1e-10
+        assert markov_defect(_kernel(LEGENDRE, 1.0, 100)[:6],
+                             weight_at_one(LEGENDRE, 100)) < 1e-10
 
     def test_markov_defect_where_p_at_one_spans_decades(self):
         # At (10, -0.9), p_n(1) grows by many decades over 64 indices, so
         # rounding noise on a far entry, left in place, times p_m(1) reads
         # 1.7e-4.
         params = JacobiParams(10.0, -0.9)
+        at_one = weight_at_one(params, 64)
         for t in RunConfig().kernel_times:
             rows = _kernel(params, t, 64)[:17]
-            assert markov_defect(params, rows) <= 1e-8, t
+            assert markov_defect(rows, at_one) <= 1e-8, t
 
     @pytest.mark.parametrize("count", [0, 18])
     def test_markov_defect_tail_guard(self, count):
         with pytest.raises(ValueError, match="rows"):
-            markov_defect(LEGENDRE, _kernel(LEGENDRE, 1.0, 64)[:count])
+            markov_defect(_kernel(LEGENDRE, 1.0, 64)[:count], weight_at_one(LEGENDRE, 64))
 
     @pytest.mark.parametrize("params", [LEGENDRE, CHEBYSHEV, JacobiParams(2.5, 0.5)])
     def test_markov_defect_matches_closed_form_weights(self, params):
@@ -278,7 +321,7 @@ class TestDefects:
         rows = _kernel(params, t, size)[:size // 4 + 1]
         expected = max(float(abs(row @ exact - exact[n]) / exact[n])
                        for n, row in enumerate(rows))
-        assert abs(markov_defect(params, rows) - expected) <= 1e-14
+        assert abs(markov_defect(rows, weight_at_one(params, size)) - expected) <= 1e-14
 
     def test_semigroup_identity(self):
         half = _kernel(LEGENDRE, 0.5, 128)
